@@ -19,8 +19,6 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .admissibility import (
     Certificate,
@@ -41,19 +39,6 @@ from .decision import (
     save_problem,
 )
 from .game import derived_game_value
-from .graybill_deal import (
-    GDParams,
-    GDPriorParams,
-    MCConfig,
-    RectangleO,
-    blyth_sequence_report,
-    excess_bayes_risk,
-    phi_bayes,
-    phi_gd,
-    prior_mass_bound,
-    risk_c1,
-    risk_diff,
-)
 from .hyperreal import parse_lc
 
 EXIT_OK = 0
@@ -103,7 +88,8 @@ def _parse_family_spec(spec: str):
     return tuple(family)
 
 
-def _parse_rect(spec: str) -> RectangleO:
+def _parse_rect(spec: str):
+    from .graybill_deal import RectangleO
     parts = [part.strip() for part in spec.split(",")]
     if len(parts) != 4:
         raise ValueError("rectangle must be a1,b1,a2,b2")
@@ -117,11 +103,14 @@ def _parse_betas(spec: str):
     return betas
 
 
-def _mc_config(args) -> MCConfig:
+def _mc_config(args):
+    from .graybill_deal import MCConfig
     return MCConfig(n_samples=args.samples, seed=args.seed, threads=args.threads)
 
 
 def _resolve_phi(spec: str, args, n: int):
+    import numpy as np
+    from .graybill_deal import GDPriorParams, phi_bayes, phi_gd
     if spec == "gd":
         return phi_gd
     if spec == "bayes":
@@ -237,8 +226,10 @@ def cmd_gen(args) -> int:
 
 
 # -- Monte Carlo commands --------------------------------------------------------
+# graybill_deal pulls in numpy and scipy, so only these commands import it.
 
 def cmd_gd_risk(args) -> int:
+    from .graybill_deal import GDParams, risk_c1
     theta = GDParams(args.mu, args.sigma1_sq, args.sigma2_sq, args.n)
     phi = _resolve_phi(args.phi, args, args.n)
     rep = risk_c1(theta, phi, _mc_config(args))
@@ -249,6 +240,7 @@ def cmd_gd_risk(args) -> int:
 
 
 def cmd_gd_diff(args) -> int:
+    from .graybill_deal import GDParams, risk_diff
     theta = GDParams(args.mu, args.sigma1_sq, args.sigma2_sq, args.n)
     phi0 = _resolve_phi(args.phi0, args, args.n)
     phi1 = _resolve_phi(args.phi1, args, args.n)
@@ -263,6 +255,7 @@ def cmd_gd_diff(args) -> int:
 
 
 def cmd_gd_excess(args) -> int:
+    from .graybill_deal import GDPriorParams, excess_bayes_risk
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     try:
         rep = excess_bayes_risk(prior, _mc_config(args))
@@ -274,6 +267,7 @@ def cmd_gd_excess(args) -> int:
 
 
 def cmd_gd_mass(args) -> int:
+    from .graybill_deal import GDPriorParams, prior_mass_bound
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     rect = _parse_rect(args.rect)
     mc = _mc_config(args) if args.samples > 0 else None
@@ -287,6 +281,7 @@ def cmd_gd_mass(args) -> int:
 
 
 def cmd_gd_blyth(args) -> int:
+    from .graybill_deal import blyth_sequence_report
     rect = _parse_rect(args.rect)
     betas = _parse_betas(args.betas)
     try:

@@ -2,10 +2,9 @@
 
 The model layer carries the estimator algebra and exact samplers; the
 mc layer carries the deterministic sharded Monte Carlo drivers; the
-kernels layer carries the hot loops in both numba and numpy form.
+kernels layer carries the numpy reductions those drivers run per shard.
 """
 
-from .kernels import USE_NUMBA
 from .mc import (
     GDBlythReport,
     GDExcessReport,
@@ -47,7 +46,6 @@ __all__ = [
     "MCEstimate",
     "RectangleO",
     "SHARD_SIZE",
-    "USE_NUMBA",
     "blyth_sequence_report",
     "excess_bayes_risk",
     "gd_estimate",

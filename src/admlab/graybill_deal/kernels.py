@@ -1,25 +1,16 @@
-"""Hot accumulation kernels for the Monte Carlo drivers.
+"""Accumulation kernels for the Monte Carlo drivers.
 
-Each kernel fuses an elementwise transform with a compensated (Neumaier)
-sum of the values and their squares, so the per-shard reductions are
-sequential and reproducible.  Two implementations exist: numba ``@njit``
-versions and pure-numpy fallbacks.  The numpy path is chosen when the
-environment variable ``ADMLAB_DISABLE_NUMBA`` is set to a non-empty
-value, or automatically when numba is unavailable.
-
-Within one path, results are bit-identical across runs; across the two
-paths they agree to rounding (the benchmark in benchmarks/bench_kernels.py
-measures both the speed gap and the numerical gap).
+Each kernel fuses an elementwise transform with numpy sums of the values
+and their squares over one shard.  A shard's sums depend only on its
+draws, so the per-shard reductions, and the shard-order reduce built on
+them in ``mc``, are bit-identical across runs and thread counts.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
     "beta_route_sums",
     "diff_sums",
     "excess_sums",
@@ -29,248 +20,46 @@ __all__ = [
     "rect_count",
 ]
 
-_DISABLED = bool(os.environ.get("ADMLAB_DISABLE_NUMBA", ""))
 
-if not _DISABLED:
-    try:
-        from numba import njit
-        USE_NUMBA = True
-    except ImportError:        # pragma: no cover - depends on the install
-        USE_NUMBA = False
-else:
-    USE_NUMBA = False
-
-
-def _kernel(py_func):
-    """Compile with numba when enabled, else return the python/numpy version."""
-    if USE_NUMBA:
-        return njit(cache=True, nogil=True)(py_func)
-    return py_func
-
-
-# The njit source is written loop-style so both decorators accept it.  The
-# numpy fallbacks below override the loop versions wholesale because plain
-# python loops over 10^6 floats would dominate the runtime.
-
-def _loss_sums_loop(xbar1, xbar2, phi, mu):
+def loss_sums(xbar1, xbar2, phi, mu):
     # returns (sum sq, sum sq^2, sum err); err^2 == sq so the bias second
     # moment is already the first component
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    b = 0.0
-    cb = 0.0
-    for i in range(xbar1.shape[0]):
-        err = xbar1[i] + (xbar2[i] - xbar1[i]) * phi[i] - mu
-        sq = err * err
-        t = s + sq
-        if abs(s) >= abs(sq):
-            cs += (s - t) + sq
-        else:
-            cs += (sq - t) + s
-        s = t
-        v = sq * sq
-        t = s2 + v
-        if abs(s2) >= abs(v):
-            cs2 += (s2 - t) + v
-        else:
-            cs2 += (v - t) + s2
-        s2 = t
-        t = b + err
-        if abs(b) >= abs(err):
-            cb += (b - t) + err
-        else:
-            cb += (err - t) + b
-        b = t
-    return s + cs, s2 + cs2, b + cb
-
-
-def _moment_sums_loop(values):
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    for i in range(values.shape[0]):
-        v = values[i]
-        t = s + v
-        if abs(s) >= abs(v):
-            cs += (s - t) + v
-        else:
-            cs += (v - t) + s
-        s = t
-        w = v * v
-        t = s2 + w
-        if abs(s2) >= abs(w):
-            cs2 += (s2 - t) + w
-        else:
-            cs2 += (w - t) + s2
-        s2 = t
-    return s + cs, s2 + cs2
-
-
-def _diff_sums_loop(phi0, phi1, theta_prime):
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    for i in range(phi0.shape[0]):
-        e0 = phi0[i] - theta_prime
-        e1 = phi1[i] - theta_prime
-        v = e0 * e0 - e1 * e1
-        t = s + v
-        if abs(s) >= abs(v):
-            cs += (s - t) + v
-        else:
-            cs += (v - t) + s
-        s = t
-        w = v * v
-        t = s2 + w
-        if abs(s2) >= abs(w):
-            cs2 += (s2 - t) + w
-        else:
-            cs2 += (w - t) + s2
-        s2 = t
-    return s + cs, s2 + cs2
-
-
-def _excess_sums_loop(t1, t2, beta, coef):
-    # coef * 4 beta^2 (t1-t2)^2 / ((t1+t2)^2 (t1+t2+4 beta))
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    for i in range(t1.shape[0]):
-        tot = t1[i] + t2[i]
-        diff = t1[i] - t2[i]
-        v = coef * 4.0 * beta * beta * diff * diff / (tot * tot * (tot + 4.0 * beta))
-        t = s + v
-        if abs(s) >= abs(v):
-            cs += (s - t) + v
-        else:
-            cs += (v - t) + s
-        s = t
-        w = v * v
-        t = s2 + w
-        if abs(s2) >= abs(w):
-            cs2 += (s2 - t) + w
-        else:
-            cs2 += (w - t) + s2
-        s2 = t
-    return s + cs, s2 + cs2
-
-
-def _excess_upper_sums_loop(t1, t2, beta, coef):
-    # coef * 4 beta^2 / (t1+t2+4 beta): the (t1-t2)^2 <= (t1+t2)^2 relaxation
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    for i in range(t1.shape[0]):
-        v = coef * 4.0 * beta * beta / (t1[i] + t2[i] + 4.0 * beta)
-        t = s + v
-        if abs(s) >= abs(v):
-            cs += (s - t) + v
-        else:
-            cs += (v - t) + s
-        s = t
-        w = v * v
-        t = s2 + w
-        if abs(s2) >= abs(w):
-            cs2 += (s2 - t) + w
-        else:
-            cs2 += (w - t) + s2
-        s2 = t
-    return s + cs, s2 + cs2
-
-
-def _beta_route_sums_loop(u1, u2, two_beta_coef):
-    # two_beta_coef * u1 u2 / (u1 + u2)
-    s = 0.0
-    cs = 0.0
-    s2 = 0.0
-    cs2 = 0.0
-    for i in range(u1.shape[0]):
-        v = two_beta_coef * u1[i] * u2[i] / (u1[i] + u2[i])
-        t = s + v
-        if abs(s) >= abs(v):
-            cs += (s - t) + v
-        else:
-            cs += (v - t) + s
-        s = t
-        w = v * v
-        t = s2 + w
-        if abs(s2) >= abs(w):
-            cs2 += (s2 - t) + w
-        else:
-            cs2 += (w - t) + s2
-        s2 = t
-    return s + cs, s2 + cs2
-
-
-def _rect_count_loop(x, y, a1, b1, a2, b2):
-    count = 0
-    for i in range(x.shape[0]):
-        if a1 <= x[i] <= b1 and a2 <= y[i] <= b2:
-            count += 1
-    return count
-
-
-# vectorized fallbacks; always defined so the two paths can be compared
-# in one process (see benchmarks/bench_kernels.py)
-
-def _loss_sums_numpy(xbar1, xbar2, phi, mu):
     err = xbar1 + (xbar2 - xbar1) * phi - mu
     sq = err * err
     return float(np.sum(sq)), float(np.sum(sq * sq)), float(np.sum(err))
 
 
-def _moment_sums_numpy(values):
+def moment_sums(values):
     return float(np.sum(values)), float(np.sum(values * values))
 
 
-def _diff_sums_numpy(phi0, phi1, theta_prime):
+def diff_sums(phi0, phi1, theta_prime):
     e0 = phi0 - theta_prime
     e1 = phi1 - theta_prime
     v = e0 * e0 - e1 * e1
     return float(np.sum(v)), float(np.sum(v * v))
 
 
-def _excess_sums_numpy(t1, t2, beta, coef):
+def excess_sums(t1, t2, beta, coef):
+    # coef * 4 beta^2 (t1-t2)^2 / ((t1+t2)^2 (t1+t2+4 beta))
     tot = t1 + t2
     diff = t1 - t2
     v = coef * 4.0 * beta * beta * diff * diff / (tot * tot * (tot + 4.0 * beta))
     return float(np.sum(v)), float(np.sum(v * v))
 
 
-def _excess_upper_sums_numpy(t1, t2, beta, coef):
+def excess_upper_sums(t1, t2, beta, coef):
+    # coef * 4 beta^2 / (t1+t2+4 beta): the (t1-t2)^2 <= (t1+t2)^2 relaxation
     v = coef * 4.0 * beta * beta / (t1 + t2 + 4.0 * beta)
     return float(np.sum(v)), float(np.sum(v * v))
 
 
-def _beta_route_sums_numpy(u1, u2, two_beta_coef):
+def beta_route_sums(u1, u2, two_beta_coef):
+    # two_beta_coef * u1 u2 / (u1 + u2)
     v = two_beta_coef * u1 * u2 / (u1 + u2)
     return float(np.sum(v)), float(np.sum(v * v))
 
 
-def _rect_count_numpy(x, y, a1, b1, a2, b2):
+def rect_count(x, y, a1, b1, a2, b2):
     inside = (a1 <= x) & (x <= b1) & (a2 <= y) & (y <= b2)
     return int(np.count_nonzero(inside))
-
-
-if USE_NUMBA:
-    loss_sums = _kernel(_loss_sums_loop)
-    moment_sums = _kernel(_moment_sums_loop)
-    diff_sums = _kernel(_diff_sums_loop)
-    excess_sums = _kernel(_excess_sums_loop)
-    excess_upper_sums = _kernel(_excess_upper_sums_loop)
-    beta_route_sums = _kernel(_beta_route_sums_loop)
-    rect_count = _kernel(_rect_count_loop)
-else:
-    loss_sums = _loss_sums_numpy
-    moment_sums = _moment_sums_numpy
-    diff_sums = _diff_sums_numpy
-    excess_sums = _excess_sums_numpy
-    excess_upper_sums = _excess_upper_sums_numpy
-    beta_route_sums = _beta_route_sums_numpy
-    rect_count = _rect_count_numpy

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import kernels
-from .model import GDParams, GDPriorParams, MCEstimate, RectangleO
+from .model import GDParams, GDPriorParams, MCEstimate, RectangleO, _unit_gamma
 
 __all__ = [
     "GDBlythReport",
@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 16
-
-# guards against gamma underflow to exactly 0.0, possible for shape < 1
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -244,21 +241,31 @@ class GDExcessReport:
         }
 
 
-def _excess_sums(prior: GDPriorParams, mc: MCConfig):
-    """Shared sampler for the Bayes excess and its two upper-bound routes."""
-    beta = prior.beta
-    coef = _excess_coef(prior)
-    dof = prior.n - 1
+def _excess_sums(priors: Sequence[GDPriorParams], mc: MCConfig,
+                 with_bounds: bool = False):
+    """Excess sums for priors that differ only in beta, on shared draws.
+
+    Each shard draws (g0, w) once and evaluates every beta on them, two
+    sums per prior; with_bounds appends the sums of the two upper-bound
+    routes after each prior's excess sums.
+    """
+    alpha, n = priors[0].alpha, priors[0].n
+    coef = _excess_coef(priors[0])
+    dof = n - 1
 
     def shard(rng: np.random.Generator, size: int):
-        g0 = np.maximum(rng.gamma(prior.alpha, 1.0, (2, size)), _TINY)
+        g0 = _unit_gamma(rng, alpha, size)
         w = rng.chisquare(dof, (2, size))
-        t = beta * w / g0
-        u = 2.0 * beta / (2.0 * beta + t)
-        e = kernels.excess_sums(t[0], t[1], beta, coef)
-        ub = kernels.excess_upper_sums(t[0], t[1], beta, coef)
-        br = kernels.beta_route_sums(u[0], u[1], 2.0 * beta * coef)
-        return e + ub + br
+        out = ()
+        for prior in priors:
+            beta = prior.beta
+            t = beta * w / g0
+            out += kernels.excess_sums(t[0], t[1], beta, coef)
+            if with_bounds:
+                u = 2.0 * beta / (2.0 * beta + t)
+                out += kernels.excess_upper_sums(t[0], t[1], beta, coef)
+                out += kernels.beta_route_sums(u[0], u[1], 2.0 * beta * coef)
+        return out
 
     return _run_shards(mc, shard)
 
@@ -274,7 +281,7 @@ def excess_bayes_risk(prior: GDPriorParams,
     2 beta E[U1 U2/(U1+U2)] / (n (2 alpha + n - 3)); both bound the gap
     and stay below 2 beta, which is checked before returning.
     """
-    sums = _excess_sums(prior, mc)
+    sums = _excess_sums([prior], mc, with_bounds=True)
     n_mc = mc.n_samples
     excess = MCEstimate.from_sums(sums[0], sums[1], n_mc, mc.seed)
     upper_mc = MCEstimate.from_sums(sums[2], sums[3], n_mc, mc.seed)
@@ -358,8 +365,7 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     mc_mass = None
     if mc is not None:
         def shard(rng: np.random.Generator, size: int):
-            g0 = np.maximum(rng.gamma(alpha, 1.0, (2, size)), _TINY)
-            sigma = beta / g0
+            sigma = beta / _unit_gamma(rng, alpha, size)
             return (float(kernels.rect_count(sigma[0], sigma[1],
                                              O.a1, O.b1, O.a2, O.b2)),)
         (count,) = _run_shards(mc, shard)
@@ -425,9 +431,9 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
                           mc: MCConfig = MCConfig()) -> GDBlythReport:
     """Excess-to-mass ratios along a decreasing beta sequence.
 
-    Every row reuses the same seed, so the underlying gamma and
-    chi-square draws are shared across beta values.  Under those common
-    random numbers the excess is linear in beta, so the reported ratios
+    Each shard draws its gamma and chi-square numbers once and evaluates
+    every beta on them, so the draws are shared across rows.  Under those
+    common random numbers the excess is linear in beta, so the reported ratios
     decay like beta^(1-2 alpha) up to float rounding.  The report checks
     that the ratios decrease and that the last one beats the first by at
     least the conservative factor (beta_last/beta_first)^((1-2 alpha)/2).
@@ -443,15 +449,17 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
     if any(b0 <= b1 for b0, b1 in zip(betas, betas[1:])):
         raise ValueError("betas must be strictly decreasing")
 
-    rows = []
+    priors = [GDPriorParams(alpha, beta, n) for beta in betas]
     for beta in betas:
-        prior = GDPriorParams(alpha, beta, n)
         if beta >= math.log(2.0) * O.inf_coordinate:
             raise ValueError("mass bound needs beta < ln(2) * inf(O) for "
                              f"beta={beta!r}")
-        sums = _excess_sums(prior, mc)
-        excess = MCEstimate.from_sums(sums[0], sums[1], mc.n_samples, mc.seed)
-        bound = mass_constant(O, alpha) * beta ** (2.0 * alpha)
+    sums = _excess_sums(priors, mc)
+    constant = mass_constant(O, alpha)
+    rows = []
+    for i, beta in enumerate(betas):
+        excess = MCEstimate.from_sums(sums[2 * i], sums[2 * i + 1], mc.n_samples, mc.seed)
+        bound = constant * beta ** (2.0 * alpha)
         rows.append(BlythRow(beta, excess, bound, float(excess.mean / bound)))
 
     if len(rows) > 1:

@@ -175,6 +175,16 @@ def gd_estimate(x1, x2) -> float:
 
 # -- samplers ------------------------------------------------------------------
 
+# floor for unit-rate gamma draws: with shape < 1 a draw can underflow to
+# exactly 0.0, and sigma^2 = beta/g0 would then be infinite
+_TINY = 1e-300
+
+
+def _unit_gamma(rng: np.random.Generator, alpha: float, size: int) -> np.ndarray:
+    """Unit-rate gamma(alpha) draws of shape (2, size), floored at _TINY."""
+    return np.maximum(rng.gamma(alpha, 1.0, (2, size)), _TINY)
+
+
 @dataclass(frozen=True)
 class DataDraw:
     x1: np.ndarray
@@ -220,12 +230,13 @@ def sample_hierarchical(prior: GDPriorParams, rng: np.random.Generator,
                         size: int = 1) -> HierarchicalDraw:
     """Draw (sigma1^2, sigma2^2, S1^2, S2^2) from the hierarchical model.
 
-    Internally draws a unit-rate gamma g0 and a chi-square w so that
-    sigma^2 = beta/g0 and ss = beta*w/g0: with a fixed generator state the
-    entire draw scales linearly in beta up to float rounding, which the
-    common-random-numbers studies across beta values rely on.
+    Internally draws a unit-rate gamma g0 (floored, so sigma^2 stays
+    finite) and a chi-square w so that sigma^2 = beta/g0 and
+    ss = beta*w/g0: with a fixed generator state the entire draw scales
+    linearly in beta up to float rounding, which the common-random-numbers
+    studies across beta values rely on.
     """
-    g0 = rng.gamma(prior.alpha, 1.0, size=(2, size))
+    g0 = _unit_gamma(rng, prior.alpha, size)
     w = rng.chisquare(prior.n - 1, size=(2, size))
     sigma_sq = prior.beta / g0
     ss = sigma_sq * w

@@ -328,6 +328,7 @@ def parse_lc(text: str, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> LCNumber:
     """Parse the textual rendering produced by :func:`format_lc`.
 
     Accepts "eps" as an ASCII alias for "ε" and a unicode minus sign.
+    Raises ValueError for an exponent outside ``[-trunc_degree, trunc_degree]``.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -357,5 +358,10 @@ def parse_lc(text: str, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> LCNumber:
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         has_eps = "ε" in chunk or "eps" in chunk
         exp = int(m.group("exp")) if m.group("exp") else (1 if has_eps else 0)
+        if abs(exp) > trunc_degree:
+            # a literal the number cannot hold is bad input: never truncated,
+            # and not an arithmetic fault either
+            raise ValueError(f"exponent {exp} in {text!r} lies beyond the "
+                             f"truncation degree {trunc_degree}")
         terms[exp] = terms.get(exp, Fraction(0)) + sgn * coef
     return LCNumber(terms, trunc_degree)

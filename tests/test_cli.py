@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: payloads, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from admlab import cli
-from admlab.decision import DecisionProblem, load_problem, save_problem
+from admlab.decision import DecisionProblem, load_problem, random_problem, save_problem
 
 
 def run(capsys, *argv):
@@ -184,6 +188,19 @@ class TestNs:
                            "--mode", "stein", "--eps", "1")
         assert code == 2
         assert "prior entry" in err
+
+    def test_prior_term_past_the_truncation_degree_is_an_input_error(
+            self, capsys, tmp_path):
+        # eps^20 lies past degree 16: the weight cannot be held, so the
+        # verdict would concern a different prior from the one given
+        path = tmp_path / "demo.json"
+        path.write_bytes(save_problem(random_problem(3, 4, 7)))
+        code, out, err = run(capsys, "ns", str(path), "--delta", "d1",
+                             "--mode", "stein", "--prior", "t2:1-eps^20, t3:eps^20",
+                             "--eps", "1/100", "--family", "t3")
+        assert code == 2
+        assert out == ""
+        assert "truncation degree" in err
 
 
 class TestGame:
@@ -366,3 +383,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", two_point, "--delta", "d0")
         json.loads(out)          # stdout is pure JSON
         assert "error" not in out
+
+
+class TestStartup:
+    def test_import_leaves_numpy_unloaded(self):
+        # only the gd commands need numpy and scipy, so loading the CLI
+        # must not pay for them
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys, admlab.cli; "
+                 "print(sorted(m for m in ('numpy', 'scipy', 'admlab.graybill_deal') "
+                 "if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from admlab.graybill_deal import (
     risk_c1,
     risk_diff,
 )
-from admlab.graybill_deal import kernels
+from admlab.graybill_deal import kernels, mc
 from admlab.graybill_deal.mc import mass_constant
 
 THETA = GDParams(0.0, 1.0, 2.0, 5)
@@ -266,6 +266,30 @@ class TestBlythSequence:
         with pytest.raises(ValueError):
             blyth_sequence_report(0.25, 5, [5.0, 1e-3], SQUARE, CFG)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_single_excess_runs_bit_for_bit(self, threads):
+        cfg = MCConfig(n_samples=2 * SHARD_SIZE + 1000, seed=6, threads=threads)
+        rep = blyth_sequence_report(0.25, 5, self.BETAS, SQUARE, cfg)
+        for row in rep.rows:
+            single = excess_bayes_risk(GDPriorParams(0.25, row.beta, 5), cfg)
+            assert row.excess == single.excess
+
+    def test_sweep_draws_once_per_shard_and_skips_the_bound_kernels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Blyth sweep needs no bound kernel")
+        monkeypatch.setattr(kernels, "excess_upper_sums", refuse)
+        monkeypatch.setattr(kernels, "beta_route_sums", refuse)
+        draws, betas_seen = [], []
+        unit_gamma, excess_sums = mc._unit_gamma, kernels.excess_sums
+        monkeypatch.setattr(mc, "_unit_gamma",
+                            lambda *a: draws.append(a[2]) or unit_gamma(*a))
+        monkeypatch.setattr(kernels, "excess_sums",
+                            lambda *a: betas_seen.append(a[2]) or excess_sums(*a))
+        cfg = MCConfig(n_samples=SHARD_SIZE + 10, seed=2, threads=1)
+        blyth_sequence_report(0.25, 5, self.BETAS, SQUARE, cfg)
+        assert draws == [SHARD_SIZE, 10]
+        assert betas_seen == self.BETAS * 2
+
     def test_report_round_trips_through_json(self):
         rep = blyth_sequence_report(0.25, 5, [1e-3], SQUARE,
                                     MCConfig(n_samples=4096, seed=2))
@@ -306,52 +330,63 @@ class TestDeterminism:
 
 
 class TestKernelPaths:
-    # the public kernels (numba-compiled or numpy) must match the plain
-    # python loop implementations they were generated from
+    # each kernel against an exactly rounded math.fsum reference over the
+    # same per-element arithmetic in Python floats
     CASES = 4096
 
     def _arrays(self):
         rng = np.random.default_rng(99)
         return rng.uniform(0.1, 4.0, self.CASES), rng.uniform(0.1, 4.0, self.CASES)
 
+    @staticmethod
+    def _sums(values):
+        values = list(values)
+        return math.fsum(values), math.fsum(v * v for v in values)
+
     def test_loss_sums(self):
         a, b = self._arrays()
         phi = np.clip(a / (a + b), 0.0, 1.0)
         got = kernels.loss_sums(a, b, phi, 0.7)
-        want = kernels._loss_sums_loop(a, b, phi, 0.7)
+        err = [x + (y - x) * p - 0.7 for x, y, p in zip(a.tolist(), b.tolist(), phi.tolist())]
+        sq = [e * e for e in err]
+        want = (math.fsum(sq), math.fsum(v * v for v in sq), math.fsum(err))
         assert np.allclose(got, want, rtol=1e-9)
 
     def test_moment_sums(self):
         a, _ = self._arrays()
-        assert np.allclose(kernels.moment_sums(a), kernels._moment_sums_loop(a),
-                           rtol=1e-9)
+        assert np.allclose(kernels.moment_sums(a), self._sums(a.tolist()), rtol=1e-9)
 
     def test_diff_sums(self):
         a, b = self._arrays()
         p0 = a / (a + b)
         p1 = (a + 0.1) / (a + b + 0.2)
-        assert np.allclose(kernels.diff_sums(p0, p1, 0.4),
-                           kernels._diff_sums_loop(p0, p1, 0.4), rtol=1e-9)
+        want = self._sums((x - 0.4) * (x - 0.4) - (y - 0.4) * (y - 0.4)
+                          for x, y in zip(p0.tolist(), p1.tolist()))
+        assert np.allclose(kernels.diff_sums(p0, p1, 0.4), want, rtol=1e-9)
 
     def test_excess_sums(self):
         a, b = self._arrays()
-        assert np.allclose(kernels.excess_sums(a, b, 1e-3, 0.08),
-                           kernels._excess_sums_loop(a, b, 1e-3, 0.08), rtol=1e-9)
-        assert np.allclose(kernels.excess_upper_sums(a, b, 1e-3, 0.08),
-                           kernels._excess_upper_sums_loop(a, b, 1e-3, 0.08),
-                           rtol=1e-9)
+        beta, coef = 1e-3, 0.08
+        pairs = list(zip(a.tolist(), b.tolist()))
+        want = self._sums(coef * 4.0 * beta * beta * (x - y) * (x - y)
+                          / ((x + y) * (x + y) * (x + y + 4.0 * beta)) for x, y in pairs)
+        assert np.allclose(kernels.excess_sums(a, b, beta, coef), want, rtol=1e-9)
+        want = self._sums(coef * 4.0 * beta * beta / (x + y + 4.0 * beta) for x, y in pairs)
+        assert np.allclose(kernels.excess_upper_sums(a, b, beta, coef), want, rtol=1e-9)
 
     def test_beta_route_sums(self):
         a, b = self._arrays()
         u0 = 1.0 / (1.0 + a)
         u1 = 1.0 / (1.0 + b)
-        assert np.allclose(kernels.beta_route_sums(u0, u1, 2e-3),
-                           kernels._beta_route_sums_loop(u0, u1, 2e-3), rtol=1e-9)
+        want = self._sums(2e-3 * x * y / (x + y) for x, y in zip(u0.tolist(), u1.tolist()))
+        assert np.allclose(kernels.beta_route_sums(u0, u1, 2e-3), want, rtol=1e-9)
 
     def test_rect_count(self):
         a, b = self._arrays()
+        # points on the edges count as inside
+        a[:4] = (1.0, 2.0, 1.0, 2.0)
+        b[:4] = (1.0, 2.0, 2.0, 1.0)
         got = kernels.rect_count(a, b, 1.0, 2.0, 1.0, 2.0)
-        want = kernels._rect_count_loop(a, b, 1.0, 2.0, 1.0, 2.0)
+        want = sum(1 for x, y in zip(a.tolist(), b.tolist())
+                   if 1.0 <= x <= 2.0 and 1.0 <= y <= 2.0)
         assert got == want
-        inside = (1.0 <= a) & (a <= 2.0) & (1.0 <= b) & (b <= 2.0)
-        assert got == int(np.count_nonzero(inside))

@@ -1,6 +1,7 @@
 """Estimator algebra, samplers, and distributional pins for the two-sample model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ class TestHierarchical:
         hb = sample_hierarchical(GDPriorParams(0.25, 1e-4, 5),
                                  np.random.default_rng(77), 1000)
         assert np.allclose(hb.ss, ha.ss * 1e-2, rtol=1e-12)
+
+    def test_tiny_shape_gives_finite_draws(self):
+        # with alpha = 0.001 about half the gamma draws underflow to 0.0;
+        # the floor keeps sigma^2 = beta/g0 finite instead of inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sample_hierarchical(GDPriorParams(0.001, 1.0, 5),
+                                    np.random.default_rng(0), 1000)
+        for field in (h.sigma_sq, h.s_sq, h.ss, h.u, h.beta_post):
+            assert np.all(np.isfinite(field))
+        assert np.all(h.sigma_sq > 0)
 
 
 class TestMCEstimate:

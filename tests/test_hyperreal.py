@@ -112,6 +112,8 @@ class TestText:
         "5eps^3",
         "-eps",
         "2ε^-3 - ε^-1 + 7",
+        "ε^16",
+        "ε^-16",
     ])
     def test_round_trip(self, text):
         x = LCNumber.parse(text)
@@ -128,7 +130,9 @@ class TestText:
         assert str(LCNumber({2: Fraction(3, 4)})) == "3/4ε^2"
         assert str(-EPS) == "-ε"
 
-    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x"])
+    # a term past the truncation degree is refused, not silently dropped
+    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x",
+                                     "eps^17", "1 - eps^20", "eps^-17"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             LCNumber.parse(bad)
