@@ -137,8 +137,9 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
     if dominated:
         # re-verify the certificate without the LP
         risks = {t: mixture_risk(p, t, mix) for t in p.theta_labels}
-        assert all(risks[t] <= p.risk[i][j0] for i, t in enumerate(p.theta_labels))
-        assert any(risks[t] < p.risk[i][j0] for i, t in enumerate(p.theta_labels))
+        if not (all(risks[t] <= p.risk[i][j0] for i, t in enumerate(p.theta_labels))
+                and any(risks[t] < p.risk[i][j0] for i, t in enumerate(p.theta_labels))):
+            raise RuntimeError("dominating mixture failed independent re-verification")
 
     competitors = [d for d in p.proc_labels if d != delta0]
     risk_equal, equal_mixture = False, None
@@ -153,8 +154,9 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
         if eq.status == "optimal":
             risk_equal = True
             equal_mixture = _mixture_from_solution(competitors, eq.x)
-            assert all(mixture_risk(p, t, equal_mixture) == p.risk[i][j0]
-                       for i, t in enumerate(p.theta_labels))
+            if not all(mixture_risk(p, t, equal_mixture) == p.risk[i][j0]
+                       for i, t in enumerate(p.theta_labels)):
+                raise RuntimeError("risk-equal mixture failed independent re-verification")
     return HullDominanceReport(delta0, dominated, mix, res.objective,
                                risk_equal, equal_mixture, iters)
 
@@ -445,7 +447,8 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     base = bayes_risk(p, prior, delta0)
     excess = max(base - bayes_risk(p, prior, d) for d in p.proc_labels)
     bound = eps * res.objective
-    assert excess <= bound  # the LP's constraints, recomputed exactly
+    if not excess <= bound:  # the LP's constraints, recomputed exactly
+        raise RuntimeError("stein prior failed independent re-verification")
     return SteinResult(delta0, theta0, eps, True, prior, res.objective,
                        excess, bound, res.iterations)
 
@@ -507,7 +510,7 @@ def determining_family_check(p: DecisionProblem, family) -> DeterminingFamilyRep
 def _as_hyper(prior: Prior) -> Prior:
     if prior.kind == "HYPER":
         return prior
-    return Prior({t: LCNumber.from_real(w) for t, w in prior.weights.items()}, "HYPER")
+    return Prior({t: LCNumber.from_real(w) for t, w in prior.weights.items()})
 
 
 def _lc_excess(p: DecisionProblem, prior: Prior, delta0) -> LCNumber:
@@ -519,13 +522,6 @@ def _lc_excess(p: DecisionProblem, prior: Prior, delta0) -> LCNumber:
         if compare(gap, excess) > 0:
             excess = gap
     return excess
-
-
-def _prior_mass(prior: Prior, B) -> LCNumber:
-    acc = LCNumber.zero()
-    for t in B:
-        acc = acc + prior.weight(t)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -550,7 +546,7 @@ def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinR
         p.theta_index(t)
     prior = _as_hyper(prior)
     excess = _lc_excess(p, prior, delta0)
-    bound = _prior_mass(prior, B) * eps
+    bound = sum(prior.weight(t) for t in B) * eps
     return NsSteinReport(compare(excess, bound) <= 0, excess, bound)
 
 
@@ -587,7 +583,7 @@ def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsB
     mass_ok = True
     constants = {}
     for B in sets:
-        mass = _prior_mass(prior, B)
+        mass = sum(prior.weight(t) for t in B)
         if mass.is_zero() or rho.leading_exponent() < mass.leading_exponent():
             mass_ok = False
             continue

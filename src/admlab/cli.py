@@ -73,7 +73,7 @@ def _parse_prior_spec(spec: str) -> Prior:
         weights[label.strip()] = parse_lc(expr.strip())
     if not weights:
         raise ValueError("empty prior specification")
-    return Prior.from_weights(weights)
+    return Prior(weights)
 
 
 def _parse_family_spec(spec: str):

@@ -11,9 +11,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
-from admlab.hyperreal import LCNumber
+from admlab.hyperreal import LCNumber, _as_fraction, format_rational, parse_lc
 
 __all__ = [
     "DecisionProblem",
@@ -38,60 +37,48 @@ class ProblemFormatError(ValueError):
 
 
 def _exact(v, where: str) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
+    if isinstance(v, (bool, float)):
         raise ProblemFormatError(
             f"{where}: floats are not accepted; write rationals as strings like \"3/10\" or \"0.3\"")
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    if isinstance(v, Rational):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as ex:
-            raise ProblemFormatError(f"{where}: cannot parse rational from {v!r}") from ex
-    raise ProblemFormatError(f"{where}: expected a rational, got {type(v).__name__}")
+    try:
+        return _as_fraction(v)
+    except TypeError:
+        raise ProblemFormatError(f"{where}: expected a rational, got {type(v).__name__}") from None
+    except (ValueError, ZeroDivisionError) as ex:
+        raise ProblemFormatError(f"{where}: cannot parse rational from {v!r}") from ex
 
 
 @dataclass(frozen=True)
 class Prior:
     """Probability weights over the parameter labels.
 
-    kind REAL stores exact rationals; kind HYPER stores Levi-Civita
-    numbers, allowing infinitesimal (but still nonnegative) weights.
-    Weights must sum to exactly 1 either way.
+    The weights fix the read-only ``kind``: HYPER when any weight is a
+    Levi-Civita number (all weights are then stored as such, allowing
+    infinitesimal but still nonnegative ones), REAL otherwise (exact
+    rationals).  Weights must sum to exactly 1 either way.
     """
 
     weights: dict
-    kind: str = REAL
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in (REAL, HYPER):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
         if not self.weights:
             raise ValueError("prior needs at least one weight")
+        hyper = any(isinstance(w, LCNumber) for w in self.weights.values())
         clean = {}
         for label, w in self.weights.items():
-            if self.kind == HYPER:
-                w = w if isinstance(w, LCNumber) else LCNumber.from_real(_exact(w, f"prior weight {label}"))
-                if w.sign() < 0:
-                    raise ValueError(f"prior weight for {label} is negative: {w}")
-            else:
-                if isinstance(w, LCNumber):
-                    raise ValueError("REAL prior cannot hold Levi-Civita weights; use kind HYPER")
+            if not isinstance(w, LCNumber):
                 w = _exact(w, f"prior weight {label}")
-                if w < 0:
-                    raise ValueError(f"prior weight for {label} is negative: {w}")
+                if hyper:
+                    w = LCNumber.from_real(w)
+            if w < 0:
+                raise ValueError(f"prior weight for {label} is negative: {w}")
             clean[label] = w
-        total = _lc_sum(clean.values()) if self.kind == HYPER else sum(clean.values())
+        total = sum(clean.values())
         if total != 1:
             raise ValueError(f"prior weights must sum to exactly 1, got {total}")
         object.__setattr__(self, "weights", clean)
-
-    @classmethod
-    def from_weights(cls, weights) -> "Prior":
-        kind = HYPER if any(isinstance(w, LCNumber) for w in weights.values()) else REAL
-        return cls(weights, kind)
+        object.__setattr__(self, "kind", HYPER if hyper else REAL)
 
     @classmethod
     def dirac(cls, label) -> "Prior":
@@ -100,13 +87,6 @@ class Prior:
     def weight(self, label):
         zero = LCNumber.zero() if self.kind == HYPER else Fraction(0)
         return self.weights.get(label, zero)
-
-
-def _lc_sum(values):
-    acc = LCNumber.zero()
-    for v in values:
-        acc = acc + v
-    return acc
 
 
 @dataclass(frozen=True)
@@ -130,9 +110,6 @@ class Mixture:
     @classmethod
     def point_mass(cls, label) -> "Mixture":
         return cls({label: Fraction(1)})
-
-    def support(self):
-        return set(self.weights)
 
 
 @dataclass(frozen=True)
@@ -181,9 +158,6 @@ class DecisionProblem:
         except ValueError:
             raise ValueError(f"unknown procedure label {label!r}") from None
 
-    def risk_lower_bound(self) -> Fraction:
-        return min(min(row) for row in self.risk)
-
 
 def risk_at(p: DecisionProblem, theta, proc) -> Fraction:
     return p.risk[p.theta_index(theta)][p.proc_index(proc)]
@@ -211,8 +185,6 @@ def bayes_risk(p: DecisionProblem, prior: Prior, delta):
     else:
         j = p.proc_index(delta)
         per_theta = {t: p.risk[i][j] for i, t in enumerate(p.theta_labels)}
-    if prior.kind == HYPER:
-        return _lc_sum(prior.weight(t) * per_theta[t] for t in p.theta_labels)
     return sum(prior.weight(t) * per_theta[t] for t in p.theta_labels)
 
 
@@ -223,14 +195,10 @@ def _reject_float(s):
         f"bare float {s!r} in problem file; write rationals as strings like \"1/3\" or \"0.25\"")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _parse_prior_weight(s, where: str):
     if isinstance(s, str) and ("ε" in s or "eps" in s):
         try:
-            return LCNumber.parse(s)
+            return parse_lc(s)
         except ValueError as ex:
             raise ProblemFormatError(f"{where}: {ex}") from ex
     return _exact(s, where)
@@ -268,7 +236,7 @@ def load_problem(data) -> DecisionProblem:
         weights = {lbl: _parse_prior_weight(w, f"prior {name!r}, weight {lbl!r}")
                    for lbl, w in spec.items()}
         try:
-            priors[name] = Prior.from_weights(weights)
+            priors[name] = Prior(weights)
         except ValueError as ex:
             raise ProblemFormatError(f"prior {name!r}: {ex}") from ex
         if set(weights) - set(theta):

@@ -72,7 +72,7 @@ class GameValueReport:
 
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
-    """Solve both sides of the derived game exactly and assert they agree."""
+    """Solve both sides of the derived game exactly and check that they agree."""
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be a positive rational")
@@ -114,11 +114,14 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     # re-verify both optima directly on the payoff matrix
     mix_col = [sum(payoff[i][p.proc_index(d)] * w for d, w in mix.weights.items())
                for i in range(nt)]
-    assert max(mix_col) == upper
+    if max(mix_col) != upper:
+        raise RuntimeError("mixture-side game optimum failed independent re-verification")
     prior_row = [sum(prior.weight(t) * payoff[i][j] for i, t in enumerate(p.theta_labels))
                  for j in range(nd)]
-    assert min(prior_row) == lower
-    assert lower <= upper
+    if min(prior_row) != lower:
+        raise RuntimeError("prior-side game optimum failed independent re-verification")
+    if not lower <= upper:
+        raise RuntimeError("game lower value exceeds the upper value")
 
     return GameValueReport(delta0, theta0, gamma, lower, upper, lower == upper,
                            prior, mix, payoff,

@@ -339,13 +339,12 @@ def _invgamma_pdf(x: float, alpha: float, beta: float) -> float:
 
 
 def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
-                     mc: Optional[MCConfig] = None,
-                     quad_epsrel: float = 1e-6) -> GDMassReport:
+                     mc: Optional[MCConfig] = None) -> GDMassReport:
     """Lower bound C * beta^(2 alpha) for the prior mass of O, with the mass.
 
     Valid only when beta < ln(2) * inf(O); computes the actual mass by
     adaptive quadrature of the product inverse-gamma density (relative
-    tolerance quad_epsrel) and checks that it clears the bound.  An
+    tolerance 1e-6) and checks that it clears the bound.  An
     optional Monte Carlo mass from hierarchical draws is attached when
     an MCConfig is given.
     """
@@ -360,7 +359,7 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     else:
         quad_mass, _ = integrate.dblquad(
             lambda y, x: _invgamma_pdf(x, alpha, beta) * _invgamma_pdf(y, alpha, beta),
-            O.a1, O.b1, O.a2, O.b2, epsabs=0.0, epsrel=quad_epsrel)
+            O.a1, O.b1, O.a2, O.b2, epsabs=0.0, epsrel=1e-6)
 
     mc_mass = None
     if mc is not None:

@@ -2,11 +2,13 @@
 
 A number is a finite sum ``sum_j c_j * eps^j`` with exact rational
 coefficients ``c_j`` and integer exponents ``j`` in ``[-K, K]``, where
-``eps`` is a positive infinitesimal.  Ordering is lexicographic in the
-exponent: the term with the smallest exponent dominates.  Products and
-quotients whose expansion would need exponents above ``K`` are truncated
-and marked via a sticky ``inexact`` flag; exponents below ``-K`` cannot
-be truncated soundly (they are the dominant ones) and raise instead.
+``eps`` is a positive infinitesimal and ``K = DEFAULT_TRUNC_DEGREE = 16``
+is the one truncation degree of every number.  Ordering is lexicographic
+in the exponent: the term with the smallest exponent dominates.  Products
+and quotients whose expansion would need exponents above ``K`` are
+truncated and marked via a sticky ``inexact`` flag; exponents below
+``-K`` cannot be truncated soundly (they are the dominant ones) and raise
+instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class ExponentRangeError(ArithmeticError):
 
 
 def _as_fraction(x) -> Fraction:
+    """Coerce an exact rational (or its decimal/fraction string) to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
@@ -44,27 +47,23 @@ def _as_fraction(x) -> Fraction:
 class LCNumber:
     """A truncated Levi-Civita number.  Treat instances as immutable."""
 
-    __slots__ = ("terms", "trunc_degree", "inexact")
+    __slots__ = ("terms", "inexact")
 
-    def __init__(self, terms=None, trunc_degree: int = DEFAULT_TRUNC_DEGREE,
-                 inexact: bool = False):
-        if trunc_degree < 1:
-            raise ValueError("truncation degree must be a positive integer")
+    def __init__(self, terms=None, inexact: bool = False):
         clean: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
             exp = int(exp)
-            if exp < -trunc_degree:
-                raise ExponentRangeError(
-                    f"exponent {exp} below -{trunc_degree}: dominant term cannot be truncated")
-            if exp > trunc_degree:
+            if exp < -DEFAULT_TRUNC_DEGREE:
+                raise ExponentRangeError(f"exponent {exp} below -{DEFAULT_TRUNC_DEGREE}: "
+                                         "dominant term cannot be truncated")
+            if exp > DEFAULT_TRUNC_DEGREE:
                 inexact = True
                 continue
             clean[exp] = coef
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc_degree", trunc_degree)
         object.__setattr__(self, "inexact", inexact)
 
     def __setattr__(self, name, value):
@@ -73,20 +72,20 @@ class LCNumber:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_real(cls, x, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "LCNumber":
+    def from_real(cls, x) -> "LCNumber":
         """Embed an exact rational at exponent 0."""
-        return cls({0: _as_fraction(x)}, trunc_degree)
+        return cls({0: _as_fraction(x)})
 
     @classmethod
-    def eps(cls, k: int = 1, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "LCNumber":
-        """The infinitesimal eps^k, for 1 <= k <= trunc_degree."""
-        if not 1 <= k <= trunc_degree:
-            raise ValueError(f"eps exponent must lie in [1, {trunc_degree}], got {k}")
-        return cls({k: Fraction(1)}, trunc_degree)
+    def eps(cls, k: int = 1) -> "LCNumber":
+        """The infinitesimal eps^k, for 1 <= k <= K."""
+        if not 1 <= k <= DEFAULT_TRUNC_DEGREE:
+            raise ValueError(f"eps exponent must lie in [1, {DEFAULT_TRUNC_DEGREE}], got {k}")
+        return cls({k: Fraction(1)})
 
     @classmethod
-    def zero(cls, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "LCNumber":
-        return cls({}, trunc_degree)
+    def zero(cls) -> "LCNumber":
+        return cls({})
 
     # -- structure -------------------------------------------------------
 
@@ -125,8 +124,8 @@ class LCNumber:
     def _coerce(self, other):
         if isinstance(other, LCNumber):
             return other
-        if isinstance(other, (int, Fraction, Rational)):
-            return LCNumber({0: _as_fraction(other)}, self.trunc_degree)
+        if isinstance(other, Rational):
+            return LCNumber.from_real(other)
         return None
 
     def __add__(self, other):
@@ -136,14 +135,12 @@ class LCNumber:
         terms = dict(self.terms)
         for e, c in o.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return LCNumber(terms, min(self.trunc_degree, o.trunc_degree),
-                        self.inexact or o.inexact)
+        return LCNumber(terms, self.inexact or o.inexact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LCNumber({e: -c for e, c in self.terms.items()},
-                        self.trunc_degree, self.inexact)
+        return LCNumber({e: -c for e, c in self.terms.items()}, self.inexact)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -161,17 +158,16 @@ class LCNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.trunc_degree, o.trunc_degree)
         terms: dict[int, Fraction] = {}
         inexact = self.inexact or o.inexact
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = e1 + e2
-                if e > k:
+                if e > DEFAULT_TRUNC_DEGREE:
                     inexact = True
                     continue
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LCNumber(terms, k, inexact)
+        return LCNumber(terms, inexact)
 
     __rmul__ = __mul__
 
@@ -194,10 +190,6 @@ class LCNumber:
         if o is None:
             return NotImplemented
         return self.terms == o.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -235,16 +227,11 @@ class LCNumber:
         flag = ", inexact" if self.inexact else ""
         return f"LCNumber({format_lc(self)!r}{flag})"
 
-    @classmethod
-    def parse(cls, text: str, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> "LCNumber":
-        return parse_lc(text, trunc_degree)
-
 
 def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
-    """Long division by ascending exponent, truncated at the shared degree."""
+    """Long division by ascending exponent, truncated at degree K."""
     if b.is_zero():
         raise ZeroDivisionError("division of Levi-Civita number by zero")
-    k = min(a.trunc_degree, b.trunc_degree)
     inexact = a.inexact or b.inexact
     lead_b = b.leading_exponent()
     coef_b = b.terms[lead_b]
@@ -253,7 +240,7 @@ def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
     while rem:
         lead_r = min(rem)
         t_exp = lead_r - lead_b
-        if t_exp > k:
+        if t_exp > DEFAULT_TRUNC_DEGREE:
             inexact = True  # remaining quotient terms fall beyond the truncation degree
             break
         t_coef = rem[lead_r] / coef_b
@@ -265,13 +252,13 @@ def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
                 rem.pop(e2, None)
             else:
                 rem[e2] = v
-    return LCNumber(quot, k, inexact)
+    return LCNumber(quot, inexact)
 
 
 def compare(a: LCNumber, b) -> int:
     """Total lexicographic order: -1 if a < b, 0 if equal, 1 if a > b."""
     if not isinstance(b, LCNumber):
-        b = LCNumber({0: _as_fraction(b)}, a.trunc_degree)
+        b = LCNumber.from_real(b)
     d = a - b
     return d.sign()
 
@@ -279,7 +266,7 @@ def compare(a: LCNumber, b) -> int:
 def approx_leq(a: LCNumber, b) -> bool:
     """a <~ b: a - b is negative, zero, or a positive infinitesimal."""
     if not isinstance(b, LCNumber):
-        b = LCNumber({0: _as_fraction(b)}, a.trunc_degree)
+        b = LCNumber.from_real(b)
     d = a - b
     if d.is_zero() or d.sign() < 0:
         return True
@@ -289,13 +276,14 @@ def approx_leq(a: LCNumber, b) -> bool:
 def approx_eq(a: LCNumber, b) -> bool:
     """a ~ b: the difference is infinitesimal or zero."""
     if not isinstance(b, LCNumber):
-        b = LCNumber({0: _as_fraction(b)}, a.trunc_degree)
+        b = LCNumber.from_real(b)
     return (a - b).is_infinitesimal()
 
 
 # -- textual format: "c_-j ε^-j + ... + c_0 + c_1 ε + c_2 ε^2 + ..." -----
 
-def _format_coef(c: Fraction) -> str:
+def format_rational(c: Fraction) -> str:
+    """'n' for an integer, 'n/d' otherwise."""
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -307,10 +295,10 @@ def format_lc(x: LCNumber) -> str:
         coef = x.terms[exp]
         mag = abs(coef)
         if exp == 0:
-            body = _format_coef(mag)
+            body = format_rational(mag)
         else:
             sym = "ε" if exp == 1 else f"ε^{exp}"
-            body = sym if mag == 1 else f"{_format_coef(mag)}{sym}"
+            body = sym if mag == 1 else f"{format_rational(mag)}{sym}"
         if i == 0:
             parts.append(body if coef > 0 else f"-{body}")
         else:
@@ -324,11 +312,11 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_lc(text: str, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> LCNumber:
+def parse_lc(text: str) -> LCNumber:
     """Parse the textual rendering produced by :func:`format_lc`.
 
     Accepts "eps" as an ASCII alias for "ε" and a unicode minus sign.
-    Raises ValueError for an exponent outside ``[-trunc_degree, trunc_degree]``.
+    Raises ValueError for an exponent outside ``[-K, K]``.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -358,10 +346,10 @@ def parse_lc(text: str, trunc_degree: int = DEFAULT_TRUNC_DEGREE) -> LCNumber:
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         has_eps = "ε" in chunk or "eps" in chunk
         exp = int(m.group("exp")) if m.group("exp") else (1 if has_eps else 0)
-        if abs(exp) > trunc_degree:
+        if abs(exp) > DEFAULT_TRUNC_DEGREE:
             # a literal the number cannot hold is bad input: never truncated,
             # and not an arithmetic fault either
             raise ValueError(f"exponent {exp} in {text!r} lies beyond the "
-                             f"truncation degree {trunc_degree}")
+                             f"truncation degree {DEFAULT_TRUNC_DEGREE}")
         terms[exp] = terms.get(exp, Fraction(0)) + sgn * coef
-    return LCNumber(terms, trunc_degree)
+    return LCNumber(terms)

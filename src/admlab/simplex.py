@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+
+from admlab.hyperreal import _as_fraction
 
 __all__ = ["LPResult", "solve_lp"]
 
@@ -24,16 +25,6 @@ class LPResult:
     objective: Fraction | None
     x: list[Fraction] | None
     iterations: int
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, Rational):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"LP data must be exact rationals, got {type(v).__name__}")
 
 
 def _pivot(rows, obj, basis, r, col):
@@ -81,11 +72,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     the usual positive/negative split).  All inputs must be exact
     rationals; the result is exact.
     """
-    A_ub = [list(map(_frac, row)) for row in (A_ub or [])]
-    b_ub = [_frac(v) for v in (b_ub or [])]
-    A_eq = [list(map(_frac, row)) for row in (A_eq or [])]
-    b_eq = [_frac(v) for v in (b_eq or [])]
-    c = [_frac(v) for v in c]
+    A_ub = [list(map(_as_fraction, row)) for row in (A_ub or [])]
+    b_ub = [_as_fraction(v) for v in (b_ub or [])]
+    A_eq = [list(map(_as_fraction, row)) for row in (A_eq or [])]
+    b_eq = [_as_fraction(v) for v in (b_eq or [])]
+    c = [_as_fraction(v) for v in c]
     if len(A_ub) != len(b_ub) or len(A_eq) != len(b_eq):
         raise ValueError("constraint matrix and rhs lengths differ")
     n = len(c)

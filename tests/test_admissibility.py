@@ -1,6 +1,12 @@
+import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +136,19 @@ class TestCertificates:
                     assert min(c.prior.weights.values()) == c.min_weight
                     assert c.verify(p)
 
+    def test_verify_rejects_tampered_certificates(self):
+        p = random_problem(3, 4, seed=7)
+        c = adm.positive_prior_certificate(p, "d1")
+        assert c.prior.weights == {"t1": F(4, 13), "t2": F(5, 13), "t3": F(4, 13)}
+        assert c.verify(p)
+        # move 1/13 from t2 to t1: still a prior, same minimum weight
+        weights = dict(c.prior.weights, t1=F(5, 13), t2=F(4, 13))
+        moved = dataclasses.replace(c, prior=dataclasses.replace(c.prior, weights=weights))
+        assert min(weights.values()) == c.min_weight
+        assert not moved.verify(p)
+        slacks = dict(c.slacks, d2=c.slacks["d2"] + F(1, 104))
+        assert not dataclasses.replace(c, slacks=slacks).verify(p)
+
 
 class TestWitnessSet:
     def test_single_theta_witness(self):
@@ -233,13 +252,13 @@ class TestDeterminingFamily:
 class TestNsStein:
     def test_balanced_improvement_has_zero_excess(self):
         p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -1)))
-        pi = Prior({"t1": ONE - EPS, "t2": EPS}, "HYPER")
+        pi = Prior({"t1": ONE - EPS, "t2": EPS})
         r = adm.ns_stein_check(p, "d0", pi, ("t1",), F(1, 2))
         assert r.ok and r.excess == LCNumber.zero()
 
     def test_macroscopic_excess_fails_infinitesimal_bound(self):
         p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 0), (1, 0)))
-        pi = Prior({"t1": ONE - EPS, "t2": EPS}, "HYPER")
+        pi = Prior({"t1": ONE - EPS, "t2": EPS})
         r = adm.ns_stein_check(p, "d0", pi, ("t2",), F(1, 10))
         assert not r.ok and r.excess == ONE and r.bound == EPS * F(1, 10)
 
@@ -267,20 +286,20 @@ class TestNsBlyth:
         assert r.ok and r.excess == LCNumber.zero()
 
     def test_square_excess_over_linear_rho(self):
-        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS}, "HYPER")
+        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS})
         r = adm.ns_blyth_check(LADDER, "d0", pi, EPS, [("t2",)])
         assert r.ok
         assert r.excess == EPS * EPS and r.ratio == EPS
         assert r.constants == {("t2",): 2}
 
     def test_linear_excess_over_square_rho_fails(self):
-        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS * EPS, "t3": EPS}, "HYPER")
+        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS * EPS, "t3": EPS})
         r = adm.ns_blyth_check(LADDER, "d0", pi, EPS * EPS, [("t2",)])
         assert not r.ok and r.mass_ok and not r.ratio_ok
         assert r.ratio == ONE / EPS
 
     def test_mass_condition_fails_when_rho_too_large(self):
-        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS}, "HYPER")
+        pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS})
         r = adm.ns_blyth_check(LADDER, "d0", pi, ONE, [("t2",)])
         assert not r.ok and not r.mass_ok
 
@@ -319,6 +338,48 @@ class TestSoundnessTriangle:
                                             [(t,) for t in p.theta_labels]).ok
                          if cert_ok else False)
                 assert admissible == cert_ok == stein_all == blyth, (seed, d)
+
+
+# Under ``python -O`` an ``assert`` is stripped, so each re-check of an LP
+# result must raise by itself.  The probe swaps in an LP kernel whose optimum
+# is off by one and expects both checkers to refuse it.
+_OPTIMIZED_PROBE = textwrap.dedent("""
+    import dataclasses, sys
+    from fractions import Fraction
+    from admlab import admissibility, game, simplex
+    from admlab.decision import DecisionProblem
+
+    def corrupt(*args, **kwargs):
+        res = simplex.solve_lp(*args, **kwargs)
+        if res.objective is None:
+            return res
+        return dataclasses.replace(res, objective=res.objective + 1)
+
+    admissibility.solve_lp = game.solve_lp = corrupt
+    p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
+    print("optimize", sys.flags.optimize)
+    for name, call in [("dominated_in_hull", lambda: admissibility.dominated_in_hull(p, "d0")),
+                       ("derived_game_value",
+                        lambda: game.derived_game_value(p, "d0", "t1", Fraction(1, 2)))]:
+        try:
+            call()
+            print(name, "accepted")
+        except RuntimeError as exc:
+            print(name, "RuntimeError", exc)
+""")
+
+
+class TestReverificationUnderOptimize:
+    def test_corrupted_lp_results_raise_under_python_O(self):
+        src = str(Path(adm.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "optimize 1"
+        assert lines[1].startswith("dominated_in_hull RuntimeError")
+        assert lines[2].startswith("derived_game_value RuntimeError")
 
 
 class TestReports:

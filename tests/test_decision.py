@@ -65,7 +65,7 @@ class TestBayesRisk:
 
     def test_hyper_prior_gives_lc_result(self):
         eps = LCNumber.eps()
-        hp = Prior({"t1": 1 - eps, "t2": eps}, "HYPER")
+        hp = Prior({"t1": 1 - eps, "t2": eps})
         assert bayes_risk(TWO_POINT, hp, "d0") == eps
 
     def test_prior_validation(self):
@@ -75,9 +75,7 @@ class TestBayesRisk:
             Prior({"t1": F(3, 2), "t2": F(-1, 2)})
         eps = LCNumber.eps()
         with pytest.raises(ValueError, match="negative"):
-            Prior({"t1": 1 + eps, "t2": -eps}, "HYPER")
-        with pytest.raises(ValueError, match="Levi-Civita"):
-            Prior({"t1": eps, "t2": 1 - eps}, "REAL")
+            Prior({"t1": 1 + eps, "t2": -eps})
 
 
 class TestSerialization:
@@ -94,6 +92,12 @@ class TestSerialization:
         assert p.priors["u"].kind == "REAL"
         again = load_problem(save_problem(p))
         assert again.priors["hp"].weights == p.priors["hp"].weights
+        # the weights fix the kind: one Levi-Civita weight makes the prior HYPER
+        eps = LCNumber.eps()
+        mixed = Prior({"t1": F(1, 2) - eps, "t2": eps, "t3": F(1, 2)})
+        assert mixed.kind == "HYPER"
+        assert isinstance(mixed.weights["t3"], LCNumber)
+        assert Prior({"t1": F(1, 2), "t2": "1/2"}).kind == "REAL"
 
     def test_rejects_bare_floats(self):
         doc = json.dumps({"theta": ["a"], "procedures": ["d"], "risk": [[0.5]]})
