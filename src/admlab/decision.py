@@ -55,7 +55,9 @@ class Prior:
     The weights fix the read-only ``kind``: HYPER when any weight is a
     Levi-Civita number (all weights are then stored as such, allowing
     infinitesimal but still nonnegative ones), REAL otherwise (exact
-    rationals).  Weights must sum to exactly 1 either way.
+    rationals).  Weights must sum to exactly 1 either way.  A Levi-Civita
+    weight that lost terms past the truncation degree (``inexact``) is
+    rejected: it would stand for a different prior from the one given.
     """
 
     weights: dict
@@ -71,6 +73,8 @@ class Prior:
                 w = _exact(w, f"prior weight {label}")
                 if hyper:
                     w = LCNumber.from_real(w)
+            elif w.inexact:
+                raise ValueError(f"prior weight for {label} was truncated: {w}")
             if w < 0:
                 raise ValueError(f"prior weight for {label} is negative: {w}")
             clean[label] = w

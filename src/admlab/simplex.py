@@ -1,15 +1,21 @@
 """Exact rational simplex for small linear programs.
 
-Two-phase tableau method over ``Fraction`` entries with Bland's pivoting
-rule, so arithmetic is exact and termination is guaranteed even on
-degenerate problems.  Problem sizes in this package are tiny (tens of
-rows and columns), so the dense tableau is the right trade.
+Two-phase tableau method with Bland's pivoting rule, so termination is
+guaranteed even on degenerate problems.  The tableau is an integer one under
+one shared denominator ``D > 0`` (fraction-free pivoting: Edmonds 1967,
+Bareiss 1968), and the invariant the code relies on is: stored row = ``D``
+times true tableau row, the objective row included.  Every constraint row is
+first multiplied by one ``L`` that clears all denominators; that rescales the
+artificials by ``L`` and the phase-1 reduced costs by ``L > 0`` and leaves
+every ratio alone, so the pivot sequence is that of a ``Fraction`` tableau.
+Problem sizes here are tiny (tens of rows and columns): a dense tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from admlab.hyperreal import _as_fraction
 
@@ -27,40 +33,48 @@ class LPResult:
     iterations: int
 
 
-def _pivot(rows, obj, basis, r, col):
-    piv = rows[r][col]
-    inv = _ONE / piv
-    rows[r] = [v * inv for v in rows[r]]
-    prow = rows[r]
-    for i, row in enumerate(rows):
-        if i != r and row[col] != 0:
-            f = row[col]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    if obj[col] != 0:
-        f = obj[col]
-        for j, b in enumerate(prow):
-            obj[j] -= f * b
+def _pivot(tab, basis, r, col, d):
+    """Pivot on tab[r][col] (constraint rows, then objective) and return new D.
+
+    The pivot row is already p = tab[r][col] times its new true row, so it
+    stays and p becomes D; any other row becomes (row*p - row[col]*prow) / d,
+    an exact division.
+    """
+    prow = tab[r]
+    p = prow[col]
+    for i, row in enumerate(tab):
+        f = row[col]
+        if i == r or (not f and p == d):
+            continue
+        if f:
+            tab[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        else:
+            tab[i] = [a * p // d if a else 0 for a in row]
     basis[r] = col
+    if p < 0:  # only when driving out artificials; keeps D > 0
+        tab[:] = [[-v for v in row] for row in tab]
+        p = -p
+    return p
 
 
-def _run_simplex(rows, obj, basis, ncols):
-    """Maximize with Bland's rule.  obj holds reduced costs; last entry is -z."""
+def _run_simplex(tab, basis, ncols, d):
+    """Maximize with Bland's rule.  tab[-1] holds reduced costs; last entry is -z."""
     iters = 0
     while True:
+        obj = tab[-1]
         col = next((j for j in range(ncols) if obj[j] > 0), None)
         if col is None:
-            return "optimal", iters
-        best_r, best_ratio = None, None
-        for i, row in enumerate(rows):
+            return "optimal", iters, d
+        best = None  # ratio test by cross-multiplication, ties to lower basis
+        for i, row in enumerate(tab[:-1]):
             a = row[col]
-            if a > 0:
-                ratio = row[-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[best_r]):
-                    best_r, best_ratio = i, ratio
-        if best_r is None:
-            return "unbounded", iters
-        _pivot(rows, obj, basis, best_r, col)
+            if a > 0 and (best is None
+                          or (k := row[-1] * tab[best][col] - tab[best][-1] * a) < 0
+                          or (k == 0 and basis[i] < basis[best])):
+                best = i
+        if best is None:
+            return "unbounded", iters, d
+        d = _pivot(tab, basis, best, col, d)
         iters += 1
 
 
@@ -98,75 +112,58 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     for j, jc in neg_col.items():
         cost[jc] = -sign * c[j]
 
-    rows: list[list[Fraction]] = []
-    for i, (arow, rhs) in enumerate(zip(A_ub, b_ub)):
+    rows: list[list[Fraction]] = []  # inequality rows first, each with its slack
+    for i, (arow, rhs) in enumerate(zip(A_ub + A_eq, b_ub + b_eq)):
         row = arow + [_ZERO] * (len(free) + nslack) + [rhs]
         for j, jc in neg_col.items():
             row[jc] = -arow[j]
-        row[n + len(free) + i] = _ONE
-        rows.append(row)
-    for arow, rhs in zip(A_eq, b_eq):
-        row = arow + [_ZERO] * (len(free) + nslack) + [rhs]
-        for j, jc in neg_col.items():
-            row[jc] = -arow[j]
-        rows.append(row)
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-v for v in row]
-
+        if i < nslack:
+            row[n + len(free) + i] = _ONE
+        rows.append(row if rhs >= 0 else [-v for v in row])
     m = len(rows)
-    total_iters = 0
 
-    # phase 1: artificial basis, maximize -sum(artificials)
-    art0 = ncols
-    wide = ncols + m
-    for i, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend(_ZERO for _ in range(m))
-        row[art0 + i] = _ONE
-        row.append(rhs)
-    basis = [art0 + i for i in range(m)]
-    obj1 = [_ZERO] * (wide + 1)
-    for i in range(m):
-        for j in range(wide + 1):
-            obj1[j] += rows[i][j]
-    for i in range(m):
-        obj1[art0 + i] = _ZERO
-    status, it1 = _run_simplex(rows, obj1, basis, ncols)  # artificials never re-enter
-    total_iters += it1
-    if obj1[-1] > 0:  # -z1 entry is -(max -sum a) ... rhs column tracks sum still > 0
-        return LPResult("infeasible", None, None, total_iters)
+    # phase 1: artificial basis (columns ncols.., unit and never stored,
+    # since they never re-enter), maximize -sum(artificials)
+    L = lcm(*(v.denominator for row in rows for v in row))
+    tab = [[v.numerator * (L // v.denominator) for v in row] for row in rows]
+    tab.append([sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1))
+    basis = [ncols + i for i in range(m)]
+    status, iters, d = _run_simplex(tab, basis, ncols, 1)
+    if tab[-1][-1] > 0:  # -z1 entry: the artificials still sum to > 0
+        return LPResult("infeasible", None, None, iters)
 
     # drive leftover artificials out of the basis, dropping redundant rows
     keep = []
     for i in range(m):
-        if basis[i] >= art0:
-            col = next((j for j in range(ncols) if rows[i][j] != 0), None)
+        if basis[i] >= ncols:
+            col = next((j for j in range(ncols) if tab[i][j] != 0), None)
             if col is None:
                 continue  # redundant row
-            _pivot(rows, obj1, basis, i, col)
-            total_iters += 1
+            d = _pivot(tab, basis, i, col, d)
+            iters += 1
         keep.append(i)
-    rows = [rows[i] for i in keep]
+    tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    rows = [row[:ncols] + row[-1:] for row in rows]
 
-    # phase 2: true objective, rewritten over the current basis
-    obj = cost + [_ZERO]
+    # phase 2: true objective times its own lcm Lc, rewritten over the
+    # current basis; a basic column's entry stays d * Lc * cost
+    Lc = lcm(*(v.denominator for v in cost))
+    obj = [v.numerator * (Lc // v.denominator) * d for v in cost] + [0]
     for i, bj in enumerate(basis):
-        if obj[bj] != 0:
-            f = obj[bj]
-            obj = [a - f * b for a, b in zip(obj, rows[i])]
-    status, it2 = _run_simplex(rows, obj, basis, ncols)
-    total_iters += it2
+        f = obj[bj] // d
+        if f:
+            obj = [a - f * b for a, b in zip(obj, tab[i])]
+    tab.append(obj)
+    status, it2, d = _run_simplex(tab, basis, ncols, d)
+    iters += it2
     if status == "unbounded":
-        return LPResult("unbounded", None, None, total_iters)
+        return LPResult("unbounded", None, None, iters)
 
     full = [_ZERO] * ncols
     for i, bj in enumerate(basis):
-        full[bj] = rows[i][-1]
+        full[bj] = Fraction(tab[i][-1], d)
     x = full[:n]
     for j, jc in neg_col.items():
         x[j] = full[j] - full[jc]
-    z = -obj[-1]
-    return LPResult("optimal", sign * z, x, total_iters)
+    z = Fraction(-tab[-1][-1], d * Lc)
+    return LPResult("optimal", sign * z, x, iters)

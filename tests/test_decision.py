@@ -77,6 +77,15 @@ class TestBayesRisk:
         with pytest.raises(ValueError, match="negative"):
             Prior({"t1": 1 + eps, "t2": -eps})
 
+    def test_truncated_levi_civita_weights_rejected(self):
+        # the eps^20 terms lie past the truncation degree, so these weights
+        # were built as 1 (inexact) and 0 (inexact): a different prior, which
+        # ns_stein_check on TWO_POINT with B = ("t2",) used to pass
+        t1, t2 = LCNumber({0: 1, 20: -1}), LCNumber({20: 1})
+        assert t1.inexact and t2.inexact
+        with pytest.raises(ValueError, match="truncated"):
+            Prior({"t1": t1, "t2": t2})
+
 
 class TestSerialization:
     def test_round_trip(self):
