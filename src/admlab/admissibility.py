@@ -2,7 +2,10 @@
 Stein-style condition checkers, all in exact rational (or Levi-Civita) arithmetic.
 
 Every verdict that comes out of a linear program is re-verified by direct
-recomputation, so the LP kernel is never the single point of trust.
+recomputation, so the LP kernel is never the single point of trust.  The LP
+rows are plain ints, one LP's rows all scaled by one positive factor (the
+problem's common risk denominator ``den``, times eps's denominator for
+Stein), and the re-checks are one integer pass over the problem's ``irisk``.
 Throughout, the infimum over the convex hull of procedures is replaced by
 the minimum over its vertices, which is exact because risk is linear in
 the mixture.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from admlab.decision import (
     DecisionProblem,
@@ -19,7 +24,6 @@ from admlab.decision import (
     Prior,
     bayes_risk,
     format_rational,
-    mixture_risk,
 )
 from admlab.hyperreal import LCNumber, approx_leq, compare
 from admlab.simplex import solve_lp
@@ -55,6 +59,32 @@ def _fmt(v):
 
 def _weights_dict(weights):
     return {label: _fmt(w) for label, w in weights.items()}
+
+
+# -- integer re-checks ---------------------------------------------------------
+
+def _over_lcd(values):
+    """The rationals ``values`` as integer numerators over their least common denominator."""
+    q = lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
+def _mixture_gaps(p: DecisionProblem, mix: Mixture, j0: int):
+    """Per theta, r(theta, mix) - r(theta, delta0) times one positive integer."""
+    w, q = _over_lcd([mix.weights.get(d, 0) for d in p.proc_labels])
+    return [sum(map(mul, w, row)) - q * row[j0] for row in p.irisk]
+
+
+def _bayes_gaps(p: DecisionProblem, weights, j0: int):
+    """(g, n): r(pi, delta_j) - r(pi, delta0) == g[j] / n for the theta weights of pi."""
+    w, q = _over_lcd(weights)
+    risks = [sum(map(mul, w, col)) for col in zip(*p.irisk)]
+    return [r - risks[j0] for r in risks], q * p.den
+
+
+def _slacks(p: DecisionProblem, weights, j0: int) -> dict:
+    gaps, n = _bayes_gaps(p, weights, j0)
+    return {d: Fraction(g, n) for d, g in zip(p.proc_labels, gaps)}
 
 
 # -- plain dominance ---------------------------------------------------------
@@ -118,17 +148,16 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
         raise ValueError("dominated_in_hull needs mixtures enabled")
     j0 = p.proc_index(delta0)
     nd, nt = len(p.proc_labels), len(p.theta_labels)
+    den, irisk = p.den, p.irisk
 
-    # variables: lambda_d (nd), s_theta (nt)
-    c = [Fraction(0)] * nd + [Fraction(1)] * nt
-    A_ub, b_ub = [], []
-    for i in range(nt):
-        row = [p.risk[i][j] for j in range(nd)] + [Fraction(0)] * nt
-        row[nd + i] = Fraction(1)
+    # variables: lambda_d (nd), s_theta (nt); every row times den
+    A_ub = []
+    for i, r in enumerate(irisk):
+        row = list(r) + [0] * nt
+        row[nd + i] = den
         A_ub.append(row)
-        b_ub.append(p.risk[i][j0])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=[[Fraction(1)] * nd + [Fraction(0)] * nt], b_eq=[Fraction(1)])
+    res = solve_lp([0] * nd + [1] * nt, A_ub=A_ub, b_ub=[r[j0] for r in irisk],
+                   A_eq=[[den] * nd + [0] * nt], b_eq=[den])
     if res.status != "optimal":
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
     iters = res.iterations
@@ -136,26 +165,22 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
     mix = _mixture_from_solution(p.proc_labels, res.x[:nd]) if dominated else None
     if dominated:
         # re-verify the certificate without the LP
-        risks = {t: mixture_risk(p, t, mix) for t in p.theta_labels}
-        if not (all(risks[t] <= p.risk[i][j0] for i, t in enumerate(p.theta_labels))
-                and any(risks[t] < p.risk[i][j0] for i, t in enumerate(p.theta_labels))):
+        gaps = _mixture_gaps(p, mix, j0)
+        if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
             raise RuntimeError("dominating mixture failed independent re-verification")
 
     competitors = [d for d in p.proc_labels if d != delta0]
     risk_equal, equal_mixture = False, None
     if competitors:
-        cols = [p.proc_index(d) for d in competitors]
-        A_eq = [[p.risk[i][j] for j in cols] for i in range(nt)]
-        b_eq = [p.risk[i][j0] for i in range(nt)]
-        A_eq.append([Fraction(1)] * len(cols))
-        b_eq.append(Fraction(1))
-        eq = solve_lp([Fraction(0)] * len(cols), A_eq=A_eq, b_eq=b_eq)
+        cols = [j for j in range(nd) if j != j0]
+        eq = solve_lp([0] * len(cols),
+                      A_eq=[[r[j] for j in cols] for r in irisk] + [[den] * len(cols)],
+                      b_eq=[r[j0] for r in irisk] + [den])
         iters += eq.iterations
         if eq.status == "optimal":
             risk_equal = True
             equal_mixture = _mixture_from_solution(competitors, eq.x)
-            if not all(mixture_risk(p, t, equal_mixture) == p.risk[i][j0]
-                       for i, t in enumerate(p.theta_labels)):
+            if any(_mixture_gaps(p, equal_mixture, j0)):
                 raise RuntimeError("risk-equal mixture failed independent re-verification")
     return HullDominanceReport(delta0, dominated, mix, res.objective,
                                risk_equal, equal_mixture, iters)
@@ -173,16 +198,13 @@ class Certificate:
 
     def verify(self, p: DecisionProblem) -> bool:
         """Recompute everything from scratch, bypassing the LP."""
-        if sum(self.prior.weights.values()) != 1:
+        if self.prior.kind == "HYPER":  # a certificate's prior is a real one
             return False
-        if min(self.prior.weights.values()) != self.min_weight or self.min_weight <= 0:
+        weights = [self.prior.weight(t) for t in p.theta_labels]
+        if sum(weights) != 1 or min(weights) != self.min_weight or self.min_weight <= 0:
             return False
-        base = bayes_risk(p, self.prior, self.delta0)
-        for d in p.proc_labels:
-            slack = bayes_risk(p, self.prior, d) - base
-            if slack < 0 or slack != self.slacks[d]:
-                return False
-        return True
+        slacks = _slacks(p, weights, p.proc_index(self.delta0))
+        return slacks == self.slacks and min(slacks.values()) >= 0
 
     def as_dict(self):
         return {
@@ -214,13 +236,8 @@ class NoPositivePrior:
 
 
 def _bayes_rows(p: DecisionProblem, j0: int):
-    """Rows of 'delta0 is Bayes': pi . (risk[:,delta0] - risk[:,d]) <= 0 per competitor."""
-    rows = []
-    for j in range(len(p.proc_labels)):
-        if j == j0:
-            continue
-        rows.append([p.risk[i][j0] - p.risk[i][j] for i in range(len(p.theta_labels))])
-    return rows
+    """Rows of 'delta0 is Bayes', times den: pi . (risk[:,delta0] - risk[:,d]) <= 0 per competitor."""
+    return [[r[j0] - r[j] for r in p.irisk] for j in range(len(p.proc_labels)) if j != j0]
 
 
 def positive_prior_certificate(p: DecisionProblem, delta0):
@@ -230,29 +247,23 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     with the exact set of parameters that any certifying prior must zero out.
     """
     j0 = p.proc_index(delta0)
-    nt = len(p.theta_labels)
+    nt, den = len(p.theta_labels), p.den
     bayes = _bayes_rows(p, j0)
 
-    # variables: pi (nt), then t free
-    c = [Fraction(0)] * nt + [Fraction(1)]
-    A_ub = [row + [Fraction(0)] for row in bayes]
-    b_ub = [Fraction(0)] * len(bayes)
+    # variables: pi (nt), then t free; every row times den
+    A_ub = [row + [0] for row in bayes]
     for i in range(nt):
-        row = [Fraction(0)] * (nt + 1)
-        row[i], row[nt] = Fraction(-1), Fraction(1)   # t - pi_i <= 0
+        row = [0] * (nt + 1)
+        row[i], row[nt] = -den, den   # t - pi_i <= 0
         A_ub.append(row)
-        b_ub.append(Fraction(0))
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=[[Fraction(1)] * nt + [Fraction(0)]], b_eq=[Fraction(1)],
-                   free_vars=[nt])
+    res = solve_lp([0] * nt + [1], A_ub=A_ub, b_ub=[0] * len(A_ub),
+                   A_eq=[[den] * nt + [0]], b_eq=[den], free_vars=[nt])
     iters = res.iterations
 
     if res.status == "optimal" and res.objective > 0:
-        weights = {t: res.x[i] for i, t in enumerate(p.theta_labels)}
-        prior = Prior(weights)
-        base = bayes_risk(p, prior, delta0)
-        slacks = {d: bayes_risk(p, prior, d) - base for d in p.proc_labels}
-        cert = Certificate(delta0, prior, res.objective, slacks, iters)
+        weights = res.x[:nt]
+        prior = Prior(dict(zip(p.theta_labels, weights)))
+        cert = Certificate(delta0, prior, res.objective, _slacks(p, weights, j0), iters)
         if not cert.verify(p):
             raise RuntimeError("certificate failed independent re-verification")
         return cert
@@ -262,10 +273,10 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     if any_prior:
         # which thetas can carry positive weight among Bayes priors for delta0?
         for i, t in enumerate(p.theta_labels):
-            obj = [Fraction(0)] * nt
-            obj[i] = Fraction(1)
-            sub = solve_lp(obj, A_ub=bayes, b_ub=[Fraction(0)] * len(bayes),
-                           A_eq=[[Fraction(1)] * nt], b_eq=[Fraction(1)])
+            obj = [0] * nt
+            obj[i] = 1
+            sub = solve_lp(obj, A_ub=bayes, b_ub=[0] * len(bayes),
+                           A_eq=[[den] * nt], b_eq=[den])
             iters += sub.iterations
             if sub.status != "optimal":
                 raise RuntimeError(f"forced-zero probe unexpectedly {sub.status}")
@@ -356,13 +367,9 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
         else:
             lam = Mixture({d: Fraction(1, len(competitors)) for d in competitors})
         # separation: a parameter where delta0 strictly beats the current mixture
-        best_i, best_gap = None, Fraction(0)
-        lam_risk = {t: mixture_risk(p, t, lam) for t in p.theta_labels}
-        for i, t in enumerate(p.theta_labels):
-            if i in chosen:
-                continue
-            gap = lam_risk[t] - p.risk[i][j0]
-            if gap > best_gap:
+        best_i, best_gap = None, 0
+        for i, gap in enumerate(_mixture_gaps(p, lam, j0)):
+            if i not in chosen and gap > best_gap:
                 best_i, best_gap = i, gap
         if best_i is None:
             raise RuntimeError("separation failed despite admissibility precheck")
@@ -429,27 +436,28 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     j0 = p.proc_index(delta0)
     nt = len(p.theta_labels)
 
-    A_ub, b_ub = [], []
-    for row in _bayes_rows(p, j0):
-        r = list(row)
-        r[i0] -= eps
-        A_ub.append(r)
-        b_ub.append(Fraction(0))
-    c = [Fraction(0)] * nt
-    c[i0] = Fraction(1)
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=[[Fraction(1)] * nt], b_eq=[Fraction(1)])
+    # every row times den * q for eps = a / q
+    scale = p.den * eps.denominator
+    A_ub = [[eps.denominator * v for v in row] for row in _bayes_rows(p, j0)]
+    for row in A_ub:
+        row[i0] -= p.den * eps.numerator
+    c = [0] * nt
+    c[i0] = 1
+    res = solve_lp(c, A_ub=A_ub, b_ub=[0] * len(A_ub), A_eq=[[scale] * nt], b_eq=[scale])
     if res.status == "infeasible" or (res.status == "optimal" and res.objective == 0):
         return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
-    prior = Prior({t: res.x[i] for i, t in enumerate(p.theta_labels)})
-    base = bayes_risk(p, prior, delta0)
-    excess = max(base - bayes_risk(p, prior, d) for d in p.proc_labels)
-    bound = eps * res.objective
+    prior = Prior(dict(zip(p.theta_labels, res.x)))
+    weight = prior.weight(theta0)
+    if res.objective != weight:
+        raise RuntimeError("stein LP objective differs from its prior's weight at theta0")
+    gaps, n = _bayes_gaps(p, res.x, j0)
+    excess = Fraction(-min(gaps), n)
+    bound = eps * weight
     if not excess <= bound:  # the LP's constraints, recomputed exactly
         raise RuntimeError("stein prior failed independent re-verification")
-    return SteinResult(delta0, theta0, eps, True, prior, res.objective,
+    return SteinResult(delta0, theta0, eps, True, prior, weight,
                        excess, bound, res.iterations)
 
 

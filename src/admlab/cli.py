@@ -141,14 +141,17 @@ def cmd_check(args) -> int:
         _emit({"delta0": args.delta, "dominated": bool(by),
                "dominated_by": by or None})
         return EXIT_NEGATIVE if by else EXIT_OK
-    admissible = admissible_set(p)
+    if p.allow_mixtures:
+        reports = {d: dominated_in_hull(p, d) for d in p.proc_labels}
+        admissible = {d for d, rep in reports.items() if not rep.dominated}
+    else:
+        admissible = admissible_set(p)
     payload = {
         "allow_mixtures": p.allow_mixtures,
         "admissible_set": [d for d in p.proc_labels if d in admissible],
     }
     if p.allow_mixtures:
-        payload["reports"] = {d: dominated_in_hull(p, d).as_dict()
-                              for d in p.proc_labels}
+        payload["reports"] = {d: rep.as_dict() for d, rep in reports.items()}
     _emit(payload)
     return EXIT_OK
 

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from admlab.hyperreal import LCNumber, _as_fraction, format_rational, parse_lc
 
@@ -118,13 +119,19 @@ class Mixture:
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """A finite decision problem: parameter labels, procedure labels, exact risk matrix."""
+    """A finite decision problem: parameter labels, procedure labels, exact risk matrix.
+
+    Derived at construction: ``den``, the least common denominator of the risks,
+    and ``irisk``, the int matrix with ``risk[i][j] == irisk[i][j] / den``.
+    """
 
     theta_labels: tuple
     proc_labels: tuple
     risk: tuple                      # rows indexed by theta, columns by procedure
     allow_mixtures: bool = True
     priors: dict = field(default_factory=dict, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    irisk: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thetas = tuple(self.theta_labels)
@@ -149,6 +156,10 @@ class DecisionProblem:
         object.__setattr__(self, "theta_labels", thetas)
         object.__setattr__(self, "proc_labels", procs)
         object.__setattr__(self, "risk", tuple(matrix))
+        den = lcm(*(v.denominator for row in matrix for v in row))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "irisk", tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix))
 
     def theta_index(self, label) -> int:
         try:

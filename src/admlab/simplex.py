@@ -8,6 +8,8 @@ times true tableau row, the objective row included.  Every constraint row is
 first multiplied by one ``L`` that clears all denominators; that rescales the
 artificials by ``L`` and the phase-1 reduced costs by ``L > 0`` and leaves
 every ratio alone, so the pivot sequence is that of a ``Fraction`` tableau.
+For the same reason callers may hand over plain-``int`` rows that they have
+scaled by one common positive factor themselves; ints are taken as they are.
 Problem sizes here are tiny (tens of rows and columns): a dense tableau.
 """
 
@@ -22,7 +24,10 @@ from admlab.hyperreal import _as_fraction
 __all__ = ["LPResult", "solve_lp"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _entry(v):
+    return v if type(v) is int else _as_fraction(v)
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     the usual positive/negative split).  All inputs must be exact
     rationals; the result is exact.
     """
-    A_ub = [list(map(_as_fraction, row)) for row in (A_ub or [])]
-    b_ub = [_as_fraction(v) for v in (b_ub or [])]
-    A_eq = [list(map(_as_fraction, row)) for row in (A_eq or [])]
-    b_eq = [_as_fraction(v) for v in (b_eq or [])]
-    c = [_as_fraction(v) for v in c]
+    A_ub = [list(map(_entry, row)) for row in (A_ub or [])]
+    b_ub = list(map(_entry, b_ub or []))
+    A_eq = [list(map(_entry, row)) for row in (A_eq or [])]
+    b_eq = list(map(_entry, b_eq or []))
+    c = list(map(_entry, c))
     if len(A_ub) != len(b_ub) or len(A_eq) != len(b_eq):
         raise ValueError("constraint matrix and rhs lengths differ")
     n = len(c)
@@ -108,17 +113,17 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     ncols = n + len(free) + nslack
 
     sign = 1 if maximize else -1
-    cost = [sign * v for v in c] + [_ZERO] * (len(free) + nslack)
+    cost = [sign * v for v in c] + [0] * (len(free) + nslack)
     for j, jc in neg_col.items():
         cost[jc] = -sign * c[j]
 
-    rows: list[list[Fraction]] = []  # inequality rows first, each with its slack
+    rows = []  # inequality rows first, each with its slack
     for i, (arow, rhs) in enumerate(zip(A_ub + A_eq, b_ub + b_eq)):
-        row = arow + [_ZERO] * (len(free) + nslack) + [rhs]
+        row = arow + [0] * (len(free) + nslack) + [rhs]
         for j, jc in neg_col.items():
             row[jc] = -arow[j]
         if i < nslack:
-            row[n + len(free) + i] = _ONE
+            row[n + len(free) + i] = 1
         rows.append(row if rhs >= 0 else [-v for v in row])
     m = len(rows)
 

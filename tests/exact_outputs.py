@@ -1,0 +1,107 @@
+"""Print every exact output of admlab on a fixed set of random problems.
+
+Run it on two trees and diff the results; a change that must keep exact
+outputs (verdicts, priors, mixtures, ``lp_iterations``) shows no diff:
+
+    PYTHONPATH=src python tests/exact_outputs.py > after.txt
+
+It covers ``random_problem`` seeds 0-11 on the 1/8 and 1/97 grids.  For
+each problem it prints the stdout, stderr and exit code of the CLI
+subcommands check, certify, witness, stein, game and ns, then
+``repr(as_dict())`` of every hull, certificate, witness, Stein, game and
+Levi-Civita report the API gives for it.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from admlab import admissibility as adm
+from admlab import cli
+from admlab.decision import Prior, random_problem, save_problem
+from admlab.game import derived_game_value
+from admlab.hyperreal import LCNumber
+
+SEEDS = range(12)
+GRIDS = (8, 97)
+EPS_GRID = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
+GAMMAS = (Fraction(1, 2), Fraction(2))
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    print("$ admlab", " ".join(str(a) for a in argv))
+    print(out.getvalue(), end="")
+    print("stderr:", err.getvalue(), end="" if err.getvalue().endswith("\n") else "\n")
+    print("exit:", code)
+
+
+def report(name, call):
+    try:
+        text = repr(call().as_dict())
+    except (ValueError, RuntimeError) as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    print(name, text)
+
+
+def cli_outputs(path, p):
+    t0, t1 = p.theta_labels[0], p.theta_labels[-1]
+    lc_prior = f"{t0}:1-eps,{t1}:eps" if t0 != t1 else f"{t0}:1"
+    run_cli("check", path)
+    for d in p.proc_labels:
+        run_cli("check", path, "--delta", d)
+        run_cli("certify", path, "--delta", d)
+        run_cli("witness", path, "--delta", d)
+        for t in p.theta_labels:
+            run_cli("stein", path, "--delta", d, "--theta", t, "--eps", "1/10")
+        run_cli("game", path, "--delta", d, "--theta0", t0, "--gamma", "1/2")
+        run_cli("ns", path, "--delta", d, "--prior", lc_prior, "--mode", "stein",
+                "--family", t1, "--eps", "1/10")
+        run_cli("ns", path, "--delta", d, "--prior", lc_prior, "--mode", "blyth",
+                "--family", f"{t0};{t1}", "--rho", "eps^2")
+
+
+def api_outputs(p):
+    singles = tuple((t,) for t in p.theta_labels)
+    for d in p.proc_labels:
+        report(f"hull {d}", lambda: adm.dominated_in_hull(p, d))
+        cert = adm.positive_prior_certificate(p, d)
+        print(f"certificate {d}", repr(cert.as_dict()))
+        report(f"witness {d}", lambda: adm.witness_set(p, d))
+        for t in p.theta_labels:
+            for e in EPS_GRID:
+                report(f"stein {d} {t} {e}", lambda: adm.stein_check(p, d, t, e))
+            for g in GAMMAS:
+                report(f"game {d} {t} {g}", lambda: derived_game_value(p, d, t, g))
+        if isinstance(cert, adm.Certificate):
+            prior, rho = cert.prior, cert.min_weight
+        else:
+            prior = Prior({t: Fraction(1, len(p.theta_labels)) for t in p.theta_labels})
+            rho = LCNumber({1: 1})
+        for B in singles:
+            report(f"ns_stein {d} {B}", lambda: adm.ns_stein_check(p, d, prior, B, Fraction(1, 10)))
+        report(f"ns_blyth {d}", lambda: adm.ns_blyth_check(p, d, prior, rho, singles))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for grid in GRIDS:
+            for seed in SEEDS:
+                p = random_problem(2 + seed % 5, 2 + (seed * 7) % 5, seed, grid)
+                print(f"== seed {seed}, grid 1/{grid}, {len(p.theta_labels)}x{len(p.proc_labels)}")
+                path = f"seed{seed}-grid{grid}.json"
+                Path(path).write_bytes(save_problem(p))
+                cli_outputs(path, p)
+                api_outputs(p)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

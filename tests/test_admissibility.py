@@ -12,7 +12,14 @@ import pytest
 
 from admlab import LCNumber
 from admlab import admissibility as adm
-from admlab.decision import DecisionProblem, Mixture, Prior, mixture_risk, random_problem
+from admlab.decision import (
+    DecisionProblem,
+    Mixture,
+    Prior,
+    bayes_risk,
+    mixture_risk,
+    random_problem,
+)
 
 EPS = LCNumber.eps()
 ONE = LCNumber.from_real(1)
@@ -148,6 +155,7 @@ class TestCertificates:
         assert not moved.verify(p)
         slacks = dict(c.slacks, d2=c.slacks["d2"] + F(1, 104))
         assert not dataclasses.replace(c, slacks=slacks).verify(p)
+        assert not dataclasses.replace(c, prior=adm._as_hyper(c.prior)).verify(p)
 
 
 class TestWitnessSet:
@@ -342,7 +350,7 @@ class TestSoundnessTriangle:
 
 # Under ``python -O`` an ``assert`` is stripped, so each re-check of an LP
 # result must raise by itself.  The probe swaps in an LP kernel whose optimum
-# is off by one and expects both checkers to refuse it.
+# is off by one and expects every checker to refuse it.
 _OPTIMIZED_PROBE = textwrap.dedent("""
     import dataclasses, sys
     from fractions import Fraction
@@ -360,7 +368,10 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     for name, call in [("dominated_in_hull", lambda: admissibility.dominated_in_hull(p, "d0")),
                        ("derived_game_value",
-                        lambda: game.derived_game_value(p, "d0", "t1", Fraction(1, 2)))]:
+                        lambda: game.derived_game_value(p, "d0", "t1", Fraction(1, 2))),
+                       ("stein_check", lambda: admissibility.stein_check(p, "d0", "t1", 1)),
+                       ("positive_prior_certificate",
+                        lambda: admissibility.positive_prior_certificate(p, "d0"))]:
         try:
             call()
             print(name, "accepted")
@@ -380,6 +391,122 @@ class TestReverificationUnderOptimize:
         assert lines[0] == "optimize 1"
         assert lines[1].startswith("dominated_in_hull RuntimeError")
         assert lines[2].startswith("derived_game_value RuntimeError")
+        assert lines[3].startswith("stein_check RuntimeError")
+        assert lines[4].startswith("positive_prior_certificate RuntimeError")
+
+    def test_moved_lp_solutions_raise_under_python_O(self):
+        src = str(Path(adm.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-O", "-c", _MOVED_SOLUTION_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "optimize 1",
+            "stein_check RuntimeError stein prior failed independent re-verification",
+            "dominating mixture RuntimeError dominating mixture failed independent "
+            "re-verification",
+            "risk-equal mixture RuntimeError risk-equal mixture failed independent "
+            "re-verification",
+        ]
+
+
+# Each case moves the LP's x off the feasible set (keeping a valid prior or
+# mixture, and an objective consistent with x), so only the integer re-check
+# against the problem's risks can catch it.
+_MOVED_SOLUTION_PROBE = textwrap.dedent("""
+    import dataclasses, sys
+    from fractions import Fraction as F
+    from admlab import admissibility, simplex
+    from admlab.decision import DecisionProblem
+
+    p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
+    has_ub = lambda kwargs: kwargs.get("A_ub") is not None
+    cases = [
+        # pi = (1/4, 3/4): excess 1/2 > eps * pi(t1) = 1/400
+        ("stein_check",
+         lambda res, kw: dataclasses.replace(res, x=[F(1, 4), F(3, 4)], objective=F(1, 4)),
+         lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
+        # d1 itself, with slack 1 at t1 claimed: d1 is worse than d0 at t1
+        ("dominating mixture",
+         lambda res, kw: (dataclasses.replace(res, x=[F(0), F(1), F(1), F(0)], objective=F(1))
+                          if has_ub(kw) else res),
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        # d1 claimed risk-equal to d0, although its risks are swapped
+        ("risk-equal mixture",
+         lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [F(1)], 0),
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+    ]
+    print("optimize", sys.flags.optimize)
+    for name, move, call in cases:
+        admissibility.solve_lp = lambda *a, move=move, **kw: move(simplex.solve_lp(*a, **kw), kw)
+        try:
+            call()
+            print(name, "accepted")
+        except RuntimeError as exc:
+            print(name, "RuntimeError", exc)
+""")
+
+
+def _random_weights(rng, labels):
+    """Random rational convex weights over labels, some of them zero."""
+    raw = [rng.choice((0, rng.randint(1, 40))) for _ in labels]
+    if not any(raw):
+        raw[rng.randrange(len(raw))] = 1
+    return {label: F(v, sum(raw)) for label, v in zip(labels, raw)}
+
+
+class TestIntegerRechecks:
+    """The integer re-checks against the public Fraction routines as oracle."""
+
+    def test_bayes_gaps_and_slacks_match_bayes_risk(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            p = random_problem(rng.randint(1, 5), rng.randint(1, 5), seed,
+                               rng.choice((8, 12, 97)))
+            prior = Prior(_random_weights(rng, p.theta_labels))
+            weights = [prior.weight(t) for t in p.theta_labels]
+            for j0, d0 in enumerate(p.proc_labels):
+                gaps, n = adm._bayes_gaps(p, weights, j0)
+                base = bayes_risk(p, prior, d0)
+                oracle = [bayes_risk(p, prior, d) - base for d in p.proc_labels]
+                assert [F(g, n) for g in gaps] == oracle
+                assert adm._slacks(p, weights, j0) == dict(zip(p.proc_labels, oracle))
+
+    def test_mixture_gaps_match_mixture_risk(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            p = random_problem(rng.randint(1, 5), rng.randint(1, 5), seed,
+                               rng.choice((8, 12, 97)))
+            mix = Mixture(_random_weights(rng, p.proc_labels))
+            for j0 in range(len(p.proc_labels)):
+                gaps = adm._mixture_gaps(p, mix, j0)
+                oracle = [mixture_risk(p, t, mix) - p.risk[i][j0]
+                          for i, t in enumerate(p.theta_labels)]
+                # one positive factor for every theta
+                scale = next((g / o for g, o in zip(gaps, oracle) if o), 1)
+                assert scale > 0
+                assert [F(g) for g in gaps] == [scale * o for o in oracle]
+
+    def test_reported_excess_and_slacks_match_bayes_risk(self):
+        eps_grid = (F(1), F(1, 10), F(1, 100))
+        for seed in range(12):
+            p = random_problem(2 + seed % 4, 2 + (seed * 7) % 4, seed, 97 if seed % 2 else 8)
+            for d0 in p.proc_labels:
+                cert = adm.positive_prior_certificate(p, d0)
+                if isinstance(cert, adm.Certificate):
+                    base = bayes_risk(p, cert.prior, d0)
+                    assert cert.slacks == {d: bayes_risk(p, cert.prior, d) - base
+                                           for d in p.proc_labels}
+                for t in p.theta_labels:
+                    for eps in eps_grid:
+                        r = adm.stein_check(p, d0, t, eps)
+                        if not r.feasible:
+                            continue
+                        base = bayes_risk(p, r.prior, d0)
+                        assert r.excess == max(base - bayes_risk(p, r.prior, d)
+                                               for d in p.proc_labels)
+                        assert r.theta0_weight == r.prior.weight(t)
+                        assert r.bound == eps * r.theta0_weight >= r.excess
 
 
 class TestReports:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from admlab import cli
+from admlab import admissibility, cli
+from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, load_problem, random_problem, save_problem
 
 
@@ -47,6 +48,18 @@ class TestCheck:
         assert code == 0
         assert payload["admissible_set"] == ["d0", "d1"]
         assert payload["reports"]["d0"]["dominated"] is False
+
+    def test_listing_builds_each_hull_report_once(self, capsys, monkeypatch, with_dominated):
+        calls = []
+
+        def counted(p, delta0):
+            calls.append(delta0)
+            return dominated_in_hull(p, delta0)
+        monkeypatch.setattr(cli, "dominated_in_hull", counted)
+        monkeypatch.setattr(admissibility, "dominated_in_hull", counted)
+        code, payload, _ = run_json(capsys, "check", with_dominated)
+        assert code == 0 and payload["admissible_set"] == ["d0", "d1"]
+        assert calls == ["d0", "d1", "dbad"]
 
     def test_dominated_delta_exits_one(self, capsys, with_dominated):
         code, payload, _ = run_json(capsys, "check", with_dominated,

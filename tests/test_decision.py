@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -225,3 +226,26 @@ class TestAlgebraicProperties:
         for d in p.proc_labels:
             column = [risk_at(p, t, d) for t in p.theta_labels]
             assert min(column) <= bayes_risk(p, pi, d) <= max(column)
+
+
+class TestIntegerRiskMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_den_is_the_least_common_denominator(self, n_theta, n_proc, data):
+        entries = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+        risk = tuple(tuple(data.draw(entries) for _ in range(n_proc)) for _ in range(n_theta))
+        p = DecisionProblem(tuple(f"t{i}" for i in range(n_theta)),
+                            tuple(f"d{j}" for j in range(n_proc)), risk)
+        flat = [v for row in p.irisk for v in row]
+        assert all(type(v) is int for v in flat)
+        assert all(F(p.irisk[i][j], p.den) == risk[i][j]
+                   for i in range(n_theta) for j in range(n_proc))
+        # a common denominator is the least one iff no prime divides it and
+        # every numerator over it
+        assert p.den > 0 and math.gcd(p.den, *flat) == 1
+
+    def test_derived_fields_leave_repr_and_equality_alone(self):
+        p = random_problem(3, 4, seed=5, grid_denominator=12)
+        q = DecisionProblem(p.theta_labels, p.proc_labels, tuple(map(tuple, p.risk)))
+        assert "den" not in repr(p) and "irisk" not in repr(p)
+        assert p == q and hash(p) == hash(q)
