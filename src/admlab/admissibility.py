@@ -2,27 +2,27 @@
 Stein-style condition checkers, all in exact rational (or Levi-Civita) arithmetic.
 
 Every verdict that comes out of a linear program is re-verified by direct
-recomputation, so the LP kernel is never the single point of trust.  The LP
-rows are plain ints, one LP's rows all scaled by one positive factor (the
+recomputation, so the LP kernel is never the single point of trust.  Every LP
+row is plain ints, one LP's rows all scaled by one positive factor (the
 problem's common risk denominator ``den``, times eps's denominator for
-Stein), and the re-checks are one integer pass over the problem's ``irisk``.
-Throughout, the infimum over the convex hull of procedures is replaced by
-the minimum over its vertices, which is exact because risk is linear in
-the mixture.
+Stein), and the re-checks, the ``ns_*`` excess included, are integer passes
+over the problem's ``irisk`` (``decision``'s helpers).  Throughout, the
+infimum over the convex hull of procedures is replaced by the minimum over
+its vertices, which is exact because risk is linear in the mixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from admlab.decision import (
     DecisionProblem,
     Mixture,
     Prior,
-    bayes_risk,
+    _bayes_gaps,
+    _lc_gaps,
+    _mixture_gaps,
     format_rational,
 )
 from admlab.hyperreal import LCNumber, approx_leq, compare
@@ -59,27 +59,6 @@ def _fmt(v):
 
 def _weights_dict(weights):
     return {label: _fmt(w) for label, w in weights.items()}
-
-
-# -- integer re-checks ---------------------------------------------------------
-
-def _over_lcd(values):
-    """The rationals ``values`` as integer numerators over their least common denominator."""
-    q = lcm(*(v.denominator for v in values))
-    return [v.numerator * (q // v.denominator) for v in values], q
-
-
-def _mixture_gaps(p: DecisionProblem, mix: Mixture, j0: int):
-    """Per theta, r(theta, mix) - r(theta, delta0) times one positive integer."""
-    w, q = _over_lcd([mix.weights.get(d, 0) for d in p.proc_labels])
-    return [sum(map(mul, w, row)) - q * row[j0] for row in p.irisk]
-
-
-def _bayes_gaps(p: DecisionProblem, weights, j0: int):
-    """(g, n): r(pi, delta_j) - r(pi, delta0) == g[j] / n for the theta weights of pi."""
-    w, q = _over_lcd(weights)
-    risks = [sum(map(mul, w, col)) for col in zip(*p.irisk)]
-    return [r - risks[j0] for r in risks], q * p.den
 
 
 def _slacks(p: DecisionProblem, weights, j0: int) -> dict:
@@ -313,23 +292,17 @@ class WitnessSet:
         }
 
 
-def _restricted_value(p, cols, j0, theta_subset):
-    """min over competitor mixtures of max over theta_subset of r(theta,mix) - r(theta,delta0)."""
-    n = len(cols)
-    # variables: lambda (n), v free
-    c = [Fraction(0)] * n + [Fraction(1)]
-    A_ub, b_ub = [], []
-    for t in theta_subset:
-        i = t
-        row = [p.risk[i][j] for j in cols] + [Fraction(-1)]
-        A_ub.append(row)
-        b_ub.append(p.risk[i][j0])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=[[Fraction(1)] * n + [Fraction(0)]], b_eq=[Fraction(1)],
-                   free_vars=[n], maximize=False)
-    if res.status != "optimal":
-        raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
-    return res
+def _witness_lp(p, cols, j0, thetas, v_coef, **kwargs):
+    """LP over competitor mixtures lambda and a free v, rows times den:
+    r(theta, lambda) + v_coef * v <= r(theta, delta0) for theta in thetas.
+
+    With v_coef = -1 and minimizing: min over lambda of max over thetas of
+    r(theta, lambda) - r(theta, delta0)."""
+    n, den = len(cols), p.den
+    rows = [p.irisk[i] for i in thetas]
+    return solve_lp([0] * n + [1], A_ub=[[r[j] for j in cols] + [v_coef * den] for r in rows],
+                    b_ub=[r[j0] for r in rows], A_eq=[[den] * n + [0]], b_eq=[den],
+                    free_vars=[n], **kwargs)
 
 
 def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
@@ -359,7 +332,9 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     rounds = 0
     while True:
         if chosen:
-            res = _restricted_value(p, cols, j0, chosen)
+            res = _witness_lp(p, cols, j0, chosen, -1, maximize=False)
+            if res.status != "optimal":
+                raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
             if res.objective > 0:
                 margin = res.objective
                 break
@@ -380,17 +355,9 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
 
     thetas = tuple(p.theta_labels[i] for i in sorted(chosen))
 
-    # independent validation: best-case competitor advantage on the witness set
-    n = len(cols)
-    c = [Fraction(0)] * n + [Fraction(1)]
-    A_ub, b_ub = [], []
-    for i in sorted(chosen):
-        row = [p.risk[i][j] for j in cols] + [Fraction(1)]  # w + r(theta,lam) <= r(theta,delta0)
-        A_ub.append(row)
-        b_ub.append(p.risk[i][j0])
-    val = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=[[Fraction(1)] * n + [Fraction(0)]], b_eq=[Fraction(1)],
-                   free_vars=[n])
+    # independent validation: best-case competitor advantage w on the witness
+    # set, w + r(theta, lambda) <= r(theta, delta0)
+    val = _witness_lp(p, cols, j0, sorted(chosen), 1)
     validated = val.status == "optimal" and val.objective <= -margin < 0
     return WitnessSet(delta0, thetas, margin, rounds, validated, val.objective)
 
@@ -515,21 +482,9 @@ def determining_family_check(p: DecisionProblem, family) -> DeterminingFamilyRep
     return DeterminingFamilyReport(not failures, tuple(pairs), tuple(failures))
 
 
-def _as_hyper(prior: Prior) -> Prior:
-    if prior.kind == "HYPER":
-        return prior
-    return Prior({t: LCNumber.from_real(w) for t, w in prior.weights.items()})
-
-
 def _lc_excess(p: DecisionProblem, prior: Prior, delta0) -> LCNumber:
     """max over the hull (= vertices, incl. delta0) of Bayes-risk advantage over delta0."""
-    base = bayes_risk(p, prior, delta0)
-    excess = LCNumber.zero()
-    for d in p.proc_labels:
-        gap = base - bayes_risk(p, prior, d)
-        if compare(gap, excess) > 0:
-            excess = gap
-    return excess
+    return -min(_lc_gaps(p, prior, p.proc_index(delta0)))
 
 
 @dataclass(frozen=True)
@@ -552,9 +507,8 @@ def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinR
         raise ValueError("B must be a nonempty set of parameter labels")
     for t in B:
         p.theta_index(t)
-    prior = _as_hyper(prior)
     excess = _lc_excess(p, prior, delta0)
-    bound = sum(prior.weight(t) for t in B) * eps
+    bound = sum((prior.weight(t) for t in B), LCNumber.zero()) * eps
     return NsSteinReport(compare(excess, bound) <= 0, excess, bound)
 
 
@@ -586,12 +540,11 @@ def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsB
     if rho.sign() <= 0:
         raise ValueError("rho must be strictly positive")
     sets = _validate_family(p, family)
-    prior = _as_hyper(prior)
 
     mass_ok = True
     constants = {}
     for B in sets:
-        mass = sum(prior.weight(t) for t in B)
+        mass = sum((prior.weight(t) for t in B), LCNumber.zero())
         if mass.is_zero() or rho.leading_exponent() < mass.leading_exponent():
             mass_ok = False
             continue

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from admlab.hyperreal import LCNumber, _as_fraction, format_rational, parse_lc
 
@@ -53,12 +54,13 @@ def _exact(v, where: str) -> Fraction:
 class Prior:
     """Probability weights over the parameter labels.
 
-    The weights fix the read-only ``kind``: HYPER when any weight is a
-    Levi-Civita number (all weights are then stored as such, allowing
-    infinitesimal but still nonnegative ones), REAL otherwise (exact
-    rationals).  Weights must sum to exactly 1 either way.  A Levi-Civita
-    weight that lost terms past the truncation degree (``inexact``) is
-    rejected: it would stand for a different prior from the one given.
+    The weights' values fix the read-only ``kind``: HYPER when some weight has
+    a term at a nonzero power of eps (all weights are then stored as
+    Levi-Civita numbers, allowing infinitesimal but still nonnegative ones),
+    REAL otherwise (exact rationals, a standard Levi-Civita weight included).
+    Weights must sum to exactly 1 either way.  A Levi-Civita weight that lost
+    terms past the truncation degree (``inexact``) is rejected: it would stand
+    for a different prior from the one given.
     """
 
     weights: dict
@@ -67,7 +69,8 @@ class Prior:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("prior needs at least one weight")
-        hyper = any(isinstance(w, LCNumber) for w in self.weights.values())
+        hyper = any(isinstance(w, LCNumber) and w.terms.keys() - {0}
+                    for w in self.weights.values())
         clean = {}
         for label, w in self.weights.items():
             if not isinstance(w, LCNumber):
@@ -76,6 +79,8 @@ class Prior:
                     w = LCNumber.from_real(w)
             elif w.inexact:
                 raise ValueError(f"prior weight for {label} was truncated: {w}")
+            elif not hyper:
+                w = w.standard_part()
             if w < 0:
                 raise ValueError(f"prior weight for {label} is negative: {w}")
             clean[label] = w
@@ -201,6 +206,47 @@ def bayes_risk(p: DecisionProblem, prior: Prior, delta):
         j = p.proc_index(delta)
         per_theta = {t: p.risk[i][j] for i, t in enumerate(p.theta_labels)}
     return sum(prior.weight(t) * per_theta[t] for t in p.theta_labels)
+
+
+# -- integer passes over irisk -----------------------------------------------
+
+def _weighted_rows(matrix, weights):
+    """(s, q): sum_j weights[j] * row[j] == s[i] / q for the i-th row of an int matrix,
+    with q the least common denominator of the rational weights."""
+    q = lcm(*(v.denominator for v in weights))
+    w = [v.numerator * (q // v.denominator) for v in weights]
+    return [sum(map(mul, w, row)) for row in matrix], q
+
+
+def _mixture_gaps(p: DecisionProblem, mix: Mixture, j0: int):
+    """Per theta, r(theta, mix) - r(theta, delta0) times one positive integer."""
+    s, q = _weighted_rows(p.irisk, [mix.weights.get(d, 0) for d in p.proc_labels])
+    return [si - q * row[j0] for si, row in zip(s, p.irisk)]
+
+
+def _bayes_gaps(p: DecisionProblem, weights, j0: int):
+    """(g, n): r(pi, delta_j) - r(pi, delta0) == g[j] / n for the theta weights of pi.
+
+    The weights need not be a prior: the gaps are linear in them.
+    """
+    risks, q = _weighted_rows(zip(*p.irisk), weights)
+    return [r - risks[j0] for r in risks], q * p.den
+
+
+def _lc_gaps(p: DecisionProblem, prior: Prior, j0: int):
+    """Per procedure, r(pi, delta_j) - r(pi, delta0) as an LCNumber.
+
+    One ``_bayes_gaps`` pass per power of eps in the prior's weights (a
+    rational weight is its eps^0 term), so no Levi-Civita product is formed.
+    """
+    for label in prior.weights:
+        p.theta_index(label)
+    terms = [w.terms if isinstance(w, LCNumber) else {0: w}
+             for w in map(prior.weight, p.theta_labels)]
+    per_power = [(k, *_bayes_gaps(p, [t.get(k, 0) for t in terms], j0))
+                 for k in sorted(set().union(*terms))]
+    return [LCNumber({k: Fraction(g[j], n) for k, g, n in per_power})
+            for j in range(len(p.proc_labels))]
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,6 +8,8 @@ weight gamma > 0 is
 
 Nature mixes over parameters (a prior), the statistician mixes over base
 procedures; both optimal values are computed by exact LPs and must agree.
+Both LPs and both re-checks of their optima use one int matrix, the payoff
+times ``den * q`` for gamma = a / q.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from admlab.decision import (
+    HYPER,
     DecisionProblem,
     Mixture,
     Prior,
-    bayes_risk,
+    _lc_gaps,
+    _weighted_rows,
     format_rational,
-    risk_at,
 )
 from admlab.simplex import solve_lp
 
@@ -29,12 +32,11 @@ __all__ = ["GameValueReport", "derived_game_value", "shifted_risk"]
 
 
 def shifted_risk(p: DecisionProblem, delta_base, pi_or_theta, delta_prime) -> Fraction:
-    """Bayes-risk difference r(pi, delta') - r(pi, delta_base); Dirac case for a theta label."""
-    if isinstance(pi_or_theta, Prior):
-        pi = pi_or_theta
-    else:
-        pi = Prior.dirac(pi_or_theta)
-    return bayes_risk(p, pi, delta_prime) - bayes_risk(p, pi, delta_base)
+    """Bayes-risk difference r(pi, delta') - r(pi, delta_base), an LCNumber for a
+    HYPER prior; Dirac case for a theta label."""
+    pi = pi_or_theta if isinstance(pi_or_theta, Prior) else Prior.dirac(pi_or_theta)
+    gap = _lc_gaps(p, pi, p.proc_index(delta_base))[p.proc_index(delta_prime)]
+    return gap if pi.kind == HYPER else gap.standard_part()
 
 
 @dataclass(frozen=True)
@@ -82,27 +84,23 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     j0 = p.proc_index(delta0)
     nt, nd = len(p.theta_labels), len(p.proc_labels)
 
-    payoff = tuple(
-        tuple((p.risk[i0][j] - p.risk[i0][j0]) + gamma * (p.risk[i][j] - p.risk[i][j0])
-              for j in range(nd))
-        for i in range(nt))
+    # payoff times scale = den * q for gamma = a / q
+    a, q = gamma.numerator, gamma.denominator
+    scale = p.den * q
+    top = p.irisk[i0]
+    ipay = [[q * (top[j] - top[j0]) + a * (row[j] - row[j0]) for j in range(nd)]
+            for row in p.irisk]
 
     # statistician side: minimize v with payoff(theta, mix) <= v for every theta
-    c = [Fraction(0)] * nd + [Fraction(1)]
-    A_ub = [[payoff[i][j] for j in range(nd)] + [Fraction(-1)] for i in range(nt)]
-    b_ub = [Fraction(0)] * nt
-    upper_lp = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                        A_eq=[[Fraction(1)] * nd + [Fraction(0)]], b_eq=[Fraction(1)],
+    upper_lp = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay], b_ub=[0] * nt,
+                        A_eq=[[scale] * nd + [0]], b_eq=[scale],
                         free_vars=[nd], maximize=False)
     if upper_lp.status != "optimal":
         raise RuntimeError(f"mixture-side game LP unexpectedly {upper_lp.status}")
 
     # nature side: maximize w with payoff(pi, delta) >= w for every procedure
-    c = [Fraction(0)] * nt + [Fraction(1)]
-    A_ub = [[-payoff[i][j] for i in range(nt)] + [Fraction(1)] for j in range(nd)]
-    b_ub = [Fraction(0)] * nd
-    lower_lp = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                        A_eq=[[Fraction(1)] * nt + [Fraction(0)]], b_eq=[Fraction(1)],
+    lower_lp = solve_lp([0] * nt + [1], A_ub=[[-v for v in col] + [scale] for col in zip(*ipay)],
+                        b_ub=[0] * nd, A_eq=[[scale] * nt + [0]], b_eq=[scale],
                         free_vars=[nt])
     if lower_lp.status != "optimal":
         raise RuntimeError(f"prior-side game LP unexpectedly {lower_lp.status}")
@@ -112,17 +110,16 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     prior = Prior({t: lower_lp.x[i] for i, t in enumerate(p.theta_labels)})
 
     # re-verify both optima directly on the payoff matrix
-    mix_col = [sum(payoff[i][p.proc_index(d)] * w for d, w in mix.weights.items())
-               for i in range(nt)]
-    if max(mix_col) != upper:
+    mix_col, n = _weighted_rows(ipay, [mix.weights.get(d, 0) for d in p.proc_labels])
+    if Fraction(max(mix_col), n * scale) != upper:
         raise RuntimeError("mixture-side game optimum failed independent re-verification")
-    prior_row = [sum(prior.weight(t) * payoff[i][j] for i, t in enumerate(p.theta_labels))
-                 for j in range(nd)]
-    if min(prior_row) != lower:
+    prior_row, n = _weighted_rows(zip(*ipay), list(map(prior.weight, p.theta_labels)))
+    if Fraction(min(prior_row), n * scale) != lower:
         raise RuntimeError("prior-side game optimum failed independent re-verification")
     if not lower <= upper:
         raise RuntimeError("game lower value exceeds the upper value")
 
+    payoff = tuple(tuple(Fraction(v, scale) for v in row) for row in ipay)
     return GameValueReport(delta0, theta0, gamma, lower, upper, lower == upper,
                            prior, mix, payoff,
                            upper_lp.iterations + lower_lp.iterations)

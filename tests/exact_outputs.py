@@ -9,7 +9,9 @@ It covers ``random_problem`` seeds 0-11 on the 1/8 and 1/97 grids.  For
 each problem it prints the stdout, stderr and exit code of the CLI
 subcommands check, certify, witness, stein, game and ns, then
 ``repr(as_dict())`` of every hull, certificate, witness, Stein, game and
-Levi-Civita report the API gives for it.  Pytest does not collect this file.
+Levi-Civita report the API gives for it, the Levi-Civita ones under a real
+prior and under an infinitesimal one, and the shifted risks under both
+priors.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from pathlib import Path
 from admlab import admissibility as adm
 from admlab import cli
 from admlab.decision import Prior, random_problem, save_problem
-from admlab.game import derived_game_value
+from admlab.game import derived_game_value, shifted_risk
 from admlab.hyperreal import LCNumber
 
 SEEDS = range(12)
 GRIDS = (8, 97)
 EPS_GRID = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
 GAMMAS = (Fraction(1, 2), Fraction(2))
+EPS = LCNumber.eps()
 
 
 def run_cli(*argv):
@@ -70,6 +73,8 @@ def cli_outputs(path, p):
 
 def api_outputs(p):
     singles = tuple((t,) for t in p.theta_labels)
+    t0, t1 = p.theta_labels[0], p.theta_labels[-1]
+    hyper = Prior({t0: 1 - EPS, t1: EPS} if t0 != t1 else {t0: 1})
     for d in p.proc_labels:
         report(f"hull {d}", lambda: adm.dominated_in_hull(p, d))
         cert = adm.positive_prior_certificate(p, d)
@@ -88,6 +93,15 @@ def api_outputs(p):
         for B in singles:
             report(f"ns_stein {d} {B}", lambda: adm.ns_stein_check(p, d, prior, B, Fraction(1, 10)))
         report(f"ns_blyth {d}", lambda: adm.ns_blyth_check(p, d, prior, rho, singles))
+        for B in singles:
+            report(f"ns_stein hyper {d} {B}",
+                   lambda: adm.ns_stein_check(p, d, hyper, B, Fraction(1, 10)))
+        for rho in (EPS, EPS * EPS):
+            report(f"ns_blyth hyper {d} {rho}",
+                   lambda: adm.ns_blyth_check(p, d, hyper, rho, singles))
+        for pi in (prior, hyper):
+            print(f"shifted {d} {pi.kind}",
+                  [str(shifted_risk(p, d, pi, d1)) for d1 in p.proc_labels])
 
 
 def main() -> int:

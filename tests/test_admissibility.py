@@ -9,9 +9,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admlab import LCNumber
 from admlab import admissibility as adm
+from admlab import decision
 from admlab.decision import (
     DecisionProblem,
     Mixture,
@@ -155,7 +158,10 @@ class TestCertificates:
         assert not moved.verify(p)
         slacks = dict(c.slacks, d2=c.slacks["d2"] + F(1, 104))
         assert not dataclasses.replace(c, slacks=slacks).verify(p)
-        assert not dataclasses.replace(c, prior=adm._as_hyper(c.prior)).verify(p)
+        # an infinitesimal shift makes the prior HYPER, which no certificate carries
+        hyper = Prior({"t1": F(4, 13) - EPS, "t2": F(5, 13) + EPS, "t3": F(4, 13)})
+        assert hyper.kind == "HYPER"
+        assert not dataclasses.replace(c, prior=hyper).verify(p)
 
 
 class TestWitnessSet:
@@ -407,20 +413,25 @@ class TestReverificationUnderOptimize:
             "re-verification",
             "risk-equal mixture RuntimeError risk-equal mixture failed independent "
             "re-verification",
+            "game mixture side RuntimeError mixture-side game optimum failed independent "
+            "re-verification",
+            "game prior side RuntimeError prior-side game optimum failed independent "
+            "re-verification",
         ]
 
 
-# Each case moves the LP's x off the feasible set (keeping a valid prior or
-# mixture, and an objective consistent with x), so only the integer re-check
-# against the problem's risks can catch it.
+# Each case moves the LP's x off the feasible set or off the optimum (keeping
+# a valid prior or mixture, and an objective consistent with x), so only the
+# integer re-check against the problem's risks can catch it.
 _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     import dataclasses, sys
     from fractions import Fraction as F
-    from admlab import admissibility, simplex
+    from admlab import admissibility, game, simplex
     from admlab.decision import DecisionProblem
 
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
     has_ub = lambda kwargs: kwargs.get("A_ub") is not None
+    minimizes = lambda kwargs: kwargs.get("maximize") is False
     cases = [
         # pi = (1/4, 3/4): excess 1/2 > eps * pi(t1) = 1/400
         ("stein_check",
@@ -435,10 +446,23 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("risk-equal mixture",
          lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [F(1)], 0),
          lambda: admissibility.dominated_in_hull(p, "d0")),
+        # payoff at gamma = 1/2 is ((0, 3/2), (0, 1/2)): the mixture d1 with
+        # v = 1/2 claimed, although its payoff at t1 is 3/2
+        ("game mixture side",
+         lambda res, kw: (dataclasses.replace(res, x=[F(0), F(1), F(1, 2)], objective=F(1, 2))
+                          if minimizes(kw) else res),
+         lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+        # the uniform prior with w = -1 claimed, although its worst payoff is 0;
+        # -1 <= 0 = upper, so only the re-check of the prior's value sees it
+        ("game prior side",
+         lambda res, kw: (res if minimizes(kw) else
+                          dataclasses.replace(res, x=[F(1, 2), F(1, 2), F(-1)], objective=F(-1))),
+         lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
-        admissibility.solve_lp = lambda *a, move=move, **kw: move(simplex.solve_lp(*a, **kw), kw)
+        admissibility.solve_lp = game.solve_lp = (
+            lambda *a, move=move, **kw: move(simplex.solve_lp(*a, **kw), kw))
         try:
             call()
             print(name, "accepted")
@@ -456,7 +480,7 @@ def _random_weights(rng, labels):
 
 
 class TestIntegerRechecks:
-    """The integer re-checks against the public Fraction routines as oracle."""
+    """The integer re-checks against the public Fraction and Levi-Civita routines as oracle."""
 
     def test_bayes_gaps_and_slacks_match_bayes_risk(self):
         for seed in range(60):
@@ -466,7 +490,7 @@ class TestIntegerRechecks:
             prior = Prior(_random_weights(rng, p.theta_labels))
             weights = [prior.weight(t) for t in p.theta_labels]
             for j0, d0 in enumerate(p.proc_labels):
-                gaps, n = adm._bayes_gaps(p, weights, j0)
+                gaps, n = decision._bayes_gaps(p, weights, j0)
                 base = bayes_risk(p, prior, d0)
                 oracle = [bayes_risk(p, prior, d) - base for d in p.proc_labels]
                 assert [F(g, n) for g in gaps] == oracle
@@ -479,7 +503,7 @@ class TestIntegerRechecks:
                                rng.choice((8, 12, 97)))
             mix = Mixture(_random_weights(rng, p.proc_labels))
             for j0 in range(len(p.proc_labels)):
-                gaps = adm._mixture_gaps(p, mix, j0)
+                gaps = decision._mixture_gaps(p, mix, j0)
                 oracle = [mixture_risk(p, t, mix) - p.risk[i][j0]
                           for i, t in enumerate(p.theta_labels)]
                 # one positive factor for every theta
@@ -507,6 +531,29 @@ class TestIntegerRechecks:
                                                for d in p.proc_labels)
                         assert r.theta0_weight == r.prior.weight(t)
                         assert r.bound == eps * r.theta0_weight >= r.excess
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6),
+           st.sampled_from((8, 12, 97)), st.data())
+    def test_lc_excess_matches_levi_civita_bayes_risk(self, n_theta, n_proc, seed, grid, data):
+        p = random_problem(n_theta, n_proc, seed, grid)
+        weights = st.lists(st.integers(0, 40), min_size=n_theta, max_size=n_theta).filter(any)
+        pi0, pi1, pi2 = ([F(v, sum(raw)) for v in raw]
+                         for raw in (data.draw(weights) for _ in range(3)))
+        # (1 - eps - eps^2) pi0 + eps pi1 + eps^2 pi2: a prior, often with
+        # infinitesimal weights
+        prior = Prior({t: a + (b - a) * EPS + (c - a) * EPS * EPS
+                       for t, a, b, c in zip(p.theta_labels, pi0, pi1, pi2)})
+        for d0 in p.proc_labels:
+            base = bayes_risk(p, prior, d0)
+            oracle = LCNumber.zero()
+            for d in p.proc_labels:
+                gap = base - bayes_risk(p, prior, d)
+                if gap > oracle:
+                    oracle = gap
+            excess = adm._lc_excess(p, prior, d0)
+            assert isinstance(excess, LCNumber) and not excess.inexact
+            assert excess == oracle
 
 
 class TestReports:

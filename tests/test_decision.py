@@ -109,6 +109,17 @@ class TestSerialization:
         assert isinstance(mixed.weights["t3"], LCNumber)
         assert Prior({"t1": F(1, 2), "t2": "1/2"}).kind == "REAL"
 
+    def test_standard_levi_civita_weights_make_a_real_prior(self):
+        # the kind is fixed by the weights' values, so it survives the round trip
+        half = LCNumber.from_real(F(1, 2))
+        p = DecisionProblem(("t1", "t2"), ("d0",), ((1,), (2,)),
+                            priors={"pi": Prior({"t1": half, "t2": F(1, 2)})})
+        again = load_problem(save_problem(p))
+        for q in (p, again):
+            pi = q.priors["pi"]
+            assert pi.kind == "REAL" and pi.weights == {"t1": F(1, 2), "t2": F(1, 2)}
+            assert type(bayes_risk(q, pi, "d0")) is F and bayes_risk(q, pi, "d0") == F(3, 2)
+
     def test_rejects_bare_floats(self):
         doc = json.dumps({"theta": ["a"], "procedures": ["d"], "risk": [[0.5]]})
         with pytest.raises(ProblemFormatError, match="float"):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from admlab import LCNumber
 from admlab import admissibility as adm
 from admlab.decision import DecisionProblem, Prior, random_problem
 from admlab.game import derived_game_value, shifted_risk
@@ -23,6 +24,9 @@ class TestShiftedRisk:
     def test_prior_case(self):
         pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
         assert shifted_risk(TWO_POINT, "d0", pi, "d1") == 0
+        eps = LCNumber.eps()
+        hyper = Prior({"t1": F(1, 2) - eps, "t2": F(1, 2) + eps})
+        assert shifted_risk(TWO_POINT, "d0", hyper, "d1") == -2 * eps
 
 
 class TestDerivedGameValue:
