@@ -21,6 +21,7 @@ from admlab.decision import (
     Mixture,
     Prior,
     _bayes_gaps,
+    _from_lp,
     _lc_gaps,
     _mixture_gaps,
     format_rational,
@@ -112,8 +113,7 @@ class HullDominanceReport:
 
 
 def _mixture_from_solution(labels, values) -> Mixture:
-    weights = {d: v for d, v in zip(labels, values) if v > 0}
-    return Mixture(weights)
+    return _from_lp(Mixture, {d: v for d, v in zip(labels, values) if v > 0})
 
 
 def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
@@ -241,7 +241,7 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
 
     if res.status == "optimal" and res.objective > 0:
         weights = res.x[:nt]
-        prior = Prior(dict(zip(p.theta_labels, weights)))
+        prior = _from_lp(Prior, dict(zip(p.theta_labels, weights)))
         cert = Certificate(delta0, prior, res.objective, _slacks(p, weights, j0), iters)
         if not cert.verify(p):
             raise RuntimeError("certificate failed independent re-verification")
@@ -415,7 +415,7 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
         return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
-    prior = Prior(dict(zip(p.theta_labels, res.x)))
+    prior = _from_lp(Prior, dict(zip(p.theta_labels, res.x)))
     weight = prior.weight(theta0)
     if res.objective != weight:
         raise RuntimeError("stein LP objective differs from its prior's weight at theta0")

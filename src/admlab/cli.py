@@ -7,6 +7,9 @@ to standard output; diagnostics go to standard error.  Exit codes:
     1  negative mathematical verdict (dominated, infeasible, bound missed)
     2  input error (malformed file, bad flag value, unknown label)
     3  internal error
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; ``import admlab.cli`` does not build it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
@@ -123,6 +127,8 @@ def _resolve_phi(spec: str, args, n: int):
     except ValueError:
         raise ValueError(f"unknown phi spec {spec!r}; "
                          "use gd, bayes, or a constant") from None
+    if not math.isfinite(value):
+        raise ValueError(f"constant phi must be finite, got {spec!r}")
     return lambda s1, s2: np.full_like(np.asarray(s1, dtype=np.float64), value)
 
 
@@ -273,7 +279,9 @@ def cmd_gd_mass(args) -> int:
     from .graybill_deal import GDPriorParams, prior_mass_bound
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     rect = _parse_rect(args.rect)
-    mc = _mc_config(args) if args.samples > 0 else None
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0 (0 skips the Monte Carlo cross-check)")
+    mc = _mc_config(args) if args.samples else None
     try:
         rep = prior_mass_bound(rect, prior, mc=mc)
     except RuntimeError as exc:
@@ -324,7 +332,9 @@ def _add_model_flags(sub) -> None:
                      help="prior scale, needed when a bayes phi is used")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; parsing does not change it, so it is built once."""
     parser = argparse.ArgumentParser(
         prog="admlab",
         description="Workbench for admissibility in finite decision problems.")
@@ -426,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ProblemFormatError, ValueError, OSError) as exc:

@@ -122,6 +122,15 @@ class Mixture:
         return cls({label: Fraction(1)})
 
 
+def _from_lp(cls, weights):
+    """A Prior or Mixture read off an LP solution.  Weights that fail its
+    validation are a fault of the LP, not of the input: RuntimeError (exit 3)."""
+    try:
+        return cls(weights)
+    except ValueError as exc:
+        raise RuntimeError(f"LP solution is not a valid {cls.__name__.lower()}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """A finite decision problem: parameter labels, procedure labels, exact risk matrix.

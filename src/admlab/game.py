@@ -22,6 +22,7 @@ from admlab.decision import (
     DecisionProblem,
     Mixture,
     Prior,
+    _from_lp,
     _lc_gaps,
     _weighted_rows,
     format_rational,
@@ -106,8 +107,8 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
         raise RuntimeError(f"prior-side game LP unexpectedly {lower_lp.status}")
 
     lower, upper = lower_lp.objective, upper_lp.objective
-    mix = Mixture({d: v for d, v in zip(p.proc_labels, upper_lp.x[:nd]) if v > 0})
-    prior = Prior({t: lower_lp.x[i] for i, t in enumerate(p.theta_labels)})
+    mix = _from_lp(Mixture, {d: v for d, v in zip(p.proc_labels, upper_lp.x[:nd]) if v > 0})
+    prior = _from_lp(Prior, dict(zip(p.theta_labels, lower_lp.x)))
 
     # re-verify both optima directly on the payoff matrix
     mix_col, n = _weighted_rows(ipay, [mix.weights.get(d, 0) for d in p.proc_labels])

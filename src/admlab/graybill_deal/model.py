@@ -45,8 +45,10 @@ class GDParams:
     n: int = 5
 
     def __post_init__(self):
-        if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise ValueError("variances must be strictly positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not (0 < self.sigma1_sq < math.inf and 0 < self.sigma2_sq < math.inf):
+            raise ValueError("variances must be finite and strictly positive")
         if int(self.n) != self.n or self.n <= 1:
             raise ValueError("n must be an integer greater than 1")
 
@@ -71,8 +73,8 @@ class GDPriorParams:
     def __post_init__(self):
         if not 0 < self.alpha < 0.5:
             raise ValueError("alpha must lie strictly between 0 and 1/2")
-        if self.beta <= 0:
-            raise ValueError("beta must be strictly positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and strictly positive")
         if int(self.n) != self.n or self.n <= 1:
             raise ValueError("n must be an integer greater than 1")
 

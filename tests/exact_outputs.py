@@ -5,7 +5,10 @@ outputs (verdicts, priors, mixtures, ``lp_iterations``) shows no diff:
 
     PYTHONPATH=src python tests/exact_outputs.py > after.txt
 
-It covers ``random_problem`` seeds 0-11 on the 1/8 and 1/97 grids.  For
+It first prints the parser's own output: ``admlab --help``, each
+subcommand's ``--help`` and one usage error, with ``COLUMNS=80`` so the help
+width does not depend on the terminal.  It covers ``random_problem`` seeds
+0-11 on the 1/8 and 1/97 grids.  For
 each problem it prints the stdout, stderr and exit code of the CLI
 subcommands check, certify, witness, stein, game and ns, then
 ``repr(as_dict())`` of every hull, certificate, witness, Stein, game and
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,7 +43,10 @@ EPS = LCNumber.eps()
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(a) for a in argv])
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse: --help and usage errors
+            code = exc.code
     print("$ admlab", " ".join(str(a) for a in argv))
     print(out.getvalue(), end="")
     print("stderr:", err.getvalue(), end="" if err.getvalue().endswith("\n") else "\n")
@@ -52,6 +59,15 @@ def report(name, call):
     except (ValueError, RuntimeError) as exc:
         text = f"{type(exc).__name__}: {exc}"
     print(name, text)
+
+
+def parser_outputs():
+    run_cli("--help")
+    for cmd in ("check", "certify", "witness", "stein", "ns", "game", "gen", "gd"):
+        run_cli(cmd, "--help")
+    for cmd in ("risk", "diff", "excess", "mass", "blyth"):
+        run_cli("gd", cmd, "--help")
+    run_cli("check", "problem.json", "--bogus")
 
 
 def cli_outputs(path, p):
@@ -105,6 +121,8 @@ def api_outputs(p):
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
+    parser_outputs()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for grid in GRIDS:
             for seed in SEEDS:

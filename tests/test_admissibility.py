@@ -417,6 +417,14 @@ class TestReverificationUnderOptimize:
             "re-verification",
             "game prior side RuntimeError prior-side game optimum failed independent "
             "re-verification",
+            "certificate prior RuntimeError LP solution is not a valid prior: "
+            "prior weight for t1 is negative: -1",
+            "stein prior RuntimeError LP solution is not a valid prior: "
+            "prior weight for t1 is negative: -1",
+            "hull mixture RuntimeError LP solution is not a valid mixture: "
+            "mixture weights must sum to exactly 1",
+            "game mixture RuntimeError LP solution is not a valid mixture: "
+            "mixture weights must sum to exactly 1",
         ]
 
 
@@ -457,6 +465,22 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("game prior side",
          lambda res, kw: (res if minimizes(kw) else
                           dataclasses.replace(res, x=[F(1, 2), F(1, 2), F(-1)], objective=F(-1))),
+         lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+        # the remaining cases give x a negative weight, so x is no prior or
+        # mixture at all: a fault of the LP (exit 3), not of the input (exit 2)
+        ("certificate prior",
+         lambda res, kw: dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2)),
+         lambda: admissibility.positive_prior_certificate(p, "d0")),
+        ("stein prior",
+         lambda res, kw: dataclasses.replace(res, x=[F(-1), F(2)], objective=F(-1)),
+         lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
+        ("hull mixture",
+         lambda res, kw: (dataclasses.replace(res, x=[F(-1), F(2), F(1), F(0)], objective=F(1))
+                          if has_ub(kw) else res),
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        ("game mixture",
+         lambda res, kw: (dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2))
+                          if minimizes(kw) else res),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
     ]
     print("optimize", sys.flags.optimize)

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: payloads, exit codes, round trips."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from admlab import admissibility, cli
 from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, load_problem, random_problem, save_problem
+from admlab.simplex import solve_lp
 
 
 def run(capsys, *argv):
@@ -340,6 +343,31 @@ class TestGd:
                          "--beta", "1e-3", "--rect", "1,2,3", "--samples", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("risk", "--sigma1-sq", "1", "--sigma2-sq", "nan"),
+        ("risk", "--sigma1-sq", "inf", "--sigma2-sq", "2"),
+        ("risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--mu", "nan"),
+        ("diff", "--sigma1-sq", "1", "--sigma2-sq", "2", "--mu=-inf"),
+        ("risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "nan"),
+        ("diff", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi1", "inf"),
+        ("risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "bayes",
+         "--alpha", "0.25", "--beta", "inf"),
+        ("excess", "--alpha", "0.25", "--beta", "nan"),
+        ("mass", "--alpha", "0.25", "--beta", "inf"),
+    ])
+    def test_non_finite_input_is_an_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "gd", *argv, "--samples", "1000", "--threads", "1")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_negative_samples_are_an_input_error(self, capsys):
+        code, out, err = run(capsys, "gd", "mass", "--alpha", "0.25",
+                             "--beta", "0.01", "--samples", "-5")
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
     def test_increasing_betas_are_an_input_error(self, capsys):
         code, _, _ = run(capsys, "gd", "blyth", "--alpha", "0.25",
                          "--betas", "1e-3,1e-2", "--samples", "4096")
@@ -378,6 +406,19 @@ class TestExitCodes:
         assert code == 3
         assert "wires crossed" in err
 
+    def test_invalid_lp_solution_is_an_internal_fault(self, capsys, two_point,
+                                                      monkeypatch):
+        # an LP whose x carries a negative weight: the bad prior comes from
+        # the program, not from the input file
+        def negative(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            return dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2))
+        monkeypatch.setattr(admissibility, "solve_lp", negative)
+        code, out, err = run(capsys, "certify", two_point, "--delta", "d0")
+        assert code == 3
+        assert out == ""
+        assert "not a valid prior" in err
+
     def test_every_observed_code_is_canonical(self, capsys, two_point,
                                               with_dominated):
         codes = set()
@@ -398,6 +439,67 @@ class TestExitCodes:
         assert "error" not in out
 
 
+def _session(problem):
+    """One call of every subcommand, a usage error and --version."""
+    mc = ("--samples", "4096", "--threads", "1")
+    return [
+        ("check", problem),
+        ("check", problem, "--delta", "dbad"),
+        ("certify", problem, "--delta", "d0"),
+        ("witness", problem, "--delta", "dbad"),
+        ("stein", problem, "--delta", "d0", "--theta", "t1", "--eps", "1/10"),
+        ("ns", problem, "--delta", "d0", "--prior", "t1:1-eps,t2:eps",
+         "--family", "t1;t2", "--mode", "blyth", "--rho", "eps"),
+        ("game", problem, "--delta", "d0", "--theta0", "t1", "--gamma", "1/2"),
+        ("gen", "--theta", "2", "--procs", "3", "--seed", "4"),
+        ("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2", *mc),
+        ("gd", "diff", "--sigma1-sq", "1", "--sigma2-sq", "2",
+         "--alpha", "0.25", "--beta", "0.5", *mc),
+        ("gd", "excess", "--alpha", "0.25", "--beta", "1e-3", *mc),
+        ("gd", "mass", "--alpha", "0.25", "--beta", "1e-3", *mc),
+        ("gd", "blyth", "--alpha", "0.25", "--betas", "1e-2,1e-3", *mc),
+        ("stein", problem, "--delta", "d0", "--theta"),        # usage error
+        ("gd", "risk", "--sigma1-sq", "1"),                     # usage error
+        ("--version",),
+    ]
+
+
+class TestParser:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    @staticmethod
+    def call(capsys, *argv):
+        """run(), with argparse's SystemExit (--version, usage errors) as the code."""
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    def test_main_builds_the_parser_once(self, capsys, two_point):
+        for argv in _session(two_point)[:3] * 2 + [("--version",), ("frobnicate",)]:
+            self.call(capsys, *argv)
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, with_dominated):
+        session = _session(with_dominated)
+        fresh = []
+        for argv in session:
+            cli.build_parser.cache_clear()
+            fresh.append(self.call(capsys, *argv))
+        cli.build_parser.cache_clear()
+        reused = [self.call(capsys, *argv) for argv in session + session]
+        assert reused == fresh + fresh
+        codes = [code for code, _, _ in fresh]
+        assert codes[-3:] == [2, 2, 0] and set(codes[:-3]) <= {0, 1}
+        assert "usage: admlab stein" in fresh[-3][2]
+        assert "the following arguments are required: --sigma2-sq" in fresh[-2][2]
+
+
 class TestStartup:
     def test_import_leaves_numpy_unloaded(self):
         # only the gd commands need numpy and scipy, so loading the CLI
@@ -410,3 +512,11 @@ class TestStartup:
                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import admlab.cli as c; print(c.build_parser.cache_info().misses)"
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0"

@@ -37,6 +37,15 @@ class TestParams:
         with pytest.raises(ValueError):
             GDParams(0.0, 1.0, -2.0, 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN passes a "<= 0" test, so each field needs its own finiteness check
+        for args in ((bad, 1.0, 2.0), (0.0, bad, 2.0), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                GDParams(*args, 5)
+        with pytest.raises(ValueError):
+            GDPriorParams(0.25, bad, 5)
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             GDParams(0.0, 1.0, 1.0, 1)

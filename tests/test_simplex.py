@@ -185,9 +185,9 @@ class _NegativePivots:
         self.count = 0
         real = simplex._pivot
 
-        def spy(tab, basis, r, col, d):
-            self.count += tab[r][col] < 0
-            return real(tab, basis, r, col, d)
+        def spy(tab, labels, basis, r, s, ncols, d):
+            self.count += tab[r][s] < 0
+            return real(tab, labels, basis, r, s, ncols, d)
         monkeypatch.setattr(simplex, "_pivot", spy)
 
 
