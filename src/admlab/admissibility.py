@@ -394,7 +394,8 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     """Find a prior whose excess Bayes risk at delta0 is within eps * pi(theta0).
 
     Maximizes pi(theta0) subject to the excess constraints; Feasible
-    requires a strictly positive optimal weight at theta0.
+    requires a strictly positive optimal weight at theta0.  Stein's condition
+    needs this for every eps > 0; passing on a finite eps grid is only necessary.
     """
     eps = Fraction(eps)
     if eps <= 0:

@@ -235,7 +235,7 @@ def cmd_gen(args) -> int:
 
 
 # -- Monte Carlo commands --------------------------------------------------------
-# graybill_deal pulls in numpy and scipy, so only these commands import it.
+# graybill_deal pulls in numpy (scipy too for gd mass and blyth), so only these import it.
 
 def cmd_gd_risk(args) -> int:
     from .graybill_deal import GDParams, risk_c1

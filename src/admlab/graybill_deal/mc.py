@@ -8,7 +8,8 @@ for a given (seed, n_samples) is therefore bit-identical across runs
 and across thread counts.
 
 All estimators report an ``MCEstimate`` carrying the mean, the standard
-error, the sample count, and the seed that produced them.
+error, the sample count, and the seed that produced them.  Only the mass
+and Blyth reports load scipy (gamma function, quadrature), where they run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from . import kernels
 from .model import GDParams, GDPriorParams, MCEstimate, RectangleO, _unit_gamma
@@ -66,7 +66,8 @@ class MCConfig:
             if value < 1:
                 raise ValueError("ADMLAB_THREADS must be positive")
             return value
-        return min(4, os.cpu_count() or 1)
+        affinity = getattr(os, "sched_getaffinity", None)  # CPUs this process may use
+        return min(4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def _shard_sizes(n: int):
@@ -328,14 +329,9 @@ class GDMassReport:
 
 def mass_constant(O: RectangleO, alpha: float) -> float:
     """min(a1,a2)^(2(alpha+1)) * area(O) / (4 Gamma(alpha)^2)."""
-    eps = O.inf_coordinate
-    return float(eps ** (2.0 * (alpha + 1.0)) * O.area
+    from scipy import special
+    return float(O.inf_coordinate ** (2.0 * (alpha + 1.0)) * O.area
                  / (4.0 * special.gamma(alpha) ** 2))
-
-
-def _invgamma_pdf(x: float, alpha: float, beta: float) -> float:
-    return math.exp(alpha * math.log(beta) - special.gammaln(alpha)
-                    - (alpha + 1.0) * math.log(x) - beta / x)
 
 
 def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
@@ -357,8 +353,13 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     if O.area == 0:
         quad_mass = 0.0
     else:
+        from scipy import integrate, special
+        log_norm = alpha * math.log(beta) - special.gammaln(alpha)
+
+        def invgamma_pdf(x: float) -> float:
+            return math.exp(log_norm - (alpha + 1.0) * math.log(x) - beta / x)
         quad_mass, _ = integrate.dblquad(
-            lambda y, x: _invgamma_pdf(x, alpha, beta) * _invgamma_pdf(y, alpha, beta),
+            lambda y, x: invgamma_pdf(x) * invgamma_pdf(y),
             O.a1, O.b1, O.a2, O.b2, epsabs=0.0, epsrel=1e-6)
 
     mc_mass = None
@@ -449,10 +450,8 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
         raise ValueError("betas must be strictly decreasing")
 
     priors = [GDPriorParams(alpha, beta, n) for beta in betas]
-    for beta in betas:
-        if beta >= math.log(2.0) * O.inf_coordinate:
-            raise ValueError("mass bound needs beta < ln(2) * inf(O) for "
-                             f"beta={beta!r}")
+    if betas[0] >= math.log(2.0) * O.inf_coordinate:  # the largest beta
+        raise ValueError(f"mass bound needs beta < ln(2) * inf(O) for beta={betas[0]!r}")
     sums = _excess_sums(priors, mc)
     constant = mass_constant(O, alpha)
     rows = []

@@ -1,14 +1,20 @@
-"""Print every exact output of admlab on a fixed set of random problems.
+"""Print every exact output and every seeded Monte Carlo output of admlab.
 
 Run it on two trees and diff the results; a change that must keep exact
-outputs (verdicts, priors, mixtures, ``lp_iterations``) shows no diff:
+outputs (verdicts, priors, mixtures, ``lp_iterations``) and bit-identical
+seeded Monte Carlo output shows no diff:
 
     PYTHONPATH=src python tests/exact_outputs.py > after.txt
 
 It first prints the parser's own output: ``admlab --help``, each
 subcommand's ``--help`` and one usage error, with ``COLUMNS=80`` so the help
-width does not depend on the terminal.  It covers ``random_problem`` seeds
-0-11 on the 1/8 and 1/97 grids.  For
+width does not depend on the terminal.  Then it prints the stdout, stderr and
+exit code of every ``admlab gd`` report at fixed seeds: ``gd risk`` with the
+``gd``, ``bayes`` and a constant weight, ``gd diff``, ``gd excess``, ``gd mass``
+with and without its Monte Carlo cross-check, and ``gd blyth`` as CSV and as
+JSON.  Each runs at 196625 draws (three full shards of 2^16 and a partial one)
+on one thread and on two, which must print the same numbers.  Last it covers
+``random_problem`` seeds 0-11 on the 1/8 and 1/97 grids.  For
 each problem it prints the stdout, stderr and exit code of the CLI
 subcommands check, certify, witness, stein, game and ns, then
 ``repr(as_dict())`` of every hull, certificate, witness, Stein, game and
@@ -38,6 +44,21 @@ GRIDS = (8, 97)
 EPS_GRID = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
 GAMMAS = (Fraction(1, 2), Fraction(2))
 EPS = LCNumber.eps()
+GD_SAMPLES = 3 * 2**16 + 17
+GD_MODEL = ("--mu", "0.5", "--sigma1-sq", "1", "--sigma2-sq", "2", "--n", "5")
+GD_REPORTS = (
+    ("risk", "--phi", "gd", *GD_MODEL, "--seed", "11"),
+    ("risk", "--phi", "bayes", "--alpha", "0.25", "--beta", "0.01", *GD_MODEL, "--seed", "12"),
+    ("risk", "--phi", "0.3", *GD_MODEL, "--seed", "13"),
+    ("diff", "--phi0", "gd", "--phi1", "bayes", "--alpha", "0.25", "--beta", "0.01",
+     *GD_MODEL, "--seed", "14"),
+    ("excess", "--alpha", "0.25", "--beta", "0.001", "--n", "5", "--seed", "15"),
+    ("mass", "--alpha", "0.25", "--beta", "0.01", "--rect", "1,3,0.5,2", "--seed", "16"),
+    ("mass", "--alpha", "0.4", "--beta", "0.3", "--rect", "1,3,0.5,2", "--samples", "0"),
+    ("blyth", "--alpha", "0.25", "--n", "5", "--betas", "1e-1,1e-2,1e-3", "--seed", "17"),
+    ("blyth", "--alpha", "0.45", "--n", "4", "--betas", "0.2,0.05,0.01", "--rect", "1,2,0.5,3",
+     "--format", "json", "--seed", "18"),
+)
 
 
 def run_cli(*argv):
@@ -68,6 +89,13 @@ def parser_outputs():
     for cmd in ("risk", "diff", "excess", "mass", "blyth"):
         run_cli("gd", cmd, "--help")
     run_cli("check", "problem.json", "--bogus")
+
+
+def gd_outputs():
+    for args in GD_REPORTS:
+        samples = () if "--samples" in args else ("--samples", GD_SAMPLES)
+        for threads in (1, 2):
+            run_cli("gd", *args, *samples, "--threads", threads)
 
 
 def cli_outputs(path, p):
@@ -123,6 +151,7 @@ def api_outputs(p):
 def main() -> int:
     os.environ["COLUMNS"] = "80"
     parser_outputs()
+    gd_outputs()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for grid in GRIDS:
             for seed in SEEDS:

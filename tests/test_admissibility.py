@@ -230,6 +230,23 @@ class TestStein:
         with pytest.raises(ValueError, match="eps"):
             adm.stein_check(TWO_POINT, "d0", "t1", 0)
 
+    def test_a_finite_eps_grid_is_only_a_necessary_condition(self):
+        # d4 is dominated, yet it passes Stein's test at every theta for
+        # eps = 1, 1/10, 1/100 and fails only from 1/1000 on: Stein's
+        # condition needs every eps > 0, and no finite grid stands in for it
+        p = DecisionProblem(("t1", "t2", "t3"), ("d1", "d2", "d3", "d4"),
+                            ((1, F(1, 8), F(1, 2), F(5, 8)),
+                             (F(3, 8), F(1, 4), 0, F(1, 8)),
+                             (F(1, 8), 1, 1, F(3, 4))))
+        hull = adm.dominated_in_hull(p, "d4")
+        assert hull.dominated and hull.improvement == F(1, 112)
+        assert hull.mixture.weights == {"d1": F(2, 7), "d2": F(1, 14), "d3": F(9, 14)}
+        assert isinstance(adm.positive_prior_certificate(p, "d4"), adm.NoPositivePrior)
+        for eps, feasible in ((1, True), (F(1, 10), True), (F(1, 100), True),
+                              (F(1, 1000), False)):
+            for t in p.theta_labels:
+                assert adm.stein_check(p, "d4", t, eps).feasible is feasible, (eps, t)
+
 
 class TestDeterminingFamily:
     def test_singletons_always_pass(self):

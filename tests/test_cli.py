@@ -520,3 +520,41 @@ class TestStartup:
                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "0"
+
+    # one probe per case: a gd command in a fresh interpreter, then the scipy
+    # modules it left loaded; only mass (quadrature) and blyth (gamma
+    # function) may load any
+    GD_SCIPY = [
+        (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2"), []),
+        (("gd", "diff", "--sigma1-sq", "1", "--sigma2-sq", "2",
+          "--alpha", "0.25", "--beta", "0.01"), []),
+        (("gd", "excess", "--alpha", "0.25", "--beta", "0.001"), []),
+        (("gd", "blyth", "--alpha", "0.25"), ["scipy", "scipy.special"]),
+        (("gd", "mass", "--alpha", "0.25", "--beta", "0.01"),
+         ["scipy", "scipy.integrate", "scipy.special"]),
+    ]
+
+    @staticmethod
+    def scipy_loaded_by(statement):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (f"import contextlib, io, json, sys\n{statement}\n"
+                 "print(json.dumps([m for m in ('scipy', 'scipy.integrate', 'scipy.special') "
+                 "if m in sys.modules]))")
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    def test_graybill_deal_import_leaves_scipy_unloaded(self):
+        assert self.scipy_loaded_by("import admlab.graybill_deal") == []
+
+    @pytest.mark.parametrize("argv, expected", GD_SCIPY,
+                             ids=[argv[1] for argv, _ in GD_SCIPY])
+    def test_gd_commands_load_scipy_only_where_used(self, argv, expected):
+        call = ("from admlab import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({list(argv)!r} + "
+                "['--samples', '1000', '--threads', '1'])\n"
+                "if code:\n"
+                "    sys.exit(f'exit {code}')")
+        assert self.scipy_loaded_by(call) == expected

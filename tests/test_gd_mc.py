@@ -57,6 +57,20 @@ class TestConfig:
         monkeypatch.setenv("ADMLAB_THREADS", "7")
         assert MCConfig(threads=2).resolve_threads() == 2
 
+    def test_default_threads_count_the_cpus_this_process_may_use(self, monkeypatch):
+        # a process pinned to 2 CPUs of a 64-CPU host gets 2 shard threads
+        monkeypatch.delenv("ADMLAB_THREADS", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert MCConfig().resolve_threads() == 2
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert MCConfig().resolve_threads() == 4
+        # without an affinity call (macOS, Windows) the host's count is all there is
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
+        assert MCConfig().resolve_threads() == 4
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert MCConfig().resolve_threads() == 1
+
 
 class TestRiskC1:
     def test_two_routes_agree(self):
@@ -190,6 +204,13 @@ class TestMassBound:
         cdf = lambda x: special.gammaincc(PRIOR.alpha, PRIOR.beta / x)
         product = (cdf(SQUARE.b1) - cdf(SQUARE.a1)) * (cdf(SQUARE.b2) - cdf(SQUARE.a2))
         assert rep.quad_mass == pytest.approx(float(product), rel=1e-6)
+
+    def test_quadrature_mass_is_pinned_to_the_bit(self):
+        # a non-square rectangle, so swapping the integration limits shows;
+        # one ulp off the density's log normaliser changes these bits too
+        rep = prior_mass_bound(RectangleO(1.0, 3.0, 0.5, 2.0), GDPriorParams(0.4, 0.3, 5))
+        assert rep.quad_mass.hex() == "0x1.d5a67dd002f15p-5"
+        assert rep.constant.hex() == "0x1.6699e3b4873e7p-6"
 
     @pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-4])
     def test_bound_cleared_on_the_reference_square(self, beta):
