@@ -13,7 +13,7 @@ its vertices, which is exact because risk is linear in the mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from admlab.decision import (
@@ -21,10 +21,11 @@ from admlab.decision import (
     Mixture,
     Prior,
     _bayes_gaps,
+    _fmt,
     _from_lp,
     _lc_gaps,
+    _mixture_from_lp,
     _mixture_gaps,
-    format_rational,
 )
 from admlab.hyperreal import LCNumber, approx_leq, compare
 from admlab.simplex import solve_lp
@@ -48,18 +49,6 @@ __all__ = [
     "stein_check",
     "witness_set",
 ]
-
-
-def _fmt(v):
-    if isinstance(v, LCNumber):
-        return str(v)
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    return v
-
-
-def _weights_dict(weights):
-    return {label: _fmt(w) for label, w in weights.items()}
 
 
 def _slacks(p: DecisionProblem, weights, j0: int) -> dict:
@@ -101,19 +90,15 @@ class HullDominanceReport:
     iterations: int
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
             "dominated": self.dominated,
-            "mixture": _weights_dict(self.mixture.weights) if self.mixture else None,
-            "improvement": _fmt(self.improvement),
+            "mixture": self.mixture,
+            "improvement": self.improvement,
             "risk_equal": self.risk_equal,
-            "equal_mixture": _weights_dict(self.equal_mixture.weights) if self.equal_mixture else None,
+            "equal_mixture": self.equal_mixture,
             "lp_iterations": self.iterations,
-        }
-
-
-def _mixture_from_solution(labels, values) -> Mixture:
-    return _from_lp(Mixture, {d: v for d, v in zip(labels, values) if v > 0})
+        })
 
 
 def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
@@ -141,10 +126,10 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
     iters = res.iterations
     dominated = res.objective > 0
-    mix = _mixture_from_solution(p.proc_labels, res.x[:nd]) if dominated else None
+    mix = _mixture_from_lp(p.proc_labels, res.x) if dominated else None
     if dominated:
         # re-verify the certificate without the LP
-        gaps = _mixture_gaps(p, mix, j0)
+        gaps, _ = _mixture_gaps(p, mix, j0)
         if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
             raise RuntimeError("dominating mixture failed independent re-verification")
 
@@ -158,8 +143,8 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
         iters += eq.iterations
         if eq.status == "optimal":
             risk_equal = True
-            equal_mixture = _mixture_from_solution(competitors, eq.x)
-            if any(_mixture_gaps(p, equal_mixture, j0)):
+            equal_mixture = _mixture_from_lp(competitors, eq.x)
+            if any(_mixture_gaps(p, equal_mixture, j0)[0]):
                 raise RuntimeError("risk-equal mixture failed independent re-verification")
     return HullDominanceReport(delta0, dominated, mix, res.objective,
                                risk_equal, equal_mixture, iters)
@@ -186,13 +171,13 @@ class Certificate:
         return slacks == self.slacks and min(slacks.values()) >= 0
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
-            "prior": _weights_dict(self.prior.weights),
-            "min_weight": _fmt(self.min_weight),
-            "slacks": {d: _fmt(s) for d, s in self.slacks.items()},
+            "prior": self.prior,
+            "min_weight": self.min_weight,
+            "slacks": self.slacks,
             "lp_iterations": self.iterations,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -204,14 +189,14 @@ class NoPositivePrior:
     iterations: int
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
             "verdict": "no_positive_prior",
             "any_prior": self.any_prior,
-            "forced_zero": list(self.forced_zero),
-            "witness": _weights_dict(self.witness.weights) if self.witness else None,
+            "forced_zero": self.forced_zero,
+            "witness": self.witness,
             "lp_iterations": self.iterations,
-        }
+        })
 
 
 def _bayes_rows(p: DecisionProblem, j0: int):
@@ -281,15 +266,14 @@ class WitnessSet:
     validation_value: Fraction | None
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
-            "thetas": list(self.thetas),
-            "margin": _fmt(self.margin) if self.margin is not None else None,
+            "thetas": self.thetas,
+            "margin": self.margin,
             "iterations": self.iterations,
             "validated": self.validated,
-            "validation_value": (_fmt(self.validation_value)
-                                 if self.validation_value is not None else None),
-        }
+            "validation_value": self.validation_value,
+        })
 
 
 def _witness_lp(p, cols, j0, thetas, v_coef, **kwargs):
@@ -309,17 +293,15 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     """Cutting-plane search for a finite set of parameters witnessing admissibility.
 
     Every competitor mixture must lose to delta0 somewhere on the returned
-    set, by at least the returned margin.  Requires delta0 admissible in
-    the hull and not risk-equal to any competitor mixture.
+    set, by at least the returned margin.  A positive margin already proves
+    delta0 neither dominated in the hull nor risk-equal to a competitor
+    mixture, so no hull LP runs on that path.  When separation fails, the
+    current mixture matches or beats delta0 at every parameter; only then do
+    the hull LPs run, to name the failure in a ValueError (dominated, or
+    risk-equal).
     """
     if not p.allow_mixtures:
         raise ValueError("witness_set needs mixtures enabled")
-    dom = dominated_in_hull(p, delta0)
-    if dom.dominated:
-        raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
-    if dom.risk_equal:
-        raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
-
     j0 = p.proc_index(delta0)
     competitors = [d for d in p.proc_labels if d != delta0]
     if not competitors:
@@ -328,38 +310,43 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     cols = [p.proc_index(d) for d in competitors]
 
     chosen: list[int] = []
-    margin = None
-    rounds = 0
+    lam = Mixture({d: Fraction(1, len(competitors)) for d in competitors})
     while True:
-        if chosen:
-            res = _witness_lp(p, cols, j0, chosen, -1, maximize=False)
-            if res.status != "optimal":
-                raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
-            if res.objective > 0:
-                margin = res.objective
-                break
-            lam = _mixture_from_solution(competitors, res.x[:len(cols)])
-        else:
-            lam = Mixture({d: Fraction(1, len(competitors)) for d in competitors})
         # separation: a parameter where delta0 strictly beats the current mixture
+        gaps, _ = _mixture_gaps(p, lam, j0)
         best_i, best_gap = None, 0
-        for i, gap in enumerate(_mixture_gaps(p, lam, j0)):
+        for i, gap in enumerate(gaps):
             if i not in chosen and gap > best_gap:
                 best_i, best_gap = i, gap
         if best_i is None:
-            raise RuntimeError("separation failed despite admissibility precheck")
+            # lam matches or beats delta0 everywhere; the hull LPs say how
+            dom = dominated_in_hull(p, delta0)
+            if dom.dominated:
+                raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
+            if dom.risk_equal:
+                raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
+            raise RuntimeError("separation failed, yet the hull LPs call delta0 admissible")
         chosen.append(best_i)
-        rounds += 1
-        if rounds > len(p.theta_labels):
-            raise RuntimeError("cutting-plane loop exceeded |theta| rounds")
+        res = _witness_lp(p, cols, j0, chosen, -1, maximize=False)
+        if res.status != "optimal":
+            raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
+        lam = _mixture_from_lp(competitors, res.x)
+        if res.objective > 0:
+            break
+    margin = res.objective
+    # the margin is the LP mixture's worst gap on the chosen parameters
+    gaps, n = _mixture_gaps(p, lam, j0)
+    if Fraction(max(gaps[i] for i in chosen), n) != margin:
+        raise RuntimeError("witness margin failed independent re-verification")
 
-    thetas = tuple(p.theta_labels[i] for i in sorted(chosen))
+    chosen.sort()
+    thetas = tuple(p.theta_labels[i] for i in chosen)
 
     # independent validation: best-case competitor advantage w on the witness
     # set, w + r(theta, lambda) <= r(theta, delta0)
-    val = _witness_lp(p, cols, j0, sorted(chosen), 1)
+    val = _witness_lp(p, cols, j0, chosen, 1)
     validated = val.status == "optimal" and val.objective <= -margin < 0
-    return WitnessSet(delta0, thetas, margin, rounds, validated, val.objective)
+    return WitnessSet(delta0, thetas, margin, len(chosen), validated, val.objective)
 
 
 # -- Stein's condition ---------------------------------------------------------
@@ -377,17 +364,17 @@ class SteinResult:
     iterations: int
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
             "theta0": self.theta0,
-            "eps": _fmt(self.eps),
+            "eps": self.eps,
             "feasible": self.feasible,
-            "prior": _weights_dict(self.prior.weights) if self.prior else None,
-            "theta0_weight": _fmt(self.theta0_weight) if self.theta0_weight is not None else None,
-            "excess": _fmt(self.excess) if self.excess is not None else None,
-            "bound": _fmt(self.bound) if self.bound is not None else None,
+            "prior": self.prior,
+            "theta0_weight": self.theta0_weight,
+            "excess": self.excess,
+            "bound": self.bound,
             "lp_iterations": self.iterations,
-        }
+        })
 
 
 def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
@@ -438,12 +425,12 @@ class DeterminingFamilyReport:
     failures: tuple                  # improving pairs with no uniformly separating member
 
     def as_dict(self):
-        return {
+        return _fmt({
             "ok": self.ok,
-            "pairs": [{"delta0": a, "delta1": b, "gap": _fmt(g), "set_index": k}
+            "pairs": [{"delta0": a, "delta1": b, "gap": g, "set_index": k}
                       for (a, b, g, k) in self.pairs],
             "failures": [{"delta0": a, "delta1": b} for (a, b) in self.failures],
-        }
+        })
 
 
 def _validate_family(p: DecisionProblem, family):
@@ -495,7 +482,7 @@ class NsSteinReport:
     bound: LCNumber
 
     def as_dict(self):
-        return {"ok": self.ok, "excess": str(self.excess), "bound": str(self.bound)}
+        return _fmt({"ok": self.ok, "excess": self.excess, "bound": self.bound})
 
 
 def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinReport:
@@ -523,14 +510,14 @@ class NsBlythReport:
     ratio: LCNumber
 
     def as_dict(self):
-        return {
+        return _fmt({
             "ok": self.ok,
             "mass_ok": self.mass_ok,
             "ratio_ok": self.ratio_ok,
             "constants": {" ".join(B): C for B, C in self.constants.items()},
-            "excess": str(self.excess),
-            "ratio": str(self.ratio),
-        }
+            "excess": self.excess,
+            "ratio": self.ratio,
+        })
 
 
 def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsBlythReport:

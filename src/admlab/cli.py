@@ -63,6 +63,14 @@ def _read_problem(path: str):
     return load_problem(Path(path).read_bytes())
 
 
+def _rational(text: str) -> Fraction:
+    """An exact rational flag value; a zero denominator is an input error too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_prior_spec(spec: str) -> Prior:
     """'t1:1-eps, t2:eps' -> Prior; values go through the LC parser."""
     weights = {}
@@ -191,7 +199,7 @@ def cmd_witness(args) -> int:
 
 def cmd_stein(args) -> int:
     p = _read_problem(args.problem)
-    res = stein_check(p, args.delta, args.theta, Fraction(args.eps))
+    res = stein_check(p, args.delta, args.theta, _rational(args.eps))
     _emit(res.as_dict())
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
@@ -205,7 +213,7 @@ def cmd_ns(args) -> int:
             raise ValueError("--mode stein needs --eps")
         if len(family) != 1:
             raise ValueError("--mode stein takes exactly one family group")
-        rep = ns_stein_check(p, args.delta, prior, family[0], Fraction(args.eps))
+        rep = ns_stein_check(p, args.delta, prior, family[0], _rational(args.eps))
     else:
         if args.rho is None:
             raise ValueError("--mode blyth needs --rho")
@@ -216,7 +224,7 @@ def cmd_ns(args) -> int:
 
 def cmd_game(args) -> int:
     p = _read_problem(args.problem)
-    rep = derived_game_value(p, args.delta, args.theta0, Fraction(args.gamma))
+    rep = derived_game_value(p, args.delta, args.theta0, _rational(args.gamma))
     _emit(rep.as_dict())
     return EXIT_OK
 
@@ -264,11 +272,11 @@ def cmd_gd_diff(args) -> int:
 
 
 def cmd_gd_excess(args) -> int:
-    from .graybill_deal import GDPriorParams, excess_bayes_risk
+    from .graybill_deal import GDPriorParams, ReportCheckError, excess_bayes_risk
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     try:
         rep = excess_bayes_risk(prior, _mc_config(args))
-    except RuntimeError as exc:
+    except ReportCheckError as exc:
         _diag(str(exc))
         return EXIT_NEGATIVE
     _emit(rep.as_dict())
@@ -276,7 +284,7 @@ def cmd_gd_excess(args) -> int:
 
 
 def cmd_gd_mass(args) -> int:
-    from .graybill_deal import GDPriorParams, prior_mass_bound
+    from .graybill_deal import GDPriorParams, ReportCheckError, prior_mass_bound
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     rect = _parse_rect(args.rect)
     if args.samples < 0:
@@ -284,7 +292,7 @@ def cmd_gd_mass(args) -> int:
     mc = _mc_config(args) if args.samples else None
     try:
         rep = prior_mass_bound(rect, prior, mc=mc)
-    except RuntimeError as exc:
+    except ReportCheckError as exc:
         _diag(str(exc))
         return EXIT_NEGATIVE
     _emit(rep.as_dict())
@@ -292,13 +300,13 @@ def cmd_gd_mass(args) -> int:
 
 
 def cmd_gd_blyth(args) -> int:
-    from .graybill_deal import blyth_sequence_report
+    from .graybill_deal import ReportCheckError, blyth_sequence_report
     rect = _parse_rect(args.rect)
     betas = _parse_betas(args.betas)
     try:
         rep = blyth_sequence_report(args.alpha, args.n, betas, rect,
                                     _mc_config(args))
-    except RuntimeError as exc:
+    except ReportCheckError as exc:
         _diag(str(exc))
         return EXIT_NEGATIVE
     if args.format == "json":

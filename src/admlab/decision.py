@@ -131,6 +131,29 @@ def _from_lp(cls, weights):
         raise RuntimeError(f"LP solution is not a valid {cls.__name__.lower()}: {exc}") from exc
 
 
+def _mixture_from_lp(labels, values) -> Mixture:
+    """The Mixture of an LP solution's positive weights, one value per label
+    (values past the labels, such as slacks or a free variable, are ignored)."""
+    return _from_lp(Mixture, {d: v for d, v in zip(labels, values) if v > 0})
+
+
+def _fmt(v):
+    """A payload's encoding of an exact value: a Fraction as 'n' or 'n/d', a
+    Levi-Civita number as its text, a Prior or Mixture as its weights, and a
+    dict, tuple or list item by item; anything else (None included) as it is."""
+    if isinstance(v, Fraction):
+        return format_rational(v)
+    if isinstance(v, LCNumber):
+        return str(v)
+    if isinstance(v, (Prior, Mixture)):
+        v = v.weights
+    if isinstance(v, dict):
+        return {k: _fmt(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_fmt(x) for x in v]
+    return v
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """A finite decision problem: parameter labels, procedure labels, exact risk matrix.
@@ -228,9 +251,9 @@ def _weighted_rows(matrix, weights):
 
 
 def _mixture_gaps(p: DecisionProblem, mix: Mixture, j0: int):
-    """Per theta, r(theta, mix) - r(theta, delta0) times one positive integer."""
+    """(g, n): r(theta_i, mix) - r(theta_i, delta0) == g[i] / n."""
     s, q = _weighted_rows(p.irisk, [mix.weights.get(d, 0) for d in p.proc_labels])
-    return [si - q * row[j0] for si, row in zip(s, p.irisk)]
+    return [si - q * row[j0] for si, row in zip(s, p.irisk)], q * p.den
 
 
 def _bayes_gaps(p: DecisionProblem, weights, j0: int):
@@ -319,15 +342,11 @@ def save_problem(p: DecisionProblem) -> bytes:
     doc = {
         "theta": list(p.theta_labels),
         "procedures": list(p.proc_labels),
-        "risk": [[format_rational(v) for v in row] for row in p.risk],
+        "risk": _fmt(p.risk),
         "allow_mixtures": p.allow_mixtures,
     }
     if p.priors:
-        doc["priors"] = {
-            name: {lbl: (str(w) if isinstance(w, LCNumber) else format_rational(w))
-                   for lbl, w in pr.weights.items()}
-            for name, pr in p.priors.items()
-        }
+        doc["priors"] = _fmt(p.priors)
     return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 

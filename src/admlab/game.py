@@ -22,10 +22,11 @@ from admlab.decision import (
     DecisionProblem,
     Mixture,
     Prior,
+    _fmt,
     _from_lp,
     _lc_gaps,
+    _mixture_from_lp,
     _weighted_rows,
-    format_rational,
 )
 from admlab.simplex import solve_lp
 
@@ -54,24 +55,22 @@ class GameValueReport:
     iterations: int
 
     def as_dict(self):
-        return {
+        return _fmt({
             "delta0": self.delta0,
             "theta0": self.theta0,
-            "gamma": format_rational(self.gamma),
-            "lower": format_rational(self.lower),
-            "upper": format_rational(self.upper),
+            "gamma": self.gamma,
+            "lower": self.lower,
+            "upper": self.upper,
             "determined": self.determined,
             # the sup over pure parameters and over priors coincide at the
             # optimum for a finite matrix; both names point at the same value
-            "sup_over_thetas": format_rational(self.upper),
-            "sup_over_priors": format_rational(self.lower),
-            "optimal_prior": {t: format_rational(w)
-                              for t, w in self.optimal_prior.weights.items()},
-            "optimal_mixture": {d: format_rational(w)
-                                for d, w in self.optimal_mixture.weights.items()},
-            "payoff": [[format_rational(v) for v in row] for row in self.payoff],
+            "sup_over_thetas": self.upper,
+            "sup_over_priors": self.lower,
+            "optimal_prior": self.optimal_prior,
+            "optimal_mixture": self.optimal_mixture,
+            "payoff": self.payoff,
             "lp_iterations": self.iterations,
-        }
+        })
 
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
@@ -107,7 +106,7 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
         raise RuntimeError(f"prior-side game LP unexpectedly {lower_lp.status}")
 
     lower, upper = lower_lp.objective, upper_lp.objective
-    mix = _from_lp(Mixture, {d: v for d, v in zip(p.proc_labels, upper_lp.x[:nd]) if v > 0})
+    mix = _mixture_from_lp(p.proc_labels, upper_lp.x)
     prior = _from_lp(Prior, dict(zip(p.theta_labels, lower_lp.x)))
 
     # re-verify both optima directly on the payoff matrix

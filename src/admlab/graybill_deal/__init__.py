@@ -11,6 +11,7 @@ from .mc import (
     GDMassReport,
     GDRiskReport,
     MCConfig,
+    ReportCheckError,
     SHARD_SIZE,
     blyth_sequence_report,
     excess_bayes_risk,
@@ -45,6 +46,7 @@ __all__ = [
     "MCConfig",
     "MCEstimate",
     "RectangleO",
+    "ReportCheckError",
     "SHARD_SIZE",
     "blyth_sequence_report",
     "excess_bayes_risk",

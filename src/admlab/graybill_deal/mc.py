@@ -31,6 +31,7 @@ __all__ = [
     "GDMassReport",
     "GDRiskReport",
     "MCConfig",
+    "ReportCheckError",
     "SHARD_SIZE",
     "blyth_sequence_report",
     "excess_bayes_risk",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 16
+
+
+class ReportCheckError(RuntimeError):
+    """A report failed one of its own checks on its estimates (the CLI's exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,7 @@ def excess_bayes_risk(prior: GDPriorParams,
     ok = excess.mean <= limit + 3.0 * excess.std_error
     report = GDExcessReport(prior, excess, upper_mc, beta_route, limit, ok)
     if not ok:
-        raise RuntimeError(
+        raise ReportCheckError(
             f"excess {excess.mean:.6g} exceeds 2*beta={limit:.6g} "
             f"past 3 std errors; report: {report.as_dict()!r}")
     return report
@@ -376,7 +381,7 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     ok = quad_mass > lower or (quad_mass == 0.0 and lower == 0.0)
     report = GDMassReport(O, prior, constant, lower, quad_mass, mc_mass, ok)
     if not ok:
-        raise RuntimeError(
+        raise ReportCheckError(
             f"quadrature mass {quad_mass:.6g} does not clear the lower bound "
             f"{lower:.6g}; report: {report.as_dict()!r}")
     return report
@@ -463,12 +468,12 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
     if len(rows) > 1:
         for prev, cur in zip(rows, rows[1:]):
             if not cur.ratio < prev.ratio:
-                raise RuntimeError(
+                raise ReportCheckError(
                     f"ratio failed to decrease: {prev.ratio!r} -> {cur.ratio!r} "
                     f"at beta={cur.beta!r}")
         allowed = rows[0].ratio * (betas[-1] / betas[0]) ** ((1.0 - 2.0 * alpha) / 2.0)
         if not rows[-1].ratio <= allowed:
-            raise RuntimeError(
+            raise ReportCheckError(
                 f"final ratio {rows[-1].ratio!r} misses the decay target "
                 f"{allowed!r}")
 

@@ -13,6 +13,7 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from numbers import Rational
@@ -44,6 +45,20 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _operand(method):
+    """A binary method whose other operand is an LCNumber, a rational embedded
+    as one, or else NotImplemented."""
+    @functools.wraps(method)
+    def wrapper(self, other):
+        if isinstance(other, Rational):
+            other = LCNumber.from_real(other)
+        elif not isinstance(other, LCNumber):
+            return NotImplemented
+        return method(self, other)
+    return wrapper
+
+
+@functools.total_ordering
 class LCNumber:
     """A truncated Levi-Civita number.  Treat instances as immutable."""
 
@@ -121,17 +136,8 @@ class LCNumber:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LCNumber):
-            return other
-        if isinstance(other, Rational):
-            return LCNumber.from_real(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __add__(self, o):
         terms = dict(self.terms)
         for e, c in o.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
@@ -142,22 +148,16 @@ class LCNumber:
     def __neg__(self):
         return LCNumber({e: -c for e, c in self.terms.items()}, self.inexact)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __mul__(self, o):
         terms: dict[int, Fraction] = {}
         inexact = self.inexact or o.inexact
         for e1, c1 in self.terms.items():
@@ -171,49 +171,23 @@ class LCNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, o):
         return _divide(self, o)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __rtruediv__(self, o):
         return _divide(o, self)
 
-    # -- order -----------------------------------------------------------
+    # -- order (total_ordering derives <=, > and >=) ----------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __eq__(self, o):
         return self.terms == o.terms
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operand
+    def __lt__(self, o):
         return compare(self, o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare(self, o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare(self, o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return compare(self, o) >= 0
 
     def __bool__(self):
         return bool(self.terms)
@@ -257,26 +231,17 @@ def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
 
 def compare(a: LCNumber, b) -> int:
     """Total lexicographic order: -1 if a < b, 0 if equal, 1 if a > b."""
-    if not isinstance(b, LCNumber):
-        b = LCNumber.from_real(b)
-    d = a - b
-    return d.sign()
+    return (a - b).sign()
 
 
 def approx_leq(a: LCNumber, b) -> bool:
     """a <~ b: a - b is negative, zero, or a positive infinitesimal."""
-    if not isinstance(b, LCNumber):
-        b = LCNumber.from_real(b)
     d = a - b
-    if d.is_zero() or d.sign() < 0:
-        return True
-    return d.is_infinitesimal()
+    return d.sign() <= 0 or d.is_infinitesimal()
 
 
 def approx_eq(a: LCNumber, b) -> bool:
     """a ~ b: the difference is infinitesimal or zero."""
-    if not isinstance(b, LCNumber):
-        b = LCNumber.from_real(b)
     return (a - b).is_infinitesimal()
 
 
@@ -316,7 +281,8 @@ def parse_lc(text: str) -> LCNumber:
     """Parse the textual rendering produced by :func:`format_lc`.
 
     Accepts "eps" as an ASCII alias for "ε" and a unicode minus sign.
-    Raises ValueError for an exponent outside ``[-K, K]``.
+    Raises ValueError for an exponent outside ``[-K, K]`` and for a zero
+    denominator.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -343,7 +309,10 @@ def parse_lc(text: str) -> LCNumber:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and "ε" not in chunk and "eps" not in chunk):
             raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r} of {text!r}") from None
         has_eps = "ε" in chunk or "eps" in chunk
         exp = int(m.group("exp")) if m.group("exp") else (1 if has_eps else 0)
         if abs(exp) > DEFAULT_TRUNC_DEGREE:

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,36 @@ class TestWitnessSet:
                 if w.margin is not None:
                     assert w.margin > 0 and w.validation_value == -w.margin
         assert checked > 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6), st.sampled_from((8, 97)))
+    def test_outcome_matches_the_hull_verdict(self, n_theta, n_proc, seed, grid):
+        # the hull LPs run only to name a failure: never when a witness set
+        # is returned, once when it is refused
+        p = random_problem(n_theta, n_proc, seed, grid)
+        hull = adm.dominated_in_hull
+        for d in p.proc_labels:
+            dom = hull(p, d)
+            calls = []
+            with mock.patch.object(adm, "dominated_in_hull",
+                                   lambda *a: calls.append(a) or hull(*a)):
+                try:
+                    outcome = adm.witness_set(p, d)
+                except ValueError as exc:
+                    outcome = str(exc)
+            if dom.dominated:
+                assert outcome == f"{d} is dominated in the hull; no witness set exists"
+            elif dom.risk_equal:
+                assert outcome == f"{d} has an equivalence in risk with a competitor mixture"
+            else:
+                assert isinstance(outcome, adm.WitnessSet) and outcome.validated
+            assert len(calls) == (0 if isinstance(outcome, adm.WitnessSet) else 1)
+
+    def test_hull_lps_calling_a_failure_admissible_is_an_internal_fault(self):
+        admissible = adm.dominated_in_hull(TWO_POINT, "d0")
+        with mock.patch.object(adm, "dominated_in_hull", lambda p, d: admissible):
+            with pytest.raises(RuntimeError, match="hull LPs call delta0 admissible"):
+                adm.witness_set(DOMINATED, "d0")
 
 
 class TestStein:
@@ -442,6 +473,7 @@ class TestReverificationUnderOptimize:
             "mixture weights must sum to exactly 1",
             "game mixture RuntimeError LP solution is not a valid mixture: "
             "mixture weights must sum to exactly 1",
+            "witness margin RuntimeError witness margin failed independent re-verification",
         ]
 
 
@@ -499,6 +531,13 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
          lambda res, kw: (dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2))
                           if minimizes(kw) else res),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+        # the restriction LP on {t1} claims margin 2 with v = 2, a feasible
+        # but not optimal point: its mixture d1 loses to d0 at t1 by only 1
+        ("witness margin",
+         lambda res, kw: (dataclasses.replace(res, x=[res.x[0], res.x[1] + 1],
+                                              objective=res.objective + 1)
+                          if minimizes(kw) else res),
+         lambda: admissibility.witness_set(p, "d0")),
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
@@ -544,13 +583,10 @@ class TestIntegerRechecks:
                                rng.choice((8, 12, 97)))
             mix = Mixture(_random_weights(rng, p.proc_labels))
             for j0 in range(len(p.proc_labels)):
-                gaps = decision._mixture_gaps(p, mix, j0)
+                gaps, n = decision._mixture_gaps(p, mix, j0)
                 oracle = [mixture_risk(p, t, mix) - p.risk[i][j0]
                           for i, t in enumerate(p.theta_labels)]
-                # one positive factor for every theta
-                scale = next((g / o for g, o in zip(gaps, oracle) if o), 1)
-                assert scale > 0
-                assert [F(g) for g in gaps] == [scale * o for o in oracle]
+                assert [F(g, n) for g in gaps] == oracle
 
     def test_reported_excess_and_slacks_match_bayes_risk(self):
         eps_grid = (F(1), F(1, 10), F(1, 100))

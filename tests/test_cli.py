@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: payloads, exit codes, round trips."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import exact_outputs
 from admlab import admissibility, cli
 from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, load_problem, random_problem, save_problem
@@ -373,8 +377,71 @@ class TestGd:
                          "--betas", "1e-3,1e-2", "--samples", "4096")
         assert code == 2
 
+    # each report with the kernel (or helper) it reaches; --samples 4096 so
+    # mass runs its Monte Carlo cross-check
+    GD_CHECKED = [
+        (("excess", "--alpha", "0.25", "--beta", "1e-3"), "excess_sums"),
+        (("mass", "--alpha", "0.25", "--beta", "1e-3"), "rect_count"),
+        (("blyth", "--alpha", "0.25", "--betas", "1e-2,1e-3"), "excess_sums"),
+    ]
+
+    @pytest.mark.parametrize("argv, kernel", GD_CHECKED, ids=[a[0] for a, _ in GD_CHECKED])
+    def test_a_faulty_kernel_is_an_internal_error(self, capsys, monkeypatch, argv, kernel):
+        from admlab.graybill_deal import kernels
+
+        def boom(*args):
+            raise RuntimeError("wires crossed")
+        monkeypatch.setattr(kernels, kernel, boom)
+        code, out, err = run(capsys, "gd", *argv, "--samples", "4096", "--threads", "1")
+        assert code == 3
+        assert out == ""
+        assert "wires crossed" in err and "Traceback" in err
+
+    @pytest.mark.parametrize("argv, kernel", GD_CHECKED, ids=[a[0] for a, _ in GD_CHECKED])
+    def test_a_failed_report_check_is_a_negative_verdict(self, capsys, monkeypatch,
+                                                         argv, kernel):
+        from admlab.graybill_deal import kernels, mc
+
+        def constant_excess(t1, t2, beta, coef):
+            # every draw's excess is 10: far past 2*beta, and flat in beta,
+            # so the Blyth ratios grow as beta shrinks
+            return 10.0 * t1.size, 100.0 * t1.size
+        monkeypatch.setattr(kernels, "excess_sums", constant_excess)
+        # the mass bound 1e9 * beta^(2 alpha) lies far above any mass
+        monkeypatch.setattr(mc, "mass_constant", lambda O, alpha: 1e9)
+        code, out, err = run(capsys, "gd", *argv, "--samples", "4096", "--threads", "1")
+        assert code == 1
+        assert out == ""
+        assert err and "Traceback" not in err
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("stein", "--delta", "d0", "--theta", "t1", "--eps", "1/0"),
+        ("game", "--delta", "d0", "--theta0", "t1", "--gamma", "1/0"),
+        ("ns", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", "t1",
+         "--mode", "stein", "--eps", "1/0"),
+        ("ns", "--delta", "d0", "--prior", "t1:1/0,t2:eps", "--family", "t1",
+         "--mode", "stein", "--eps", "1/10"),
+        ("ns", "--delta", "d0", "--prior", "t1:1-eps,t2:eps", "--family", "t1;t2",
+         "--mode", "blyth", "--rho", "1/0"),
+    ], ids=["stein-eps", "game-gamma", "ns-eps", "ns-prior", "ns-rho"])
+    def test_a_zero_denominator_is_an_input_error(self, capsys, two_point, argv):
+        code, out, err = run(capsys, argv[0], two_point, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "zero denominator" in err
+
+    def test_a_zero_denominator_in_a_problem_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"theta": ["t1", "t2"], "procedures": ["d0"],
+                                    "risk": [["0"], ["1"]],
+                                    "priors": {"pi": {"t1": "1/0 + eps", "t2": "-eps"}}}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "zero denominator" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/problem.json")
         assert code == 2
@@ -558,3 +625,19 @@ class TestStartup:
                 "if code:\n"
                 "    sys.exit(f'exit {code}')")
         assert self.scipy_loaded_by(call) == expected
+
+
+# sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
+# every exact output keeps it
+PROBLEM_OUTPUTS_SHA256 = "7973e8b8d67ba70e8f2ccebe0b87a4b2641fcb16581486fe9a70a68d84778661"
+
+
+def test_random_problem_outputs_are_pinned():
+    # every exact verdict, prior, mixture and lp_iterations count that the CLI
+    # and the API give for random_problem seeds 0-11 on the 1/8 and 1/97 grids
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exact_outputs.problem_outputs()
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == PROBLEM_OUTPUTS_SHA256, (
+        "exact outputs moved; diff `python tests/exact_outputs.py` against the parent tree")

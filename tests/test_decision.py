@@ -144,6 +144,13 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="negative"):
             load_problem(json.dumps(doc))
 
+    def test_zero_denominator_in_a_prior_weight_rejected(self):
+        for weight in ("1/0", "1/0 + eps"):
+            doc = {"theta": ["a", "b"], "procedures": ["d"], "risk": [["1"], ["2"]],
+                   "priors": {"bad": {"a": weight, "b": "0"}}}
+            with pytest.raises(ProblemFormatError, match="prior 'bad'"):
+                load_problem(json.dumps(doc))
+
     def test_duplicate_labels_rejected(self):
         doc = {"theta": ["a", "a"], "procedures": ["d"], "risk": [["1"], ["2"]]}
         with pytest.raises(ProblemFormatError, match="duplicate"):

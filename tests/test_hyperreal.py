@@ -130,6 +130,12 @@ class TestText:
         with pytest.raises(ValueError):
             parse_lc(bad)
 
+    # bad input, not an arithmetic fault: ValueError, never ZeroDivisionError
+    @pytest.mark.parametrize("bad", ["1/0", "1/0 + eps", "1 - 3/0eps^2"])
+    def test_rejects_a_zero_denominator(self, bad):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_lc(bad)
+
 
 def lc_strategy():
     exps = st.integers(min_value=-2, max_value=2)
