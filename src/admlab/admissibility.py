@@ -23,8 +23,8 @@ from admlab.decision import (
     _bayes_gaps,
     _fmt,
     _from_lp,
+    _int_weights,
     _lc_gaps,
-    _mixture_from_lp,
     _mixture_gaps,
 )
 from admlab.hyperreal import LCNumber, approx_leq, compare
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 
-def _slacks(p: DecisionProblem, weights, j0: int) -> dict:
-    gaps, n = _bayes_gaps(p, weights, j0)
+def _slacks(p: DecisionProblem, w, q: int, j0: int) -> dict:
+    gaps, n = _bayes_gaps(p, w, q, j0)
     return {d: Fraction(g, n) for d, g in zip(p.proc_labels, gaps)}
 
 
@@ -72,7 +72,7 @@ def dominates(p: DecisionProblem, delta1, delta0) -> bool:
 
 def admissible_set(p: DecisionProblem) -> set:
     if p.allow_mixtures:
-        return {d for d in p.proc_labels if not dominated_in_hull(p, d).dominated}
+        return {d for j, d in enumerate(p.proc_labels) if _dominance_lp(p, j)[1] is None}
     return {d for d in p.proc_labels
             if not any(dominates(p, d1, d) for d1 in p.proc_labels if d1 != d)}
 
@@ -101,16 +101,12 @@ class HullDominanceReport:
         })
 
 
-def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
+def _dominance_lp(p: DecisionProblem, j0: int):
     """LP: maximize total slack of a mixture under delta0's risk vector.
 
-    Positive optimum means some mixture dominates delta0.  Zero optimum
-    means none does; a risk-equal competitor mixture may still exist and
-    is searched for separately (it never counts as domination).
+    Returns the LP's result and, when its optimum is positive, the
+    dominating mixture, re-verified without the LP; None otherwise.
     """
-    if not p.allow_mixtures:
-        raise ValueError("dominated_in_hull needs mixtures enabled")
-    j0 = p.proc_index(delta0)
     nd, nt = len(p.proc_labels), len(p.theta_labels)
     den, irisk = p.den, p.irisk
 
@@ -124,29 +120,45 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
                    A_eq=[[den] * nd + [0] * nt], b_eq=[den])
     if res.status != "optimal":
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
+    if not res.objective > 0:
+        return res, None
+    mix = _from_lp(Mixture, p.proc_labels, res.num, res.D)
+    gaps, _ = _mixture_gaps(p, res.num[:nd], res.D, j0)
+    if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
+        raise RuntimeError("dominating mixture failed independent re-verification")
+    return res, mix
+
+
+def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
+    """The dominance LP, then an LP for a risk-equal competitor mixture.
+
+    Positive dominance optimum means some mixture dominates delta0.  Zero optimum
+    means none does; a risk-equal competitor mixture may still exist and
+    is searched for separately (it never counts as domination).
+    """
+    if not p.allow_mixtures:
+        raise ValueError("dominated_in_hull needs mixtures enabled")
+    j0 = p.proc_index(delta0)
+    res, mix = _dominance_lp(p, j0)
     iters = res.iterations
-    dominated = res.objective > 0
-    mix = _mixture_from_lp(p.proc_labels, res.x) if dominated else None
-    if dominated:
-        # re-verify the certificate without the LP
-        gaps, _ = _mixture_gaps(p, mix, j0)
-        if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
-            raise RuntimeError("dominating mixture failed independent re-verification")
 
     competitors = [d for d in p.proc_labels if d != delta0]
     risk_equal, equal_mixture = False, None
     if competitors:
-        cols = [j for j in range(nd) if j != j0]
+        cols = [j for j in range(len(p.proc_labels)) if j != j0]
+        den, irisk = p.den, p.irisk
         eq = solve_lp([0] * len(cols),
                       A_eq=[[r[j] for j in cols] for r in irisk] + [[den] * len(cols)],
                       b_eq=[r[j0] for r in irisk] + [den])
         iters += eq.iterations
         if eq.status == "optimal":
             risk_equal = True
-            equal_mixture = _mixture_from_lp(competitors, eq.x)
-            if any(_mixture_gaps(p, equal_mixture, j0)[0]):
+            equal_mixture = _from_lp(Mixture, competitors, eq.num, eq.D)
+            w = eq.num[:]
+            w.insert(j0, 0)
+            if any(_mixture_gaps(p, w, eq.D, j0)[0]):
                 raise RuntimeError("risk-equal mixture failed independent re-verification")
-    return HullDominanceReport(delta0, dominated, mix, res.objective,
+    return HullDominanceReport(delta0, mix is not None, mix, res.objective,
                                risk_equal, equal_mixture, iters)
 
 
@@ -167,7 +179,7 @@ class Certificate:
         weights = [self.prior.weight(t) for t in p.theta_labels]
         if sum(weights) != 1 or min(weights) != self.min_weight or self.min_weight <= 0:
             return False
-        slacks = _slacks(p, weights, p.proc_index(self.delta0))
+        slacks = _slacks(p, *_int_weights(weights), p.proc_index(self.delta0))
         return slacks == self.slacks and min(slacks.values()) >= 0
 
     def as_dict(self):
@@ -225,9 +237,9 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     iters = res.iterations
 
     if res.status == "optimal" and res.objective > 0:
-        weights = res.x[:nt]
-        prior = _from_lp(Prior, dict(zip(p.theta_labels, weights)))
-        cert = Certificate(delta0, prior, res.objective, _slacks(p, weights, j0), iters)
+        prior = _from_lp(Prior, p.theta_labels, res.num, res.D)
+        cert = Certificate(delta0, prior, res.objective,
+                           _slacks(p, res.num[:nt], res.D, j0), iters)
         if not cert.verify(p):
             raise RuntimeError("certificate failed independent re-verification")
         return cert
@@ -296,9 +308,10 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     set, by at least the returned margin.  A positive margin already proves
     delta0 neither dominated in the hull nor risk-equal to a competitor
     mixture, so no hull LP runs on that path.  When separation fails, the
-    current mixture matches or beats delta0 at every parameter; only then do
-    the hull LPs run, to name the failure in a ValueError (dominated, or
-    risk-equal).
+    current mixture lam matches or beats delta0 at every parameter, and a
+    ValueError names the failure: "dominated" when lam beats delta0
+    somewhere (no further LP), and when lam is risk-equal to delta0, the
+    dominance LP alone tells "dominated" from "risk-equal".
     """
     if not p.allow_mixtures:
         raise ValueError("witness_set needs mixtures enabled")
@@ -310,32 +323,35 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     cols = [p.proc_index(d) for d in competitors]
 
     chosen: list[int] = []
-    lam = Mixture({d: Fraction(1, len(competitors)) for d in competitors})
+    # lam, the current competitor mixture: weight w[j] / q on the j-th procedure
+    w, q = [int(j != j0) for j in range(len(p.proc_labels))], len(competitors)
     while True:
         # separation: a parameter where delta0 strictly beats the current mixture
-        gaps, _ = _mixture_gaps(p, lam, j0)
+        gaps, _ = _mixture_gaps(p, w, q, j0)
         best_i, best_gap = None, 0
         for i, gap in enumerate(gaps):
             if i not in chosen and gap > best_gap:
                 best_i, best_gap = i, gap
         if best_i is None:
-            # lam matches or beats delta0 everywhere; the hull LPs say how
-            dom = dominated_in_hull(p, delta0)
-            if dom.dominated:
+            # lam's gaps on the chosen parameters are at most the LP's v <= 0
+            if max(gaps) > 0:
+                raise RuntimeError("witness restriction mixture failed independent "
+                                   "re-verification")
+            if any(gaps) or _dominance_lp(p, j0)[1] is not None:
                 raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
-            if dom.risk_equal:
-                raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
-            raise RuntimeError("separation failed, yet the hull LPs call delta0 admissible")
+            raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
         chosen.append(best_i)
         res = _witness_lp(p, cols, j0, chosen, -1, maximize=False)
         if res.status != "optimal":
             raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
-        lam = _mixture_from_lp(competitors, res.x)
+        _from_lp(Mixture, competitors, res.num, res.D)  # lam must be a mixture
+        w, q = res.num[:len(cols)], res.D
+        w.insert(j0, 0)
         if res.objective > 0:
             break
     margin = res.objective
     # the margin is the LP mixture's worst gap on the chosen parameters
-    gaps, n = _mixture_gaps(p, lam, j0)
+    gaps, n = _mixture_gaps(p, w, q, j0)
     if Fraction(max(gaps[i] for i in chosen), n) != margin:
         raise RuntimeError("witness margin failed independent re-verification")
 
@@ -403,11 +419,11 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
         return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
-    prior = _from_lp(Prior, dict(zip(p.theta_labels, res.x)))
+    prior = _from_lp(Prior, p.theta_labels, res.num, res.D)
     weight = prior.weight(theta0)
     if res.objective != weight:
         raise RuntimeError("stein LP objective differs from its prior's weight at theta0")
-    gaps, n = _bayes_gaps(p, res.x, j0)
+    gaps, n = _bayes_gaps(p, res.num, res.D, j0)
     excess = Fraction(-min(gaps), n)
     bound = eps * weight
     if not excess <= bound:  # the LP's constraints, recomputed exactly

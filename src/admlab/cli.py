@@ -185,6 +185,8 @@ def cmd_certify(args) -> int:
 def cmd_witness(args) -> int:
     p = _read_problem(args.problem)
     p.proc_index(args.delta)      # unknown label is an input error, not a verdict
+    if not p.allow_mixtures:      # and so is a problem without mixtures
+        raise ValueError("witness_set needs mixtures enabled")
     try:
         w = witness_set(p, args.delta)
     except ValueError as exc:

@@ -122,19 +122,35 @@ class Mixture:
         return cls({label: Fraction(1)})
 
 
-def _from_lp(cls, weights):
-    """A Prior or Mixture read off an LP solution.  Weights that fail its
-    validation are a fault of the LP, not of the input: RuntimeError (exit 3)."""
-    try:
-        return cls(weights)
-    except ValueError as exc:
-        raise RuntimeError(f"LP solution is not a valid {cls.__name__.lower()}: {exc}") from exc
+def _from_lp(cls, labels, num, D):
+    """The Prior or Mixture of an LP solution, weight num[j] / D for labels[j]
+    (entries past the labels, such as slacks or a free variable, are ignored).
 
-
-def _mixture_from_lp(labels, values) -> Mixture:
-    """The Mixture of an LP solution's positive weights, one value per label
-    (values past the labels, such as slacks or a free variable, are ignored)."""
-    return _from_lp(Mixture, {d: v for d, v in zip(labels, values) if v > 0})
+    Checked in ints: D > 0, no weight negative, the weights summing to D.  A
+    Mixture keeps its positive weights only, a Prior every label.  Weights
+    that fail are a fault of the LP, not of the input: RuntimeError (exit 3).
+    """
+    name = cls.__name__.lower()
+    num = num[:len(labels)]
+    total = sum(v for v in num if v > 0)
+    if D <= 0:
+        problem = f"denominator {D} is not positive"
+    elif cls is Mixture and total != D:  # a Mixture's positive weights first
+        problem = "mixture weights must sum to exactly 1"
+    elif min(num) < 0:
+        k = next(k for k, v in enumerate(num) if v < 0)
+        problem = f"{name} weight for {labels[k]} is negative: {Fraction(num[k], D)}"
+    elif total != D:
+        problem = f"prior weights must sum to exactly 1, got {Fraction(total, D)}"
+    else:
+        out = object.__new__(cls)
+        object.__setattr__(out, "weights", {label: Fraction(v, D)
+                                            for label, v in zip(labels, num)
+                                            if v or cls is Prior})
+        if cls is Prior:
+            object.__setattr__(out, "kind", REAL)
+        return out
+    raise RuntimeError(f"LP solution is not a valid {name}: {problem}")
 
 
 def _fmt(v):
@@ -242,26 +258,31 @@ def bayes_risk(p: DecisionProblem, prior: Prior, delta):
 
 # -- integer passes over irisk -----------------------------------------------
 
-def _weighted_rows(matrix, weights):
-    """(s, q): sum_j weights[j] * row[j] == s[i] / q for the i-th row of an int matrix,
-    with q the least common denominator of the rational weights."""
+def _int_weights(weights):
+    """(w, q): rational weights as ints w[j] / q, q their least common denominator."""
     q = lcm(*(v.denominator for v in weights))
-    w = [v.numerator * (q // v.denominator) for v in weights]
-    return [sum(map(mul, w, row)) for row in matrix], q
+    return [v.numerator * (q // v.denominator) for v in weights], q
 
 
-def _mixture_gaps(p: DecisionProblem, mix: Mixture, j0: int):
-    """(g, n): r(theta_i, mix) - r(theta_i, delta0) == g[i] / n."""
-    s, q = _weighted_rows(p.irisk, [mix.weights.get(d, 0) for d in p.proc_labels])
+def _weighted_rows(matrix, w):
+    """sum_j w[j] * row[j] for each row of an int matrix, with int weights w."""
+    return [sum(map(mul, w, row)) for row in matrix]
+
+
+def _mixture_gaps(p: DecisionProblem, w, q: int, j0: int):
+    """(g, n): r(theta_i, mix) - r(theta_i, delta0) == g[i] / n for the mixture
+    with weight w[j] / q on the j-th procedure."""
+    s = _weighted_rows(p.irisk, w)
     return [si - q * row[j0] for si, row in zip(s, p.irisk)], q * p.den
 
 
-def _bayes_gaps(p: DecisionProblem, weights, j0: int):
-    """(g, n): r(pi, delta_j) - r(pi, delta0) == g[j] / n for the theta weights of pi.
+def _bayes_gaps(p: DecisionProblem, w, q: int, j0: int):
+    """(g, n): r(pi, delta_j) - r(pi, delta0) == g[j] / n for the prior with
+    weight w[i] / q on the i-th parameter.
 
     The weights need not be a prior: the gaps are linear in them.
     """
-    risks, q = _weighted_rows(zip(*p.irisk), weights)
+    risks = _weighted_rows(zip(*p.irisk), w)
     return [r - risks[j0] for r in risks], q * p.den
 
 
@@ -275,7 +296,7 @@ def _lc_gaps(p: DecisionProblem, prior: Prior, j0: int):
         p.theta_index(label)
     terms = [w.terms if isinstance(w, LCNumber) else {0: w}
              for w in map(prior.weight, p.theta_labels)]
-    per_power = [(k, *_bayes_gaps(p, [t.get(k, 0) for t in terms], j0))
+    per_power = [(k, *_bayes_gaps(p, *_int_weights([t.get(k, 0) for t in terms]), j0))
                  for k in sorted(set().union(*terms))]
     return [LCNumber({k: Fraction(g[j], n) for k, g, n in per_power})
             for j in range(len(p.proc_labels))]

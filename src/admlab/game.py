@@ -25,7 +25,6 @@ from admlab.decision import (
     _fmt,
     _from_lp,
     _lc_gaps,
-    _mixture_from_lp,
     _weighted_rows,
 )
 from admlab.simplex import solve_lp
@@ -106,15 +105,15 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
         raise RuntimeError(f"prior-side game LP unexpectedly {lower_lp.status}")
 
     lower, upper = lower_lp.objective, upper_lp.objective
-    mix = _mixture_from_lp(p.proc_labels, upper_lp.x)
-    prior = _from_lp(Prior, dict(zip(p.theta_labels, lower_lp.x)))
+    mix = _from_lp(Mixture, p.proc_labels, upper_lp.num, upper_lp.D)
+    prior = _from_lp(Prior, p.theta_labels, lower_lp.num, lower_lp.D)
 
     # re-verify both optima directly on the payoff matrix
-    mix_col, n = _weighted_rows(ipay, [mix.weights.get(d, 0) for d in p.proc_labels])
-    if Fraction(max(mix_col), n * scale) != upper:
+    mix_col = _weighted_rows(ipay, upper_lp.num[:nd])
+    if Fraction(max(mix_col), upper_lp.D * scale) != upper:
         raise RuntimeError("mixture-side game optimum failed independent re-verification")
-    prior_row, n = _weighted_rows(zip(*ipay), list(map(prior.weight, p.theta_labels)))
-    if Fraction(min(prior_row), n * scale) != lower:
+    prior_row = _weighted_rows(zip(*ipay), lower_lp.num[:nt])
+    if Fraction(min(prior_row), lower_lp.D * scale) != lower:
         raise RuntimeError("prior-side game optimum failed independent re-verification")
     if not lower <= upper:
         raise RuntimeError("game lower value exceeds the upper value")

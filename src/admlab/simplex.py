@@ -13,6 +13,11 @@ callers may scale by one common positive factor themselves, are taken as
 they are); that rescales the artificials and the phase-1 reduced costs by
 ``L > 0`` and leaves every ratio alone, so the pivot sequence is that of a
 ``Fraction`` tableau.  Problem sizes here are tiny: a dense tableau.
+
+The result is what the final tableau holds: int levels ``num`` under the
+shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
+is its positive part minus its negative part); ``x`` itself is derived on
+request.
 """
 
 from __future__ import annotations
@@ -25,15 +30,19 @@ from admlab.hyperreal import _as_fraction
 
 __all__ = ["LPResult", "solve_lp"]
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LPResult:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None
-    x: list[Fraction] | None
+    num: list[int] | None            # levels times D, one per variable
+    D: int | None                    # > 0: the final tableau's denominator
     iterations: int
+
+    @property
+    def x(self) -> list[Fraction] | None:
+        """The optimal point, ``num[j] / D`` for each variable."""
+        return None if self.num is None else [Fraction(v, self.D) for v in self.num]
 
 
 def _as_ints(rows):
@@ -55,15 +64,15 @@ def _pivot(tab, labels, basis, r, s, ncols, d):
     """
     prow = tab[r]
     p = prow[s]
+    scale = p != d  # rows with f == 0 only need scaling by p / d
     for i, row in enumerate(tab):
         f = row[s]
-        if i == r or (not f and p == d):
-            continue
         if f:
-            tab[i] = row = [(a * p - f * b) // d for a, b in zip(row, prow)]
-        else:
-            tab[i] = row = [a * p // d if a else 0 for a in row]
-        row[s] = -f
+            if i != r:
+                tab[i] = row = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                row[s] = -f
+        elif scale:
+            tab[i] = [a * p // d if a else 0 for a in row]
     prow[s] = d
     basis[r], labels[s] = labels[s], basis[r]
     if labels[s] >= ncols:  # artificials never re-enter
@@ -79,22 +88,26 @@ def _pivot(tab, labels, basis, r, s, ncols, d):
 def _run_simplex(tab, labels, basis, ncols, d):
     """Maximize with Bland's rule.  tab[-1] holds reduced costs; last entry is -z."""
     iters = 0
+    m = len(tab) - 1
+    obj = tab[-1]
     while True:
-        obj = tab[-1]
-        col = min((j for j in range(len(labels)) if obj[j] > 0),
-                  key=labels.__getitem__, default=None)
-        if col is None:
+        col = -1  # Bland: the smallest label with positive reduced cost
+        for j, lab in enumerate(labels):
+            if obj[j] > 0 and (col < 0 or lab < first):
+                col, first = j, lab
+        if col < 0:
             return "optimal", iters, d
-        best = None  # ratio test by cross-multiplication, ties to lower basis
-        for i, row in enumerate(tab[:-1]):
+        best = -1  # ratio test by cross-multiplication, ties to lower basis
+        for i in range(m):
+            row = tab[i]
             a = row[col]
-            if a > 0 and (best is None
-                          or (k := row[-1] * tab[best][col] - tab[best][-1] * a) < 0
+            if a > 0 and (best < 0 or (k := row[-1] * ba - bb * a) < 0
                           or (k == 0 and basis[i] < basis[best])):
-                best = i
-        if best is None:
+                best, ba, bb = i, a, row[-1]
+        if best < 0:
             return "unbounded", iters, d
         d = _pivot(tab, labels, basis, best, col, ncols, d)
+        obj = tab[-1]
         iters += 1
 
 
@@ -121,16 +134,17 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     # then one slack per inequality row
     [cost], Lc = _as_ints([list(c)])
     rows, L = _as_ints([list(r) + [v] for r, v in zip(A_ub + A_eq, b_ub + b_eq)])
-    nslack = len(A_ub)
-    ncols = n + len(free) + nslack
+    nf, nslack = len(free), len(A_ub)
+    ncols = n + nf + nslack
     sign = 1 if maximize else -1
-    cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + [0] * nslack
+    pad = [0] * nslack
+    cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + pad
 
     tab = []  # inequality rows first, each with its slack
     for i, arow in enumerate(rows):
-        row = arow[:n] + [-arow[j] for j in free] + [0] * nslack + arow[n:]
+        row = arow[:n] + [-arow[j] for j in free] + pad + arow[n:]
         if i < nslack:
-            row[n + len(free) + i] = L
+            row[n + nf + i] = L
         tab.append(row if row[-1] >= 0 else [-v for v in row])
     m = len(tab)
 
@@ -139,22 +153,23 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     labels = list(range(ncols))
     basis = [ncols + i for i in range(m)]
     status, iters, d = _run_simplex(tab, labels, basis, ncols, 1)
-    if tab[-1][-1] > 0:  # -z1 entry: the artificials still sum to > 0
-        return LPResult("infeasible", None, None, iters)
+    if tab.pop()[-1] > 0:  # -z1 entry: the artificials still sum to > 0
+        return LPResult("infeasible", None, None, None, iters)
 
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= ncols:
-            col = min((j for j, v in enumerate(tab[i][:-1]) if v),
-                      key=labels.__getitem__, default=None)
-            if col is None:
-                continue  # redundant row
-            d = _pivot(tab, labels, basis, i, col, ncols, d)
-            iters += 1
-        keep.append(i)
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    if basis and max(basis) >= ncols:
+        # drive leftover artificials out of the basis, dropping redundant rows
+        keep = []
+        for i in range(m):
+            if basis[i] >= ncols:
+                col = min((j for j, v in enumerate(tab[i][:-1]) if v),
+                          key=labels.__getitem__, default=None)
+                if col is None:
+                    continue  # redundant row
+                d = _pivot(tab, labels, basis, i, col, ncols, d)
+                iters += 1
+            keep.append(i)
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
 
     # phase 2: true objective times its own lcm Lc, rewritten over the current basis
     obj = [d * cost[j] for j in labels] + [0]
@@ -165,10 +180,12 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     status, it2, d = _run_simplex(tab, labels, basis, ncols, d)
     iters += it2
     if status == "unbounded":
-        return LPResult("unbounded", None, None, iters)
+        return LPResult("unbounded", None, None, None, iters)
 
-    level = {bj: row[-1] for bj, row in zip(basis, tab)}
-    x = [Fraction(level[j], d) if j in level else _ZERO for j in range(n)]
-    for k, j in enumerate(free):
-        x[j] -= Fraction(level.get(n + k, 0), d)
-    return LPResult("optimal", sign * Fraction(-tab[-1][-1], d * Lc), x, iters)
+    num = [0] * n  # levels times d; a free variable's negative part subtracted
+    for bj, row in zip(basis, tab):
+        if bj < n:
+            num[bj] += row[-1]
+        elif bj < n + nf:
+            num[free[bj - n]] -= row[-1]
+    return LPResult("optimal", sign * Fraction(-tab[-1][-1], d * Lc), num, d, iters)

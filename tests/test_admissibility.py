@@ -209,35 +209,79 @@ class TestWitnessSet:
                     assert w.margin > 0 and w.validation_value == -w.margin
         assert checked > 50
 
+    @staticmethod
+    def _traced(p, d):
+        """witness_set's outcome (a WitnessSet or the refusal text), the gaps
+        of lam when separation failed (None on return), and the number of
+        maximizing LPs it solved (the restriction LPs minimize)."""
+        events = []
+        gaps_of, solve = adm._mixture_gaps, adm.solve_lp
+
+        def spy_gaps(*args):
+            out = gaps_of(*args)
+            events.append(out[0])
+            return out
+
+        def spy_lp(*args, **kwargs):
+            events.append(kwargs.get("maximize", True))
+            return solve(*args, **kwargs)
+        with mock.patch.object(adm, "_mixture_gaps", spy_gaps), \
+                mock.patch.object(adm, "solve_lp", spy_lp), \
+                mock.patch.object(adm, "dominated_in_hull", side_effect=AssertionError):
+            try:
+                outcome = adm.witness_set(p, d)
+            except ValueError as exc:
+                outcome = str(exc)
+        if isinstance(outcome, adm.WitnessSet):
+            return outcome, None, events.count(True)
+        first_max = next((k for k, e in enumerate(events) if e is True), len(events))
+        lam_gaps = [e for e in events[:first_max] if isinstance(e, list)][-1]
+        return outcome, lam_gaps, events.count(True)
+
+    def test_refusal_lps(self):
+        # DOMINATED: the uniform lam beats d0 everywhere, so no LP at all;
+        # RISK_EQUAL: lam = d1 equals d0, so the dominance LP alone
+        assert self._traced(DOMINATED, "d0") == (
+            "d0 is dominated in the hull; no witness set exists", [-3, -3], 0)
+        assert self._traced(RISK_EQUAL, "d0") == (
+            "d0 has an equivalence in risk with a competitor mixture", [0, 0], 1)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6), st.sampled_from((8, 97)))
     def test_outcome_matches_the_hull_verdict(self, n_theta, n_proc, seed, grid):
-        # the hull LPs run only to name a failure: never when a witness set
-        # is returned, once when it is refused
+        # a refusal is read off lam's exact gaps: no LP when lam beats delta0
+        # somewhere, the dominance LP alone when lam is risk-equal; a returned
+        # witness set needs only its validation LP, and no hull LP ever runs
         p = random_problem(n_theta, n_proc, seed, grid)
-        hull = adm.dominated_in_hull
         for d in p.proc_labels:
-            dom = hull(p, d)
-            calls = []
-            with mock.patch.object(adm, "dominated_in_hull",
-                                   lambda *a: calls.append(a) or hull(*a)):
-                try:
-                    outcome = adm.witness_set(p, d)
-                except ValueError as exc:
-                    outcome = str(exc)
+            dom = adm.dominated_in_hull(p, d)
+            outcome, lam_gaps, maximizing = self._traced(p, d)
             if dom.dominated:
                 assert outcome == f"{d} is dominated in the hull; no witness set exists"
             elif dom.risk_equal:
                 assert outcome == f"{d} has an equivalence in risk with a competitor mixture"
             else:
                 assert isinstance(outcome, adm.WitnessSet) and outcome.validated
-            assert len(calls) == (0 if isinstance(outcome, adm.WitnessSet) else 1)
+            if lam_gaps is None:
+                assert maximizing == (1 if outcome.margin is not None else 0)
+            else:
+                assert max(lam_gaps) <= 0
+                assert maximizing == (0 if any(lam_gaps) else 1)
 
-    def test_hull_lps_calling_a_failure_admissible_is_an_internal_fault(self):
-        admissible = adm.dominated_in_hull(TWO_POINT, "d0")
-        with mock.patch.object(adm, "dominated_in_hull", lambda p, d: admissible):
-            with pytest.raises(RuntimeError, match="hull LPs call delta0 admissible"):
-                adm.witness_set(DOMINATED, "d0")
+    def test_a_refusal_where_lam_loses_is_an_internal_fault(self):
+        # on TWO_POINT the restriction LP on {t1} has v = 1 for lam = d1; an
+        # LP that claims v = -1 ends separation with lam losing at t1
+        solve = adm.solve_lp
+
+        def understate(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if kwargs.get("maximize", True):
+                return res
+            return dataclasses.replace(res, num=[res.num[0], res.num[1] - 2 * res.D],
+                                       objective=res.objective - 2)
+        with mock.patch.object(adm, "solve_lp", understate):
+            with pytest.raises(RuntimeError, match="witness restriction mixture failed"):
+                adm.witness_set(TWO_POINT, "d0")
 
 
 class TestStein:
@@ -474,12 +518,14 @@ class TestReverificationUnderOptimize:
             "game mixture RuntimeError LP solution is not a valid mixture: "
             "mixture weights must sum to exactly 1",
             "witness margin RuntimeError witness margin failed independent re-verification",
+            "witness refusal RuntimeError witness restriction mixture failed independent "
+            "re-verification",
         ]
 
 
-# Each case moves the LP's x off the feasible set or off the optimum (keeping
-# a valid prior or mixture, and an objective consistent with x), so only the
-# integer re-check against the problem's risks can catch it.
+# Each case moves the LP's solution num / D off the feasible set or off the
+# optimum (keeping a valid prior or mixture, and an objective consistent with
+# it), so only the integer re-check against the problem's risks can catch it.
 _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     import dataclasses, sys
     from fractions import Fraction as F
@@ -489,54 +535,56 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
     has_ub = lambda kwargs: kwargs.get("A_ub") is not None
     minimizes = lambda kwargs: kwargs.get("maximize") is False
+    moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
+                                                               objective=objective)
     cases = [
         # pi = (1/4, 3/4): excess 1/2 > eps * pi(t1) = 1/400
         ("stein_check",
-         lambda res, kw: dataclasses.replace(res, x=[F(1, 4), F(3, 4)], objective=F(1, 4)),
+         lambda res, kw: moved(res, [1, 3], 4, F(1, 4)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
         # d1 itself, with slack 1 at t1 claimed: d1 is worse than d0 at t1
         ("dominating mixture",
-         lambda res, kw: (dataclasses.replace(res, x=[F(0), F(1), F(1), F(0)], objective=F(1))
-                          if has_ub(kw) else res),
+         lambda res, kw: moved(res, [0, 1, 1, 0], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # d1 claimed risk-equal to d0, although its risks are swapped
         ("risk-equal mixture",
-         lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [F(1)], 0),
+         lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [1], 1, 0),
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # payoff at gamma = 1/2 is ((0, 3/2), (0, 1/2)): the mixture d1 with
         # v = 1/2 claimed, although its payoff at t1 is 3/2
         ("game mixture side",
-         lambda res, kw: (dataclasses.replace(res, x=[F(0), F(1), F(1, 2)], objective=F(1, 2))
-                          if minimizes(kw) else res),
+         lambda res, kw: moved(res, [0, 2, 1], 2, F(1, 2)) if minimizes(kw) else res,
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
         # the uniform prior with w = -1 claimed, although its worst payoff is 0;
         # -1 <= 0 = upper, so only the re-check of the prior's value sees it
         ("game prior side",
-         lambda res, kw: (res if minimizes(kw) else
-                          dataclasses.replace(res, x=[F(1, 2), F(1, 2), F(-1)], objective=F(-1))),
+         lambda res, kw: res if minimizes(kw) else moved(res, [1, 1, -2], 2, F(-1)),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
         # the remaining cases give x a negative weight, so x is no prior or
         # mixture at all: a fault of the LP (exit 3), not of the input (exit 2)
         ("certificate prior",
-         lambda res, kw: dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2)),
+         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),
          lambda: admissibility.positive_prior_certificate(p, "d0")),
         ("stein prior",
-         lambda res, kw: dataclasses.replace(res, x=[F(-1), F(2)], objective=F(-1)),
+         lambda res, kw: moved(res, [-1, 2], 1, F(-1)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
         ("hull mixture",
-         lambda res, kw: (dataclasses.replace(res, x=[F(-1), F(2), F(1), F(0)], objective=F(1))
-                          if has_ub(kw) else res),
+         lambda res, kw: moved(res, [-1, 2, 1, 0], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         ("game mixture",
-         lambda res, kw: (dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2))
-                          if minimizes(kw) else res),
+         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)) if minimizes(kw) else res,
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
         # the restriction LP on {t1} claims margin 2 with v = 2, a feasible
         # but not optimal point: its mixture d1 loses to d0 at t1 by only 1
         ("witness margin",
-         lambda res, kw: (dataclasses.replace(res, x=[res.x[0], res.x[1] + 1],
-                                              objective=res.objective + 1)
-                          if minimizes(kw) else res),
+         lambda res, kw: (moved(res, [res.num[0], res.num[1] + res.D], res.D,
+                                res.objective + 1) if minimizes(kw) else res),
+         lambda: admissibility.witness_set(p, "d0")),
+        # the same LP claims v = -1 for lam = d1, whose gap at t1 is 1: the
+        # margin reads as no separation, and lam ends it losing at t1
+        ("witness refusal",
+         lambda res, kw: (moved(res, [res.num[0], res.num[1] - 2 * res.D], res.D,
+                                res.objective - 2) if minimizes(kw) else res),
          lambda: admissibility.witness_set(p, "d0")),
     ]
     print("optimize", sys.flags.optimize)
@@ -568,13 +616,14 @@ class TestIntegerRechecks:
             p = random_problem(rng.randint(1, 5), rng.randint(1, 5), seed,
                                rng.choice((8, 12, 97)))
             prior = Prior(_random_weights(rng, p.theta_labels))
-            weights = [prior.weight(t) for t in p.theta_labels]
+            w, q = decision._int_weights([prior.weight(t) for t in p.theta_labels])
+            assert [F(v, q) for v in w] == [prior.weight(t) for t in p.theta_labels]
             for j0, d0 in enumerate(p.proc_labels):
-                gaps, n = decision._bayes_gaps(p, weights, j0)
+                gaps, n = decision._bayes_gaps(p, w, q, j0)
                 base = bayes_risk(p, prior, d0)
                 oracle = [bayes_risk(p, prior, d) - base for d in p.proc_labels]
                 assert [F(g, n) for g in gaps] == oracle
-                assert adm._slacks(p, weights, j0) == dict(zip(p.proc_labels, oracle))
+                assert adm._slacks(p, w, q, j0) == dict(zip(p.proc_labels, oracle))
 
     def test_mixture_gaps_match_mixture_risk(self):
         for seed in range(60):
@@ -582,8 +631,9 @@ class TestIntegerRechecks:
             p = random_problem(rng.randint(1, 5), rng.randint(1, 5), seed,
                                rng.choice((8, 12, 97)))
             mix = Mixture(_random_weights(rng, p.proc_labels))
+            w, q = decision._int_weights([mix.weights.get(d, F(0)) for d in p.proc_labels])
             for j0 in range(len(p.proc_labels)):
-                gaps, n = decision._mixture_gaps(p, mix, j0)
+                gaps, n = decision._mixture_gaps(p, w, q, j0)
                 oracle = [mixture_risk(p, t, mix) - p.risk[i][j0]
                           for i, t in enumerate(p.theta_labels)]
                 assert [F(g, n) for g in gaps] == oracle

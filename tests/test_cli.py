@@ -129,6 +129,19 @@ class TestWitness:
         assert payload["witness"] is None
         assert "dominated" in payload["reason"]
 
+    def test_a_problem_without_mixtures_is_an_input_error(self, capsys, tmp_path):
+        # witness sets, like the derived game, range over mixtures: a file
+        # that disables them is bad input (exit 2), not a negative verdict
+        p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)),
+                            allow_mixtures=False)
+        path = tmp_path / "vertex.json"
+        path.write_bytes(save_problem(p))
+        for argv in (("witness", str(path), "--delta", "d0"),
+                     ("game", str(path), "--delta", "d0", "--theta0", "t1", "--gamma", "1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and "mixtures enabled" in err, argv
+
 
 class TestStein:
     def test_feasible(self, capsys, two_point):
@@ -475,11 +488,11 @@ class TestExitCodes:
 
     def test_invalid_lp_solution_is_an_internal_fault(self, capsys, two_point,
                                                       monkeypatch):
-        # an LP whose x carries a negative weight: the bad prior comes from
-        # the program, not from the input file
+        # an LP whose solution carries a negative weight: the bad prior comes
+        # from the program, not from the input file
         def negative(*args, **kwargs):
             res = solve_lp(*args, **kwargs)
-            return dataclasses.replace(res, x=[F(-1), F(2), F(1, 2)], objective=F(1, 2))
+            return dataclasses.replace(res, num=[-2, 4, 1], D=2, objective=F(1, 2))
         monkeypatch.setattr(admissibility, "solve_lp", negative)
         code, out, err = run(capsys, "certify", two_point, "--delta", "d0")
         assert code == 3

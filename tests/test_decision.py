@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admlab import LCNumber
+from admlab import LCNumber, decision
 from admlab.decision import (
     DecisionProblem,
     Mixture,
@@ -267,3 +271,57 @@ class TestIntegerRiskMatrix:
         q = DecisionProblem(p.theta_labels, p.proc_labels, tuple(map(tuple, p.risk)))
         assert "den" not in repr(p) and "irisk" not in repr(p)
         assert p == q and hash(p) == hash(q)
+
+
+# Invalid LP solutions (class, num, D, the fault named), over labels ("a", "b")
+_LP_WEIGHT_FAULTS = [
+    ("Prior", [-1, 2], 1, "prior weight for a is negative: -1"),
+    ("Mixture", [-1, 2], 1, "mixture weights must sum to exactly 1"),
+    ("Prior", [-1, 2], 2, "prior weight for a is negative: -1/2"),
+    ("Mixture", [-1, 2], 2, "mixture weight for a is negative: -1/2"),
+    ("Prior", [1, 1], 3, "prior weights must sum to exactly 1, got 2/3"),
+    ("Mixture", [1, 1], 3, "mixture weights must sum to exactly 1"),
+    ("Prior", [1, 0], 0, "denominator 0 is not positive"),
+    ("Mixture", [1, 0], 0, "denominator 0 is not positive"),
+    ("Prior", [-1, 0], -1, "denominator -1 is not positive"),
+    ("Mixture", [-1, 0], -1, "denominator -1 is not positive"),
+]
+
+# The checks are plain ifs, so they raise under ``python -O`` as well.
+_LP_WEIGHTS_PROBE = f"""
+import sys
+from admlab import decision
+print("optimize", sys.flags.optimize)
+for cls, num, D, _ in {_LP_WEIGHT_FAULTS!r}:
+    try:
+        decision._from_lp(getattr(decision, cls), ("a", "b"), num, D)
+        print(cls, "accepted")
+    except RuntimeError as exc:
+        print(exc)
+"""
+
+
+class TestWeightsFromLp:
+    def test_valid_weights_build_the_validated_object(self):
+        # entries past the labels are ignored; a Prior keeps its zero weights
+        prior = decision._from_lp(Prior, ("t1", "t2", "t3"), [2, 0, 4, -7], 6)
+        assert prior == Prior({"t1": F(1, 3), "t2": 0, "t3": F(2, 3)})
+        assert prior.kind == "REAL"
+        mix = decision._from_lp(Mixture, ("d1", "d2", "d3"), [0, 3, 3, 5], 6)
+        assert mix == Mixture({"d2": F(1, 2), "d3": F(1, 2)})
+
+    @pytest.mark.parametrize("cls, num, D, fault", _LP_WEIGHT_FAULTS)
+    def test_an_invalid_solution_is_an_internal_fault(self, cls, num, D, fault):
+        with pytest.raises(RuntimeError) as exc:
+            decision._from_lp(getattr(decision, cls), ("a", "b"), num, D)
+        assert str(exc.value) == f"LP solution is not a valid {cls.lower()}: {fault}"
+
+    def test_every_invalid_solution_raises_under_python_O(self):
+        src = str(Path(decision.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-O", "-c", _LP_WEIGHTS_PROBE],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["optimize 1", *(
+            f"LP solution is not a valid {cls.lower()}: {fault}"
+            for cls, _, _, fault in _LP_WEIGHT_FAULTS)]

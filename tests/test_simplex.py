@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from admlab import admissibility, simplex
+from admlab import admissibility, game, simplex
 from admlab.decision import random_problem
 from admlab.simplex import LPResult, solve_lp
 
@@ -127,18 +127,29 @@ def test_matches_scipy_on_random_instances():
 
 
 def test_result_is_frozen():
-    r = LPResult("optimal", F(0), [], 0)
+    r = LPResult("optimal", F(0), [], 1, 0)
     with pytest.raises(AttributeError):
         r.status = "other"
+    with pytest.raises(AttributeError):
+        r.x = [F(1)]
 
 
 # -- the integer kernel against the Fraction-tableau oracle -------------------
+
+def _fields(res):
+    return res.status, res.objective, res.x, res.iterations
+
 
 def _assert_same_as_oracle(args, kwargs):
     ours = solve_lp(*args, **kwargs)
     ref = fraction_simplex.solve_lp(*args, **kwargs)
     # status, objective, x and iterations, down to Fraction (not int) entries
-    assert repr(ours) == repr(ref)
+    assert repr(_fields(ours)) == repr(_fields(ref))
+    if ours.status == "optimal":
+        assert all(type(v) is int for v in ours.num) and len(ours.num) == len(args[0])
+        assert type(ours.D) is int and ours.D > 0
+    else:
+        assert ours.num is None and ours.D is None
     return ours
 
 
@@ -167,6 +178,16 @@ def _lps(draw):
 @given(_lps())
 def test_matches_fraction_oracle(lp):
     _assert_same_as_oracle(*lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lps())
+def test_x_is_num_over_D(lp):
+    r = solve_lp(*lp[0], **lp[1])
+    if r.status == "optimal":
+        assert r.x == [F(v, r.D) for v in r.num]
+    else:
+        assert r.x is None
 
 
 def test_matches_fraction_oracle_on_each_status():
@@ -203,14 +224,30 @@ def test_drive_out_pivot_on_negative_entry(monkeypatch):
     assert r.objective == 6 and r.x == [0, 0, 3] and r.iterations == 4
 
 
+class _Recorded:
+    """Records every LP the checkers and the game solve, on the real kernel."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+
+        def record(*args, **kwargs):
+            self.calls.append((args, kwargs))
+            return solve_lp(*args, **kwargs)
+        monkeypatch.setattr(admissibility, "solve_lp", record)
+        monkeypatch.setattr(game, "solve_lp", record)
+
+    def replay(self, monkeypatch):
+        """Each recorded LP against the oracle; the number of negative pivots."""
+        monkeypatch.undo()
+        neg = _NegativePivots(monkeypatch)
+        for args, kwargs in self.calls:
+            _assert_same_as_oracle(args, kwargs)
+        return neg.count
+
+
 def test_verdict_route_lps_match_fraction_oracle(monkeypatch):
     # every LP that the four criterion-1 verdict routes issue on small seeds
-    calls = []
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return fraction_simplex.solve_lp(*args, **kwargs)
-    monkeypatch.setattr(admissibility, "solve_lp", record)
+    lps = _Recorded(monkeypatch)
     eps_grid = (F(1), F(1, 10), F(1, 100))
     for seed in range(10):
         p = random_problem(2 + seed % 5, 2 + (seed * 7) % 5, seed)
@@ -223,7 +260,25 @@ def test_verdict_route_lps_match_fraction_oracle(monkeypatch):
                     admissibility.stein_check(p, d, t, e)
             if isinstance(cert, admissibility.Certificate):
                 admissibility.ns_blyth_check(p, d, cert.prior, cert.min_weight, singles)
-    neg = _NegativePivots(monkeypatch)
-    for args, kwargs in calls:
-        _assert_same_as_oracle(args, kwargs)
-    assert len(calls) > 400 and neg.count > 0
+    assert len(lps.calls) > 400
+    assert lps.replay(monkeypatch) > 0
+
+
+def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
+    # the witness restriction and validation LPs (minimize, free variable)
+    # and both sides of the derived game, on the 1/97 grid, up to 8 x 8 and
+    # 9 x 11 problems, whose tableau entries reach 60 bits
+    lps = _Recorded(monkeypatch)
+    refused = 0
+    for seed, (nt, nd) in enumerate([(2, 3), (3, 4), (4, 3), (5, 5), (8, 8), (9, 11)]):
+        p = random_problem(nt, nd, 500 + seed, 97)
+        for j, d in enumerate(p.proc_labels):
+            try:
+                admissibility.witness_set(p, d)
+            except ValueError:
+                refused += 1
+            game.derived_game_value(p, d, p.theta_labels[j % nt], F(1 + j % 3, 2))
+    kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw in lps.calls}
+    assert kinds == {(True, True), (False, True)}
+    assert refused > 0 and len(lps.calls) > 60
+    lps.replay(monkeypatch)
