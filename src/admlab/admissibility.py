@@ -27,7 +27,7 @@ from admlab.decision import (
     _lc_gaps,
     _mixture_gaps,
 )
-from admlab.hyperreal import LCNumber, approx_leq, compare
+from admlab.hyperreal import LCNumber, _as_fraction, approx_leq, compare
 from admlab.simplex import solve_lp
 
 __all__ = [
@@ -400,7 +400,7 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     requires a strictly positive optimal weight at theta0.  Stein's condition
     needs this for every eps > 0; passing on a finite eps grid is only necessary.
     """
-    eps = Fraction(eps)
+    eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be a positive rational")
     i0 = p.theta_index(theta0)
@@ -503,7 +503,7 @@ class NsSteinReport:
 
 def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinReport:
     """Levi-Civita variant: excess <= prior(B) * eps in the LC order."""
-    eps = Fraction(eps)
+    eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be a positive rational")
     B = tuple(B)
@@ -540,7 +540,7 @@ def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsB
     """Blyth-style check: prior mass of every family member dominates rho (up to a
     real constant) while the excess-to-rho ratio is at most infinitesimal."""
     if not isinstance(rho, LCNumber):
-        rho = LCNumber.from_real(Fraction(rho))
+        rho = LCNumber.from_real(rho)
     if rho.sign() <= 0:
         raise ValueError("rho must be strictly positive")
     sets = _validate_family(p, family)

@@ -27,6 +27,7 @@ from admlab.decision import (
     _lc_gaps,
     _weighted_rows,
 )
+from admlab.hyperreal import _as_fraction
 from admlab.simplex import solve_lp
 
 __all__ = ["GameValueReport", "derived_game_value", "shifted_risk"]
@@ -74,7 +75,7 @@ class GameValueReport:
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
     """Solve both sides of the derived game exactly and check that they agree."""
-    gamma = Fraction(gamma)
+    gamma = _as_fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be a positive rational")
     if not p.allow_mixtures:

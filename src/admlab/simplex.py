@@ -3,16 +3,52 @@
 Two-phase tableau method with Bland's pivoting rule, so termination is
 guaranteed even on degenerate problems.  The tableau is an integer one under
 one shared denominator ``D > 0`` (fraction-free pivoting: Edmonds 1967,
-Bareiss 1968), condensed as lrs's integer dictionary is (Avis 2000): it
-stores ``D`` times the true entries of the *nonbasic* columns and the rhs,
-objective row included, and ``labels`` maps its positions to column indices.
-Bland's rule enters the smallest label with positive reduced cost, so the
-pivot sequence is that of the full tableau.  Every constraint row is first
-multiplied by one ``L`` that clears all denominators (all-int rows, which
-callers may scale by one common positive factor themselves, are taken as
-they are); that rescales the artificials and the phase-1 reduced costs by
+Bareiss 1968): it stores ``D`` times the true entries of every column but the
+artificials, and the rhs, objective row included.  Every constraint row is
+first multiplied by one ``L`` that clears all denominators (all-int rows,
+which callers may scale by one common positive factor themselves, are taken
+as they are); that rescales the artificials and the phase-1 reduced costs by
 ``L > 0`` and leaves every ratio alone, so the pivot sequence is that of a
 ``Fraction`` tableau.  Problem sizes here are tiny: a dense tableau.
+
+**Packed rows.**  Each row is one Python int (Kronecker substitution).  With
+``n`` columns and field width ``W``, the row ``v_0 .. v_n`` (``v_k`` the
+entry in column ``k``, ``v_n`` the rhs) is ``sum(v_k * 2**(W*k))`` with
+signed ``v_k``.  Bareiss's update ``(a*p - f*b) / d`` of every entry ``a``
+of a row, with ``f`` its entry in the pivot column and ``b`` the pivot row's
+entry, is then ``(row*p - f*prow) // d`` on whole ints: three bignum
+operations, exact because every field of ``row*p - f*prow`` is a multiple
+of ``d``.  A basic column holds ``D`` in its own row and 0 elsewhere, so the
+update itself zeroes the entering column, writes ``-f`` into the leaving one
+and ``p`` (the new ``D``) into every basic entry.  Artificials are never
+stored, since they never re-enter.
+
+*Reading a field.*  If every field satisfies ``|v_k| < 2**(W-1)``, adding the
+all-field bias ``B = sum(2**(W-1) * 2**(W*k))`` makes every field
+``v_k + 2**(W-1)``, a number in ``[0, 2**W)``, with no borrow between
+fields, so ``((row + B) >> W*k) % 2**W - 2**(W-1)`` is ``v_k``.  Biasing only
+the field read is wrong: a negative field below it borrows from it.  With
+``ones = sum(2**(W*k))``, ``row + B - ones`` holds ``v_k + 2**(W-1) - 1 >=
+0`` in every field, whose bit ``W-1`` is set exactly when ``v_k > 0``; the
+lowest such bit among the column fields of the objective row is Bland's
+entering column.
+
+*Width rule.*  ``T`` bounds every field, ``|v| < 2**T``, and ``T < W``
+always holds, so every field can be read.  ``D < 2**T``: ``D`` is a stored
+field, or 1 before the first pivot.  A pivot with pivot ``p``, old
+denominator ``d`` and largest other entry ``|f|`` in the pivot column writes
+``|a*p - f*b| / d < 2**T * (|p| + |f|) / d <= 2**(T + g)``, with ``g`` the
+least integer such that ``|p| + |f| <= d * 2**g``.  Rows with ``f == 0`` are
+only scaled by ``p / d``, and the pivot row stays, so ``T + g`` bounds the
+new tableau.  The phase-2 objective ``d*c - sum(c_b * row_b)`` has fields
+below ``2**T * S`` with ``S = max|c| + sum|c_b|``, since ``D < 2**T``.
+Before any such update, if ``T + g >= W`` the fields it writes might not be
+readable.  Then ``T`` is measured in place of the bound (two's complement
+magnitudes of every field, ORed over the rows; at most one bit over the
+true value), and if ``T + g >= W`` still holds, every row is packed again,
+field by field as bytes, at ``W = T + g + 32`` rounded up to a multiple of
+8.  All fields are still valid under the old ``W`` at that point, so no
+field is ever read after it overflowed.
 
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
@@ -54,60 +90,144 @@ def _as_ints(rows):
     return [[v.numerator * (L // v.denominator) for v in row] for row in rows], L
 
 
-def _pivot(tab, labels, basis, r, s, ncols, d):
-    """Pivot on tab[r][s] (constraint rows, then objective) and return new D.
+def _bits(rows):
+    """The least T >= 1 with |v| < 2**T for every entry of every row."""
+    top = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
+    return max(1, top.bit_length())
 
-    The pivot row is already p = tab[r][s] times its new true row, so it
-    stays and p becomes D; any other entry becomes (a*p - f*b) / d, an exact
-    division.  Position s then holds the leaving column: d in row r, -f in
-    any other row; a leaving artificial's column is dropped instead.
+
+def _width(T):
+    """The field width for entries below 2**T: 32 bits to grow, rounded up to bytes."""
+    return (T + 39) // 8 * 8
+
+
+class _Tableau:
+    """Tableau rows packed one int each (see the module docstring).
+
+    ``rows`` holds the packed rows, ``T`` bounds every field (``|v| < 2**T``)
+    and the rest are constants of the width ``W``.
     """
-    prow = tab[r]
-    p = prow[s]
+
+    __slots__ = ("rows", "nfields", "T", "W", "M", "H", "B", "pos", "cols", "rsh")
+
+    def __init__(self, nfields, T, W):
+        self.rows, self.nfields, self.T = [], nfields, T
+        self.fit(W)
+
+    def fit(self, W):
+        """Set the width to W (rows must be packed again)."""
+        n = self.nfields
+        ones = ((1 << W * n) - 1) // ((1 << W) - 1)  # 1 in every field
+        self.W, self.M, self.H = W, (1 << W) - 1, 1 << W - 1
+        self.B = self.H * ones                         # the all-field bias
+        self.pos = self.B - ones                       # bit W-1 set where v > 0
+        self.cols = self.H * (ones >> W)               # bit W-1 of the column fields
+        self.rsh = W * (n - 1)                         # the rhs field's offset
+
+    def pack(self, fields):
+        x = 0
+        for v in reversed(fields):
+            x = (x << self.W) + v
+        return x
+
+    def rhs(self, x):
+        return (x + self.B >> self.rsh) - self.H
+
+    def column(self, s):
+        B, sh, M, H = self.B, self.W * s, self.M, self.H
+        return [(x + B >> sh & M) - H for x in self.rows]
+
+    def measure(self):
+        """A T with |v| < 2**T for every field, at most one bit above the least."""
+        B, W, acc = self.B, self.W, 0
+        for x in self.rows:
+            u = x + B
+            neg = B ^ (u & B)  # bit W-1 of each negative field
+            acc |= u ^ (neg - (neg >> W - 1))  # |v| for v >= 0, |v| - 1 for v < 0
+        acc &= self.pos  # in the low W-1 bits of every field; OR them into field 0
+        k = self.nfields
+        while k > 1:
+            k = (k + 1) // 2
+            acc |= acc >> W * k
+        return (acc & self.M).bit_length() + 1
+
+
+def _repack(tab, W):
+    """Pack every row again at a width W > tab.W, both multiples of 8.
+
+    Each biased field (in [0, 2**W_old)) is copied as bytes into a wider
+    slot; the old bias is then taken off at the new spacing.
+    """
+    old, n, B = tab.W, tab.nfields, tab.B
+    w, pad = old // 8, bytes((W - old) // 8)
+    tab.fit(W)
+    unbias = tab.B >> W - old  # 2**(old-1) in every new field
+    starts = range(0, n * w, w)
+    rows = []
+    for x in tab.rows:
+        u = (x + B).to_bytes(n * w, "little")
+        rows.append(int.from_bytes(pad.join([u[k:k + w] for k in starts]), "little") - unbias)
+    tab.rows = rows
+
+
+def _reserve(tab, g):
+    """Make every field readable after it grows by g bits; count them in T."""
+    if tab.T + g >= tab.W:
+        tab.T = tab.measure()
+        if tab.T + g >= tab.W:
+            _repack(tab, _width(tab.T + g))
+    tab.T += g
+
+
+def _pivot(tab, basis, r, s, col, d):
+    """Pivot on column s of row r, with col[i] column s of row i; return new D.
+
+    The pivot row is already p = col[r] times its new true row, so it stays
+    and p becomes D; any other row becomes (row*p - f*prow) / d, an exact
+    division.
+    """
+    p = col[r]
+    col[r] = 0  # the other rows' entries f bound the growth: |p| + f <= d * 2**g
+    f = max(max(col), -min(col))
+    col[r] = p
+    _reserve(tab, ((abs(p) + f - 1) // d).bit_length())
+    rows = tab.rows
+    prow = rows[r]
     scale = p != d  # rows with f == 0 only need scaling by p / d
-    for i, row in enumerate(tab):
-        f = row[s]
+    for i, f in enumerate(col):
         if f:
             if i != r:
-                tab[i] = row = [(a * p - f * b) // d for a, b in zip(row, prow)]
-                row[s] = -f
+                rows[i] = (rows[i] * p - f * prow) // d
         elif scale:
-            tab[i] = [a * p // d if a else 0 for a in row]
-    prow[s] = d
-    basis[r], labels[s] = labels[s], basis[r]
-    if labels[s] >= ncols:  # artificials never re-enter
-        del labels[s]
-        for row in tab:
-            del row[s]
+            rows[i] = rows[i] * p // d
+    basis[r] = s
     if p < 0:  # only when driving out artificials; keeps D > 0
-        tab[:] = [[-v for v in row] for row in tab]
+        rows[:] = [-x for x in rows]
         p = -p
     return p
 
 
-def _run_simplex(tab, labels, basis, ncols, d):
-    """Maximize with Bland's rule.  tab[-1] holds reduced costs; last entry is -z."""
+def _run_simplex(tab, basis, d):
+    """Maximize with Bland's rule.  The last row holds reduced costs; its rhs is -z."""
     iters = 0
-    m = len(tab) - 1
-    obj = tab[-1]
+    last = len(basis)
     while True:
-        col = -1  # Bland: the smallest label with positive reduced cost
-        for j, lab in enumerate(labels):
-            if obj[j] > 0 and (col < 0 or lab < first):
-                col, first = j, lab
-        if col < 0:
+        rows = tab.rows
+        mask = rows[-1] + tab.pos & tab.cols
+        if not mask:
             return "optimal", iters, d
+        s = ((mask & -mask).bit_length() - 1) // tab.W  # Bland: the smallest column
+        col = tab.column(s)
+        B, rsh, H = tab.B, tab.rsh, tab.H
         best = -1  # ratio test by cross-multiplication, ties to lower basis
-        for i in range(m):
-            row = tab[i]
-            a = row[col]
-            if a > 0 and (best < 0 or (k := row[-1] * ba - bb * a) < 0
-                          or (k == 0 and basis[i] < basis[best])):
-                best, ba, bb = i, a, row[-1]
+        for i in range(last):
+            if (a := col[i]) > 0:
+                b = (rows[i] + B >> rsh) - H
+                if best < 0 or (k := b * ba - bb * a) < 0 or (k == 0 and basis[i] < basis[best]):
+                    best, ba, bb = i, a, b
         if best < 0:
             return "unbounded", iters, d
-        d = _pivot(tab, labels, basis, best, col, ncols, d)
-        obj = tab[-1]
+        d = _pivot(tab, basis, best, s, col, d)
         iters += 1
 
 
@@ -137,23 +257,23 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     nf, nslack = len(free), len(A_ub)
     ncols = n + nf + nslack
     sign = 1 if maximize else -1
-    pad = [0] * nslack
-    cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + pad
+    cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + [0] * nslack
 
-    tab = []  # inequality rows first, each with its slack
-    for i, arow in enumerate(rows):
-        row = arow[:n] + [-arow[j] for j in free] + pad + arow[n:]
+    # every entry, the phase-1 objective's (a sum of m rows) too, is below 2**T
+    m = len(rows)
+    T = max(_bits(rows), L.bit_length()) + m.bit_length()
+    tab = _Tableau(ncols + 1, T, _width(T))
+    for i, arow in enumerate(rows):  # inequality rows first, each with its slack
+        x = tab.pack(arow[:n] + [-arow[j] for j in free]) + (arow[n] << tab.rsh)
         if i < nslack:
-            row[n + nf + i] = L
-        tab.append(row if row[-1] >= 0 else [-v for v in row])
-    m = len(tab)
+            x += L << tab.W * (n + nf + i)
+        tab.rows.append(x if arow[n] >= 0 else -x)
 
     # phase 1: artificial basis (columns ncols.., never stored), max -sum(artificials)
-    tab.append([sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1))
-    labels = list(range(ncols))
+    tab.rows.append(sum(tab.rows))
     basis = [ncols + i for i in range(m)]
-    status, iters, d = _run_simplex(tab, labels, basis, ncols, 1)
-    if tab.pop()[-1] > 0:  # -z1 entry: the artificials still sum to > 0
+    status, iters, d = _run_simplex(tab, basis, 1)
+    if tab.rhs(tab.rows.pop()) > 0:  # -z1: the artificials still sum to > 0
         return LPResult("infeasible", None, None, None, iters)
 
     if basis and max(basis) >= ncols:
@@ -161,31 +281,34 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         keep = []
         for i in range(m):
             if basis[i] >= ncols:
-                col = min((j for j, v in enumerate(tab[i][:-1]) if v),
-                          key=labels.__getitem__, default=None)
-                if col is None:
+                x = tab.rows[i]  # its rhs is 0: the artificial's level
+                if not x:
                     continue  # redundant row
-                d = _pivot(tab, labels, basis, i, col, ncols, d)
+                s = ((x & -x).bit_length() - 1) // tab.W  # the smallest nonzero column
+                d = _pivot(tab, basis, i, s, tab.column(s), d)
                 iters += 1
             keep.append(i)
-        tab = [tab[i] for i in keep]
+        tab.rows = [tab.rows[i] for i in keep]
         basis = [basis[i] for i in keep]
 
     # phase 2: true objective times its own lcm Lc, rewritten over the current basis
-    obj = [d * cost[j] for j in labels] + [0]
-    for bj, row in zip(basis, tab):
+    # its fields are below 2**T * S, as D < 2**T (D is a stored field, or 1)
+    S = max(map(abs, cost), default=0) + sum(abs(cost[bj]) for bj in basis)
+    _reserve(tab, max(S - 1, 0).bit_length())
+    obj = d * tab.pack(cost)
+    for bj, x in zip(basis, tab.rows):
         if f := cost[bj]:
-            obj = [a - f * b for a, b in zip(obj, row)]
-    tab.append(obj)
-    status, it2, d = _run_simplex(tab, labels, basis, ncols, d)
+            obj -= f * x
+    tab.rows.append(obj)
+    status, it2, d = _run_simplex(tab, basis, d)
     iters += it2
     if status == "unbounded":
         return LPResult("unbounded", None, None, None, iters)
 
     num = [0] * n  # levels times d; a free variable's negative part subtracted
-    for bj, row in zip(basis, tab):
+    for bj, x in zip(basis, tab.rows):
         if bj < n:
-            num[bj] += row[-1]
+            num[bj] += tab.rhs(x)
         elif bj < n + nf:
-            num[free[bj - n]] -= row[-1]
-    return LPResult("optimal", sign * Fraction(-tab[-1][-1], d * Lc), num, d, iters)
+            num[free[bj - n]] -= tab.rhs(x)
+    return LPResult("optimal", sign * Fraction(-tab.rhs(tab.rows[-1]), d * Lc), num, d, iters)

@@ -31,13 +31,14 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from admlab import admissibility as adm
-from admlab import cli
+from admlab import cli, game, simplex
 from admlab.decision import Prior, random_problem, save_problem
 from admlab.game import derived_game_value, shifted_risk
 from admlab.hyperreal import LCNumber
@@ -164,11 +165,73 @@ def problem_outputs():
                 api_outputs(p)
 
 
+KERNEL_SHAPES = ((2, 3), (3, 3), (4, 5), (5, 4), (6, 6), (8, 8), (9, 11))
+
+
+def large_entry_lps(count=40, seed=20261019):
+    """Fixed LPs with entries n / q, |n| <= 2**120 and q <= 10**12, mixed signs."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-2**120, 2**120), rng.randint(1, 10**12))
+
+    for k in range(count):
+        n, m_ub, m_eq = rng.randint(2, 5), rng.randint(1, 4), rng.randint(0, 2)
+        A_ub = [[entry() for _ in range(n)] for _ in range(m_ub)]
+        A_eq = [[entry() for _ in range(n)] for _ in range(m_eq)]
+        # a point x0 >= 0 satisfies every row, and a box row keeps it bounded
+        x0 = [Fraction(rng.randint(0, 3), rng.randint(1, 5)) for _ in range(n)]
+        b_ub = [sum(a * v for a, v in zip(row, x0)) + abs(entry()) for row in A_ub]
+        A_ub.append([Fraction(1)] * n)
+        b_ub.append(sum(x0) + 1)
+        b_eq = [sum(a * v for a, v in zip(row, x0)) for row in A_eq]
+        free = [j for j in range(n) if k % 3 == 0 and rng.random() < 0.3]
+        for j in free:  # free variables get a lower bound too
+            A_ub.append([Fraction(-1) if i == j else Fraction(0) for i in range(n)])
+            b_ub.append(Fraction(1))
+        yield ([entry() for _ in range(n)],), dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                                   free_vars=free, maximize=k % 2 == 0)
+
+
+def kernel_outputs():
+    """Every LPResult the checkers and the game solve, then the large-entry LPs."""
+    def record(*args, **kwargs):
+        res = simplex.solve_lp(*args, **kwargs)
+        print("lp", repr(res))
+        return res
+
+    saved = adm.solve_lp, game.solve_lp
+    adm.solve_lp = game.solve_lp = record
+    try:
+        for grid in GRIDS:
+            for seed, (nt, nd) in enumerate(KERNEL_SHAPES):
+                p = random_problem(nt, nd, 100 + seed, grid)
+                print(f"== kernel seed {100 + seed}, grid 1/{grid}, {nt}x{nd}")
+                singles = tuple((t,) for t in p.theta_labels)
+                for j, d in enumerate(p.proc_labels):
+                    adm.dominated_in_hull(p, d)
+                    cert = adm.positive_prior_certificate(p, d)
+                    for t in p.theta_labels:
+                        for e in EPS_GRID:
+                            adm.stein_check(p, d, t, e)
+                    if isinstance(cert, adm.Certificate):
+                        adm.ns_blyth_check(p, d, cert.prior, cert.min_weight, singles)
+                    with contextlib.suppress(ValueError):  # a refusal is an output too
+                        adm.witness_set(p, d)
+                    game.derived_game_value(p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
+    finally:
+        adm.solve_lp, game.solve_lp = saved
+    print("== large entries")
+    for args, kwargs in large_entry_lps():
+        print("lp", repr(simplex.solve_lp(*args, **kwargs)))
+
+
 def main() -> int:
     os.environ["COLUMNS"] = "80"
     parser_outputs()
     gd_outputs()
     problem_outputs()
+    kernel_outputs()
     return 0
 
 

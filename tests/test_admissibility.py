@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admlab import LCNumber
@@ -305,6 +305,12 @@ class TestStein:
         with pytest.raises(ValueError, match="eps"):
             adm.stein_check(TWO_POINT, "d0", "t1", 0)
 
+    def test_float_eps_is_rejected(self):
+        # Fraction(0.1) would silently become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="exact rational"):
+            adm.stein_check(TWO_POINT, "d0", "t2", 0.1)
+        assert adm.stein_check(TWO_POINT, "d0", "t2", "1/10").eps == F(1, 10)
+
     def test_a_finite_eps_grid_is_only_a_necessary_condition(self):
         # d4 is dominated, yet it passes Stein's test at every theta for
         # eps = 1, 1/10, 1/100 and fails only from 1/1000 on: Stein's
@@ -379,6 +385,11 @@ class TestNsStein:
         with pytest.raises(ValueError, match="nonempty"):
             adm.ns_stein_check(TWO_POINT, "d0", pi, (), F(1))
 
+    def test_float_eps_is_rejected(self):
+        pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
+        with pytest.raises(TypeError, match="exact rational"):
+            adm.ns_stein_check(TWO_POINT, "d0", pi, ("t1",), 0.1)
+
 
 # risk columns d0=(0,0,1), d1=(0,0,0): the excess under a hyper prior equals
 # the prior weight at t3
@@ -426,6 +437,54 @@ class TestNsBlyth:
         pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
         with pytest.raises(ValueError, match="positive"):
             adm.ns_blyth_check(TWO_POINT, "d0", pi, 0, [("t1",)])
+
+    def test_float_rho_is_rejected(self):
+        pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
+        with pytest.raises(TypeError, match="exact rational"):
+            adm.ns_blyth_check(TWO_POINT, "d0", pi, 0.1, [("t1",)])
+
+
+@st.composite
+def _lc_positive(draw, max_exp=2):
+    """A positive Levi-Civita number with up to three terms."""
+    e = draw(st.integers(0, max_exp))
+    terms = {e: draw(st.fractions(F(1, 8), 4, max_denominator=8))}
+    for k in draw(st.lists(st.integers(e + 1, e + 4), max_size=2, unique=True)):
+        terms[k] = draw(st.fractions(-3, 3, max_denominator=5))
+    return LCNumber(terms)
+
+
+@st.composite
+def _blyth_inputs(draw):
+    nt, nd = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    p = random_problem(nt, nd, draw(st.integers(0, 10**6)))
+    # weight c * eps^e (e >= 1) on every theta but the first, the rest on it
+    rest = {t: draw(st.integers(1, 3)) * LCNumber.eps(draw(st.integers(1, 4)))
+            for t in p.theta_labels[1:]}
+    prior = Prior({p.theta_labels[0]: ONE - sum(rest.values(), LCNumber.zero()), **rest})
+    return p, draw(st.sampled_from(p.proc_labels)), prior, draw(_lc_positive())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blyth_inputs())
+@example((TWO_POINT, "d1", Prior({"t1": ONE - EPS, "t2": EPS}), EPS + EPS * EPS))
+def test_ns_blyth_ratio_ok_needs_no_division(case):
+    # excess / rho is truncated above eps^16, which can drop only
+    # infinitesimal terms: the verdict is the division-free rule, even when
+    # the reported ratio is inexact
+    p, d, prior, rho = case
+    r = adm.ns_blyth_check(p, d, prior, rho, [(t,) for t in p.theta_labels[1:]])
+    excess = r.excess
+    assert r.ratio_ok == (excess.sign() <= 0
+                          or excess.leading_exponent() > rho.leading_exponent())
+
+
+def test_ns_blyth_inexact_ratio_example():
+    # the pinned case above: the ratio eps^-1 - 3 + 3eps ... is cut at eps^16
+    r = adm.ns_blyth_check(TWO_POINT, "d1", Prior({"t1": ONE - EPS, "t2": EPS}),
+                           EPS + EPS * EPS, [("t2",)])
+    assert r.ratio.inexact and not r.ratio_ok
+    assert r.excess == 1 - 2 * EPS and r.ratio.leading_exponent() == -1
 
 
 class TestSoundnessTriangle:

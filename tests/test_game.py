@@ -62,6 +62,12 @@ class TestDerivedGameValue:
         with pytest.raises(ValueError, match="gamma"):
             derived_game_value(TWO_POINT, "d0", "t1", F(-1, 2))
 
+    def test_float_gamma_is_rejected(self):
+        # Fraction(0.1) would silently become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="exact rational"):
+            derived_game_value(TWO_POINT, "d0", "t1", 0.1)
+        assert derived_game_value(TWO_POINT, "d0", "t1", "1/10").gamma == F(1, 10)
+
     def test_report_serializes(self):
         g = derived_game_value(TWO_POINT, "d0", "t2", F(3, 2))
         blob = g.as_dict()

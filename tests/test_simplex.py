@@ -155,20 +155,24 @@ def _assert_same_as_oracle(args, kwargs):
 
 _entry = st.one_of(st.integers(-3, 3).map(F),
                    st.fractions(-5, 5, max_denominator=97))
+# numerators up to 2**120 and denominators up to 10**12 next to small entries,
+# with mixed signs in every field
+_large_entry = st.one_of(st.builds(F, st.integers(-2**120, 2**120), st.integers(1, 10**12)),
+                         _entry)
 
 
 @st.composite
-def _lps(draw):
+def _lps(draw, entry=_entry):
     n = draw(st.integers(1, 4))
-    rows = st.lists(st.lists(_entry, min_size=n, max_size=n), max_size=3)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3)
     A_ub, A_eq = draw(rows), draw(rows)
-    b_ub = draw(st.lists(_entry, min_size=len(A_ub), max_size=len(A_ub)))
-    b_eq = draw(st.lists(_entry, min_size=len(A_eq), max_size=len(A_eq)))
+    b_ub = draw(st.lists(entry, min_size=len(A_ub), max_size=len(A_ub)))
+    b_eq = draw(st.lists(entry, min_size=len(A_eq), max_size=len(A_eq)))
     if A_eq and draw(st.booleans()):  # a redundant multiple of an equality row
         k = draw(st.sampled_from([F(-2), F(1, 3), F(5, 2)]))
         A_eq.append([k * v for v in A_eq[0]])
         b_eq.append(k * b_eq[0])
-    c = draw(st.lists(_entry, min_size=n, max_size=n))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
     free = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
     return (c,), dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       free_vars=free, maximize=draw(st.booleans()))
@@ -177,6 +181,12 @@ def _lps(draw):
 @settings(max_examples=300, deadline=None)
 @given(_lps())
 def test_matches_fraction_oracle(lp):
+    _assert_same_as_oracle(*lp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lps(_large_entry))
+def test_large_entries_match_fraction_oracle(lp):
     _assert_same_as_oracle(*lp)
 
 
@@ -206,9 +216,9 @@ class _NegativePivots:
         self.count = 0
         real = simplex._pivot
 
-        def spy(tab, labels, basis, r, s, ncols, d):
-            self.count += tab[r][s] < 0
-            return real(tab, labels, basis, r, s, ncols, d)
+        def spy(tab, basis, r, s, col, d):
+            self.count += col[r] < 0
+            return real(tab, basis, r, s, col, d)
         monkeypatch.setattr(simplex, "_pivot", spy)
 
 
@@ -222,6 +232,65 @@ def test_drive_out_pivot_on_negative_entry(monkeypatch):
                            A_eq=[[-1, -3, 0], [-1, -1, 0]], b_eq=[0, 0]))
     assert neg.count == 1
     assert r.objective == 6 and r.x == [0, 0, 3] and r.iterations == 4
+
+
+class _Repacks:
+    """Counts the times the kernel packs its rows again at a wider width."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = simplex._repack
+
+        def spy(tab, W):
+            self.count += 1
+            return real(tab, W)
+        monkeypatch.setattr(simplex, "_repack", spy)
+
+
+def test_fields_read_back_next_to_negative_fields():
+    # a negative field borrows from the one above it unless every field
+    # below the one read is biased too
+    rows = [[-1, 5, -255, 3], [255, -1, -1, -7], [0, -128, 0, 0]]
+    tab = simplex._Tableau(4, 8, 16)
+    tab.rows = [tab.pack(r) for r in rows]
+    assert list(zip(*(tab.column(k) for k in range(4)))) == [tuple(r) for r in rows]
+    assert [tab.rhs(x) for x in tab.rows] == [3, -7, 0]
+    assert tab.measure() in (8, 9)  # |v| < 2**8, at most one bit over
+
+
+def test_width_guard_repacks_before_a_field_can_overflow():
+    # every field is below 2**8, and pivoting on 128 with 128 the other
+    # entry in its column can grow fields by g = 8 bits: at width
+    # W = T + g = 16 the new entry 255*128 + 128*255 = 65280 >= 2**15 would
+    # not be readable, so the pivot must measure and pack again first
+    rows = [[128, -255, 7], [128, 255, -3], [0, 0, 0]]
+    tab = simplex._Tableau(3, 8, 16)
+    tab.rows = [tab.pack(r) for r in rows]
+    basis = [3, 4]
+    col = tab.column(0)
+    assert col == [128, 128, 0]
+    assert simplex._pivot(tab, basis, 0, 0, col, 1) == 128
+    assert tab.W > 16 and basis == [0, 4]
+    fields = list(zip(*(tab.column(k) for k in range(3))))
+    assert fields == [(128, -255, 7), (0, 65280, -1280), (0, 0, 0)]
+
+
+def test_growing_entries_force_a_repack(monkeypatch):
+    # 120-bit numerators over 12-digit denominators: the Bareiss minors
+    # outgrow the first width after a few pivots
+    repacks = _Repacks(monkeypatch)
+    rng = random.Random(12)
+    n = 4
+
+    def entry():
+        return F(rng.randint(-2**120, 2**120), rng.randint(1, 10**12))
+
+    A = [[entry() for _ in range(n)] for _ in range(4)] + [[F(1)] * n]
+    x0 = [F(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(n)]
+    b = [sum(a * v for a, v in zip(row, x0)) + abs(entry()) for row in A[:-1]] + [sum(x0) + 1]
+    r = _assert_same_as_oracle(([entry() for _ in range(n)],), dict(A_ub=A, b_ub=b))
+    assert r.status == "optimal" and r.iterations >= 3
+    assert repacks.count >= 1
 
 
 class _Recorded:
