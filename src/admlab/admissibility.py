@@ -260,9 +260,8 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
                 forced.append(t)
     witness = None
     if p.allow_mixtures:
-        dom = dominated_in_hull(p, delta0)
+        dom, witness = _dominance_lp(p, j0)
         iters += dom.iterations
-        witness = dom.mixture
     return NoPositivePrior(delta0, any_prior, tuple(forced), witness, iters)
 
 
@@ -288,24 +287,13 @@ class WitnessSet:
         })
 
 
-def _witness_lp(p, cols, j0, thetas, v_coef, **kwargs):
-    """LP over competitor mixtures lambda and a free v, rows times den:
-    r(theta, lambda) + v_coef * v <= r(theta, delta0) for theta in thetas.
-
-    With v_coef = -1 and minimizing: min over lambda of max over thetas of
-    r(theta, lambda) - r(theta, delta0)."""
-    n, den = len(cols), p.den
-    rows = [p.irisk[i] for i in thetas]
-    return solve_lp([0] * n + [1], A_ub=[[r[j] for j in cols] + [v_coef * den] for r in rows],
-                    b_ub=[r[j0] for r in rows], A_eq=[[den] * n + [0]], b_eq=[den],
-                    free_vars=[n], **kwargs)
-
-
 def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     """Cutting-plane search for a finite set of parameters witnessing admissibility.
 
     Every competitor mixture must lose to delta0 somewhere on the returned
-    set, by at least the returned margin.  A positive margin already proves
+    set (not always a minimal one) by at least the returned margin, which the
+    last restriction LP's duals, a prior on the set, confirm (``validated``).
+    A positive margin already proves
     delta0 neither dominated in the hull nor risk-equal to a competitor
     mixture, so no hull LP runs on that path.  When separation fails, the
     current mixture lam matches or beats delta0 at every parameter, and a
@@ -341,7 +329,13 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
                 raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
             raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
         chosen.append(best_i)
-        res = _witness_lp(p, cols, j0, chosen, -1, maximize=False)
+        # min over lam of max over chosen thetas of r(theta, lam) - r(theta, delta0),
+        # as r(theta, lam) - v <= r(theta, delta0) with v free, rows times den
+        rows = [p.irisk[i] for i in chosen]
+        res = solve_lp([0] * len(cols) + [1],
+                       A_ub=[[r[j] for j in cols] + [-p.den] for r in rows],
+                       b_ub=[r[j0] for r in rows], A_eq=[[p.den] * len(cols) + [0]],
+                       b_eq=[p.den], free_vars=[len(cols)], maximize=False)
         if res.status != "optimal":
             raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
         _from_lp(Mixture, competitors, res.num, res.D)  # lam must be a mixture
@@ -355,14 +349,19 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     if Fraction(max(gaps[i] for i in chosen), n) != margin:
         raise RuntimeError("witness margin failed independent re-verification")
 
+    # independent validation: the LP's duals, in row order, are a prior on the
+    # chosen parameters under which every competitor loses by the margin
+    y, pi, value = res.ynum, [0] * len(p.theta_labels), None
+    for i, v in zip(chosen, y):
+        pi[i] = v
+    if min(y) >= 0 and sum(y) > 0:
+        gaps, n = _bayes_gaps(p, pi, sum(y), j0)
+        value = -Fraction(min(gaps[j] for j in cols), n)
+    validated = value is not None and value <= -margin < 0
+
     chosen.sort()
     thetas = tuple(p.theta_labels[i] for i in chosen)
-
-    # independent validation: best-case competitor advantage w on the witness
-    # set, w + r(theta, lambda) <= r(theta, delta0)
-    val = _witness_lp(p, cols, j0, chosen, 1)
-    validated = val.status == "optimal" and val.objective <= -margin < 0
-    return WitnessSet(delta0, thetas, margin, len(chosen), validated, val.objective)
+    return WitnessSet(delta0, thetas, margin, len(chosen), validated, value)
 
 
 # -- Stein's condition ---------------------------------------------------------

@@ -194,7 +194,7 @@ def cmd_witness(args) -> int:
         return EXIT_NEGATIVE
     _emit(w.as_dict())
     if not w.validated:
-        _diag("validation LP failed to confirm the margin")
+        _diag("the restriction LP's dual prior failed to confirm the margin")
         return EXIT_INTERNAL
     return EXIT_OK
 
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", required=True)
     s.set_defaults(func=cmd_certify)
 
-    s = sub.add_parser("witness", help="minimal certifying parameter set")
+    s = sub.add_parser("witness", help="witnessing parameter set, not always minimal")
     s.add_argument("problem")
     s.add_argument("--delta", required=True)
     s.set_defaults(func=cmd_witness)

@@ -7,9 +7,9 @@ weight gamma > 0 is
                          + gamma * [r(theta, delta) - r(theta, delta0)].
 
 Nature mixes over parameters (a prior), the statistician mixes over base
-procedures; both optimal values are computed by exact LPs and must agree.
-Both LPs and both re-checks of their optima use one int matrix, the payoff
-times ``den * q`` for gamma = a / q.
+procedures.  One exact LP solves the statistician's side, and its duals are
+nature's (Dantzig 1951); both optimal values are recomputed from the one
+int matrix, the payoff times ``den * q`` for gamma = a / q, and must agree.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class GameValueReport:
 
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
-    """Solve both sides of the derived game exactly and check that they agree."""
+    """Solve the derived game exactly: one LP, its optimal prior from the duals."""
     gamma = _as_fraction(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be a positive rational")
@@ -91,35 +91,25 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     ipay = [[q * (top[j] - top[j0]) + a * (row[j] - row[j0]) for j in range(nd)]
             for row in p.irisk]
 
-    # statistician side: minimize v with payoff(theta, mix) <= v for every theta
-    upper_lp = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay], b_ub=[0] * nt,
-                        A_eq=[[scale] * nd + [0]], b_eq=[scale],
-                        free_vars=[nd], maximize=False)
-    if upper_lp.status != "optimal":
-        raise RuntimeError(f"mixture-side game LP unexpectedly {upper_lp.status}")
+    # statistician side: minimize v with payoff(theta, mix) <= v for every
+    # theta; nature's side is its LP dual, a prior weighting theta by ynum
+    lp = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay], b_ub=[0] * nt,
+                  A_eq=[[scale] * nd + [0]], b_eq=[scale],
+                  free_vars=[nd], maximize=False)
+    if lp.status != "optimal":
+        raise RuntimeError(f"mixture-side game LP unexpectedly {lp.status}")
+    upper = lp.objective
+    mix = _from_lp(Mixture, p.proc_labels, lp.num, lp.D)
+    prior = _from_lp(Prior, p.theta_labels, lp.ynum, sum(lp.ynum))
 
-    # nature side: maximize w with payoff(pi, delta) >= w for every procedure
-    lower_lp = solve_lp([0] * nt + [1], A_ub=[[-v for v in col] + [scale] for col in zip(*ipay)],
-                        b_ub=[0] * nd, A_eq=[[scale] * nt + [0]], b_eq=[scale],
-                        free_vars=[nt])
-    if lower_lp.status != "optimal":
-        raise RuntimeError(f"prior-side game LP unexpectedly {lower_lp.status}")
-
-    lower, upper = lower_lp.objective, upper_lp.objective
-    mix = _from_lp(Mixture, p.proc_labels, upper_lp.num, upper_lp.D)
-    prior = _from_lp(Prior, p.theta_labels, lower_lp.num, lower_lp.D)
-
-    # re-verify both optima directly on the payoff matrix
-    mix_col = _weighted_rows(ipay, upper_lp.num[:nd])
-    if Fraction(max(mix_col), upper_lp.D * scale) != upper:
+    # re-verify both optima directly on the payoff matrix: the mixture's worst
+    # payoff is upper, and the prior's worst payoff (lower) must equal it
+    if Fraction(max(_weighted_rows(ipay, lp.num[:nd])), lp.D * scale) != upper:
         raise RuntimeError("mixture-side game optimum failed independent re-verification")
-    prior_row = _weighted_rows(zip(*ipay), lower_lp.num[:nt])
-    if Fraction(min(prior_row), lower_lp.D * scale) != lower:
+    lower = Fraction(min(_weighted_rows(zip(*ipay), lp.ynum)), sum(lp.ynum) * scale)
+    if lower != upper:
         raise RuntimeError("prior-side game optimum failed independent re-verification")
-    if not lower <= upper:
-        raise RuntimeError("game lower value exceeds the upper value")
 
     payoff = tuple(tuple(Fraction(v, scale) for v in row) for row in ipay)
     return GameValueReport(delta0, theta0, gamma, lower, upper, lower == upper,
-                           prior, mix, payoff,
-                           upper_lp.iterations + lower_lp.iterations)
+                           prior, mix, payoff, lp.iterations)

@@ -53,7 +53,11 @@ field is ever read after it overflowed.
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
 is its positive part minus its negative part); ``x`` itself is derived on
-request.
+request.  ``ynum`` holds the inequality rows' duals, off the same objective
+row with no extra pivot: ``-ynum[i]`` is row ``i``'s slack's field there (a
+row negated for its rhs has its slack negated with it), and row ``i``'s
+multiplier is ``ynum[i] / (D * Lc)``, ``Lc`` the lcm of ``c``'s denominators.
+It is ``>= 0``, 0 on rows slack at ``x``; a min is solved as ``max -c.x``.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ class LPResult:
     num: list[int] | None            # levels times D, one per variable
     D: int | None                    # > 0: the final tableau's denominator
     iterations: int
+    ynum: list[int] | None = None    # inequality rows' duals times D * Lc, in row order
 
     @property
     def x(self) -> list[Fraction] | None:
@@ -311,4 +316,6 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
             num[bj] += tab.rhs(x)
         elif bj < n + nf:
             num[free[bj - n]] -= tab.rhs(x)
-    return LPResult("optimal", sign * Fraction(-tab.rhs(tab.rows[-1]), d * Lc), num, d, iters)
+    obj = tab.rows[-1]
+    ynum = [tab.H - (obj + tab.B >> tab.W * s & tab.M) for s in range(n + nf, ncols)]
+    return LPResult("optimal", sign * Fraction(-tab.rhs(obj), d * Lc), num, d, iters, ynum)

@@ -251,7 +251,7 @@ class TestWitnessSet:
     def test_outcome_matches_the_hull_verdict(self, n_theta, n_proc, seed, grid):
         # a refusal is read off lam's exact gaps: no LP when lam beats delta0
         # somewhere, the dominance LP alone when lam is risk-equal; a returned
-        # witness set needs only its validation LP, and no hull LP ever runs
+        # witness set is validated by its last LP's duals, and no hull LP runs
         p = random_problem(n_theta, n_proc, seed, grid)
         for d in p.proc_labels:
             dom = adm.dominated_in_hull(p, d)
@@ -263,7 +263,7 @@ class TestWitnessSet:
             else:
                 assert isinstance(outcome, adm.WitnessSet) and outcome.validated
             if lam_gaps is None:
-                assert maximizing == (1 if outcome.margin is not None else 0)
+                assert maximizing == 0
             else:
                 assert max(lam_gaps) <= 0
                 assert maximizing == (0 if any(lam_gaps) else 1)
@@ -576,15 +576,22 @@ class TestReverificationUnderOptimize:
             "mixture weights must sum to exactly 1",
             "game mixture RuntimeError LP solution is not a valid mixture: "
             "mixture weights must sum to exactly 1",
+            "game prior RuntimeError LP solution is not a valid prior: "
+            "prior weight for t1 is negative: -1",
             "witness margin RuntimeError witness margin failed independent re-verification",
             "witness refusal RuntimeError witness restriction mixture failed independent "
             "re-verification",
+            "witness dual prior returned False None",
+            "witness suboptimal dual prior returned False 1",
+            "witness negative dual prior returned False None",
         ]
 
 
-# Each case moves the LP's solution num / D off the feasible set or off the
-# optimum (keeping a valid prior or mixture, and an objective consistent with
-# it), so only the integer re-check against the problem's risks can catch it.
+# Each case moves the LP's solution num / D, or its duals ynum, off the
+# feasible set or off the optimum (keeping a valid prior or mixture, and an
+# objective consistent with it), so only the integer re-check against the
+# problem's risks can catch it.  A witness set is still returned, with
+# validated False and its validation_value.
 _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     import dataclasses, sys
     from fractions import Fraction as F
@@ -592,10 +599,17 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     from admlab.decision import DecisionProblem
 
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
+    # d0 = (1, 1) against d1 = (0, 3) and d2 = (3, 0): the witness set is
+    # {t1, t2} with margin 1/2, and its dual prior is the uniform one
+    three = DecisionProblem(("t1", "t2"), ("d0", "d1", "d2"), ((1, 0, 3), (1, 3, 0)))
     has_ub = lambda kwargs: kwargs.get("A_ub") is not None
-    minimizes = lambda kwargs: kwargs.get("maximize") is False
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
+
+    def witnessed(q):
+        w = admissibility.witness_set(q, "d0")
+        return f"{w.validated} {w.validation_value}"
+
     cases = [
         # pi = (1/4, 3/4): excess 1/2 > eps * pi(t1) = 1/400
         ("stein_check",
@@ -612,13 +626,14 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         # payoff at gamma = 1/2 is ((0, 3/2), (0, 1/2)): the mixture d1 with
         # v = 1/2 claimed, although its payoff at t1 is 3/2
         ("game mixture side",
-         lambda res, kw: moved(res, [0, 2, 1], 2, F(1, 2)) if minimizes(kw) else res,
+         lambda res, kw: moved(res, [0, 2, 1], 2, F(1, 2)),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
-        # the uniform prior with w = -1 claimed, although its worst payoff is 0;
-        # -1 <= 0 = upper, so only the re-check of the prior's value sees it
+        # against d1 at t1 the payoff is ((-3/2, 0), (-1/2, 0)), of value
+        # -1/2 at the prior on t2; the uniform prior as the duals is a valid
+        # prior whose worst payoff is -1, so it is no optimal one
         ("game prior side",
-         lambda res, kw: res if minimizes(kw) else moved(res, [1, 1, -2], 2, F(-1)),
-         lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+         lambda res, kw: dataclasses.replace(res, ynum=[1, 1]),
+         lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
         # the remaining cases give x a negative weight, so x is no prior or
         # mixture at all: a fault of the LP (exit 3), not of the input (exit 2)
         ("certificate prior",
@@ -631,28 +646,41 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
          lambda res, kw: moved(res, [-1, 2, 1, 0], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         ("game mixture",
-         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)) if minimizes(kw) else res,
+         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+        ("game prior",
+         lambda res, kw: dataclasses.replace(res, ynum=[-1, 2]),
+         lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
         # the restriction LP on {t1} claims margin 2 with v = 2, a feasible
         # but not optimal point: its mixture d1 loses to d0 at t1 by only 1
         ("witness margin",
          lambda res, kw: (moved(res, [res.num[0], res.num[1] + res.D], res.D,
-                                res.objective + 1) if minimizes(kw) else res),
+                                res.objective + 1)),
          lambda: admissibility.witness_set(p, "d0")),
         # the same LP claims v = -1 for lam = d1, whose gap at t1 is 1: the
         # margin reads as no separation, and lam ends it losing at t1
         ("witness refusal",
          lambda res, kw: (moved(res, [res.num[0], res.num[1] - 2 * res.D], res.D,
-                                res.objective - 2) if minimizes(kw) else res),
+                                res.objective - 2)),
          lambda: admissibility.witness_set(p, "d0")),
+        # the witness set {t1} with duals that sum to 0: no prior at all
+        ("witness dual prior",
+         lambda res, kw: dataclasses.replace(res, ynum=[0] * len(res.ynum)),
+         lambda: witnessed(p)),
+        # the prior on t1 alone: d1 beats d0 there, so the least gap is -1
+        ("witness suboptimal dual prior",
+         lambda res, kw: dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1)),
+         lambda: witnessed(three)),
+        ("witness negative dual prior",
+         lambda res, kw: dataclasses.replace(res, ynum=[-1] + [2] * (len(res.ynum) - 1)),
+         lambda: witnessed(three)),
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
         admissibility.solve_lp = game.solve_lp = (
             lambda *a, move=move, **kw: move(simplex.solve_lp(*a, **kw), kw))
         try:
-            call()
-            print(name, "accepted")
+            print(name, "returned", call())
         except RuntimeError as exc:
             print(name, "RuntimeError", exc)
 """)

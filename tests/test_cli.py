@@ -129,6 +129,25 @@ class TestWitness:
         assert payload["witness"] is None
         assert "dominated" in payload["reason"]
 
+    def test_an_unconfirmed_margin_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        # d0 = (1, 1) against d1 = (0, 3) and d2 = (3, 0): the set is {t1, t2}
+        # with margin 1/2; duals moved onto t1 alone give a prior under which
+        # d1 beats d0, so the margin is unconfirmed and the CLI exits 3
+        p = DecisionProblem(("t1", "t2"), ("d0", "d1", "d2"), ((1, 0, 3), (1, 3, 0)))
+        path = tmp_path / "three.json"
+        path.write_bytes(save_problem(p))
+
+        def moved(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            return dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1))
+        monkeypatch.setattr(admissibility, "solve_lp", moved)
+        code, out, err = run(capsys, "witness", str(path), "--delta", "d0")
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["thetas"] == ["t1", "t2"] and payload["margin"] == "1/2"
+        assert payload["validated"] is False and payload["validation_value"] == "1"
+        assert "dual prior" in err
+
     def test_a_problem_without_mixtures_is_an_input_error(self, capsys, tmp_path):
         # witness sets, like the derived game, range over mixtures: a file
         # that disables them is bad input (exit 2), not a negative verdict
@@ -642,7 +661,7 @@ class TestStartup:
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "7973e8b8d67ba70e8f2ccebe0b87a4b2641fcb16581486fe9a70a68d84778661"
+PROBLEM_OUTPUTS_SHA256 = "f1b12cb4a6a84e4ed1b7680e953a2c1e9a38152c15772caad4529d185881705d"
 
 
 def test_random_problem_outputs_are_pinned():

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_outputs
 import fraction_simplex
 from admlab import admissibility, game, simplex
 from admlab.decision import random_problem
@@ -140,6 +143,25 @@ def _fields(res):
     return res.status, res.objective, res.x, res.iterations
 
 
+def _assert_duals(args, kwargs, r):
+    """ynum against LP duality: each multiplier >= 0, and 0 on a row that is
+    slack at x; with no equality rows, exact dual feasibility (equality at a
+    free variable) and b.y equal to the optimum of max sign * c.x."""
+    (c,) = args
+    A, b = kwargs.get("A_ub") or [], kwargs.get("b_ub") or []
+    assert len(r.ynum) == len(A) and all(type(v) is int and v >= 0 for v in r.ynum)
+    y = [F(v, r.D * lcm(*(F(cj).denominator for cj in c))) for v in r.ynum]
+    for row, bi, yi in zip(A, b, y):
+        if sum(map(mul, row, r.x)) < bi:
+            assert yi == 0
+    if not kwargs.get("A_eq"):
+        sign = 1 if kwargs.get("maximize", True) else -1
+        assert sum(map(mul, b, y)) == sign * r.objective
+        for j, cj in enumerate(c):
+            reduced = sum(row[j] * yi for row, yi in zip(A, y)) - sign * cj
+            assert reduced == 0 if j in kwargs.get("free_vars", ()) else reduced >= 0
+
+
 def _assert_same_as_oracle(args, kwargs):
     ours = solve_lp(*args, **kwargs)
     ref = fraction_simplex.solve_lp(*args, **kwargs)
@@ -148,8 +170,9 @@ def _assert_same_as_oracle(args, kwargs):
     if ours.status == "optimal":
         assert all(type(v) is int for v in ours.num) and len(ours.num) == len(args[0])
         assert type(ours.D) is int and ours.D > 0
+        _assert_duals(args, kwargs, ours)
     else:
-        assert ours.num is None and ours.D is None
+        assert ours.num is None and ours.D is None and ours.ynum is None
     return ours
 
 
@@ -198,6 +221,30 @@ def test_x_is_num_over_D(lp):
         assert r.x == [F(v, r.D) for v in r.num]
     else:
         assert r.x is None
+
+
+def test_ynum_on_the_large_entry_corpus():
+    # each LP there gains -x1 <= 0 and a row with a negative rhs,
+    # -(x1 + .. + xn) / 3 <= -1/2, which some LPs cannot meet and some bind
+    binding = 0
+    for args, kwargs in exact_outputs.large_entry_lps():
+        n = len(args[0])
+        kwargs["A_ub"] += [[F(-1)] + [F(0)] * (n - 1), [F(-1, 3)] * n]
+        kwargs["b_ub"] += [F(0), F(-1, 2)]
+        r = _assert_same_as_oracle(args, kwargs)
+        binding += r.status == "optimal" and r.ynum[-1] > 0
+    assert binding > 0
+
+
+def test_ynum_with_negative_rhs_rows():
+    # min x1 + 2 x2 with x1 + x2 >= 3 and x1 <= 2: the first row is negated
+    # for its rhs, and both bind at x = (2, 1) with duals 2 and 1
+    r = solve_lp([1, 2], A_ub=[[-1, -1], [1, 0]], b_ub=[-3, 2], maximize=False)
+    assert r.x == [2, 1] and r.objective == 4
+    assert [F(v, r.D) for v in r.ynum] == [2, 1]
+    # the same LP as a max: the multipliers of max -x1 - 2 x2
+    r = solve_lp([-1, -2], A_ub=[[-1, -1], [1, 0]], b_ub=[-3, 2])
+    assert r.objective == -4 and [F(v, r.D) for v in r.ynum] == [2, 1]
 
 
 def test_matches_fraction_oracle_on_each_status():
@@ -334,9 +381,9 @@ def test_verdict_route_lps_match_fraction_oracle(monkeypatch):
 
 
 def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
-    # the witness restriction and validation LPs (minimize, free variable)
-    # and both sides of the derived game, on the 1/97 grid, up to 8 x 8 and
-    # 9 x 11 problems, whose tableau entries reach 60 bits
+    # the witness restriction LPs and the derived game's LP (minimize, free
+    # variable), on the 1/97 grid, up to 8 x 8 and 9 x 11 problems, whose
+    # tableau entries reach 60 bits; no maximizing LP validates either
     lps = _Recorded(monkeypatch)
     refused = 0
     for seed, (nt, nd) in enumerate([(2, 3), (3, 4), (4, 3), (5, 5), (8, 8), (9, 11)]):
@@ -348,6 +395,6 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
                 refused += 1
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(1 + j % 3, 2))
     kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw in lps.calls}
-    assert kinds == {(True, True), (False, True)}
+    assert kinds == {(False, True)}
     assert refused > 0 and len(lps.calls) > 60
     lps.replay(monkeypatch)
