@@ -245,24 +245,46 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
         return cert
 
     any_prior = res.status == "optimal"
-    forced = []
+    forced = ()
     if any_prior:
-        # which thetas can carry positive weight among Bayes priors for delta0?
-        for i, t in enumerate(p.theta_labels):
-            obj = [0] * nt
-            obj[i] = 1
-            sub = solve_lp(obj, A_ub=bayes, b_ub=[0] * len(bayes),
-                           A_eq=[[den] * nt], b_eq=[den])
-            iters += sub.iterations
-            if sub.status != "optimal":
-                raise RuntimeError(f"forced-zero probe unexpectedly {sub.status}")
-            if sub.objective == 0:
-                forced.append(t)
+        forced, sub_iters = _forced_zero(p, j0, bayes)
+        iters += sub_iters
     witness = None
     if p.allow_mixtures:
         dom, witness = _dominance_lp(p, j0)
         iters += dom.iterations
-    return NoPositivePrior(delta0, any_prior, tuple(forced), witness, iters)
+    return NoPositivePrior(delta0, any_prior, forced, witness, iters)
+
+
+def _forced_zero(p: DecisionProblem, j0: int, bayes):
+    """The thetas that no prior under which delta0 is Bayes can weight, and the LP's pivots.
+
+    One LP over the unnormalised Bayes cone: max sum(z) with z_i <= pi_i and
+    z_i <= 1.  The cone is closed under sums and positive scaling, so at the
+    optimum z_i is 1 where some Bayes prior weights theta_i and 0 where none
+    does.  The positive side is re-checked in ints: delta0 is Bayes under pi,
+    which is positive exactly where z_i is 1.
+    """
+    nt = len(p.theta_labels)
+    # variables: pi (nt), then z (nt); the Bayes rows times den, the rest as they are
+    A_ub = [row + [0] * nt for row in bayes]
+    for i in range(nt):
+        row = [0] * (2 * nt)
+        row[i], row[nt + i] = -1, 1   # z_i - pi_i <= 0
+        A_ub.append(row)
+    for i in range(nt):
+        row = [0] * (2 * nt)
+        row[nt + i] = 1               # z_i <= 1
+        A_ub.append(row)
+    res = solve_lp([0] * nt + [1] * nt, A_ub=A_ub, b_ub=[0] * (len(A_ub) - nt) + [1] * nt)
+    if res.status != "optimal":
+        raise RuntimeError(f"forced-zero LP unexpectedly {res.status}")
+    pi, z, D = res.num[:nt], res.num[nt:], res.D
+    gaps, _ = _bayes_gaps(p, pi, D, j0)
+    if not (all(v in (0, D) for v in z) and min(gaps) >= 0 and min(pi) >= 0
+            and all((w > 0) == (v > 0) for w, v in zip(pi, z))):
+        raise RuntimeError("forced-zero LP failed independent re-verification")
+    return tuple(t for t, v in zip(p.theta_labels, z) if not v), res.iterations
 
 
 # -- finite witness sets -------------------------------------------------------

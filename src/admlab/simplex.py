@@ -1,15 +1,24 @@
 """Exact rational simplex for small linear programs.
 
 Two-phase tableau method with Bland's pivoting rule, so termination is
-guaranteed even on degenerate problems.  The tableau is an integer one under
-one shared denominator ``D > 0`` (fraction-free pivoting: Edmonds 1967,
-Bareiss 1968): it stores ``D`` times the true entries of every column but the
-artificials, and the rhs, objective row included.  Every constraint row is
-first multiplied by one ``L`` that clears all denominators (all-int rows,
-which callers may scale by one common positive factor themselves, are taken
-as they are); that rescales the artificials and the phase-1 reduced costs by
-``L > 0`` and leaves every ratio alone, so the pivot sequence is that of a
-``Fraction`` tableau.  Problem sizes here are tiny: a dense tableau.
+guaranteed even on degenerate problems.  Phase 1 starts from the slack basis:
+the slack of every inequality row whose rhs is ``>= 0`` is a feasible basic
+variable there.  Only equality rows and negative-rhs rows (negated, so their
+slack reads -1) get an artificial, phase 1 maximizes minus the sum of those
+artificials alone, and it does not run when no row has one.  Bland's rule
+terminates from any feasible basis.
+
+The tableau is an integer one under one shared denominator ``D > 0``
+(fraction-free pivoting: Edmonds 1967, Bareiss 1968): it stores ``D`` times
+the true entries of every column but the artificials, and the rhs, objective
+row included.  Every constraint row is first multiplied by one ``L`` that
+clears all denominators (all-int rows, which callers may scale by one common
+positive factor themselves, are taken as they are).  Each slack column is
+then stored as 1, not ``L``: the tableau's variable is ``s' = L*s``, and
+likewise ``L`` times each artificial.  A positive column scaling leaves
+every sign and every ratio of Bland's entering and leaving choices alone, so
+the first tableau is fraction-free with ``D = 1`` and the pivot sequence is
+that of a ``Fraction`` tableau.  Problem sizes here are tiny: a dense tableau.
 
 **Packed rows.**  Each row is one Python int (Kronecker substitution).  With
 ``n`` columns and field width ``W``, the row ``v_0 .. v_n`` (``v_k`` the
@@ -54,7 +63,8 @@ The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
 is its positive part minus its negative part); ``x`` itself is derived on
 request.  ``ynum`` holds the inequality rows' duals, off the same objective
-row with no extra pivot: ``-ynum[i]`` is row ``i``'s slack's field there (a
+row with no extra pivot: ``ynum[i] = L * (-field)``, with ``field`` row
+``i``'s slack's field there (``L`` undoes the slack's scaling to ``s'``; a
 row negated for its rhs has its slack negated with it), and row ``i``'s
 multiplier is ``ynum[i] / (D * Lc)``, ``Lc`` the lcm of ``c``'s denominators.
 It is ``>= 0``, 0 on rows slack at ``x``; a min is solved as ``max -c.x``.
@@ -264,24 +274,27 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     sign = 1 if maximize else -1
     cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + [0] * nslack
 
-    # every entry, the phase-1 objective's (a sum of m rows) too, is below 2**T
+    # every entry, the phase-1 objective's (a sum of up to m rows) too, is below 2**T
     m = len(rows)
-    T = max(_bits(rows), L.bit_length()) + m.bit_length()
+    T = _bits(rows) + m.bit_length()
     tab = _Tableau(ncols + 1, T, _width(T))
-    for i, arow in enumerate(rows):  # inequality rows first, each with its slack
+    basis = []
+    for i, arow in enumerate(rows):  # inequality rows first, each with its slack, stored as 1
         x = tab.pack(arow[:n] + [-arow[j] for j in free]) + (arow[n] << tab.rsh)
         if i < nslack:
-            x += L << tab.W * (n + nf + i)
+            x += 1 << tab.W * (n + nf + i)
+        # the slack starts basic in a row it can hold; any other row gets an artificial
+        basis.append(n + nf + i if i < nslack and arow[n] >= 0 else ncols + i)
         tab.rows.append(x if arow[n] >= 0 else -x)
 
-    # phase 1: artificial basis (columns ncols.., never stored), max -sum(artificials)
-    tab.rows.append(sum(tab.rows))
-    basis = [ncols + i for i in range(m)]
-    status, iters, d = _run_simplex(tab, basis, 1)
-    if tab.rhs(tab.rows.pop()) > 0:  # -z1: the artificials still sum to > 0
-        return LPResult("infeasible", None, None, None, iters)
-
+    iters, d = 0, 1
     if basis and max(basis) >= ncols:
+        # phase 1: max -sum(artificials) (columns ncols.., never stored)
+        tab.rows.append(sum(x for x, bj in zip(tab.rows, basis) if bj >= ncols))
+        status, iters, d = _run_simplex(tab, basis, d)
+        if tab.rhs(tab.rows.pop()) > 0:  # -z1: the artificials still sum to > 0
+            return LPResult("infeasible", None, None, None, iters)
+
         # drive leftover artificials out of the basis, dropping redundant rows
         keep = []
         for i in range(m):
@@ -317,5 +330,5 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         elif bj < n + nf:
             num[free[bj - n]] -= tab.rhs(x)
     obj = tab.rows[-1]
-    ynum = [tab.H - (obj + tab.B >> tab.W * s & tab.M) for s in range(n + nf, ncols)]
+    ynum = [L * (tab.H - (obj + tab.B >> tab.W * s & tab.M)) for s in range(n + nf, ncols)]
     return LPResult("optimal", sign * Fraction(-tab.rhs(obj), d * Lc), num, d, iters, ynum)

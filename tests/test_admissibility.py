@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_simplex
 from admlab import LCNumber
 from admlab import admissibility as adm
 from admlab import decision
@@ -164,6 +165,45 @@ class TestCertificates:
         assert hyper.kind == "HYPER"
         assert not dataclasses.replace(c, prior=hyper).verify(p)
 
+
+
+def _probed_forced_zero(p, d0):
+    """The forced-zero set by one Fraction-kernel LP per theta: max pi_i over
+    the priors under which d0 is Bayes (None when there is no such prior)."""
+    j0 = p.proc_index(d0)
+    rows = [[r[j0] - r[j] for r in p.risk] for j in range(len(p.proc_labels)) if j != j0]
+    forced = []
+    for i, t in enumerate(p.theta_labels):
+        res = fraction_simplex.solve_lp([F(k == i) for k in range(len(p.theta_labels))],
+                                        A_ub=rows, b_ub=[0] * len(rows),
+                                        A_eq=[[1] * len(p.theta_labels)], b_eq=[1])
+        if res.status == "infeasible":
+            return None
+        if res.objective == 0:
+            forced.append(t)
+    return tuple(forced)
+
+
+_tied_risks = st.integers(1, 4).flatmap(lambda nt: st.integers(1, 4).flatmap(
+    lambda nd: st.lists(st.lists(st.integers(0, 2), min_size=nd, max_size=nd),
+                        min_size=nt, max_size=nt)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_risks, st.integers(0, 3))
+def test_forced_zero_matches_per_theta_probes(risk, k):
+    # entries in {0, 1, 2} tie often, so many thetas are forced to zero
+    p = DecisionProblem(tuple(f"t{i}" for i in range(len(risk))),
+                        tuple(f"d{j}" for j in range(len(risk[0]))), risk)
+    d0 = p.proc_labels[k % len(p.proc_labels)]
+    r = adm.positive_prior_certificate(p, d0)
+    probed = _probed_forced_zero(p, d0)
+    if isinstance(r, adm.Certificate):
+        assert probed == ()
+    elif r.any_prior:
+        assert r.forced_zero == probed and probed
+    else:
+        assert probed is None and r.forced_zero == ()
 
 class TestWitnessSet:
     def test_single_theta_witness(self):
@@ -568,6 +608,7 @@ class TestReverificationUnderOptimize:
             "re-verification",
             "game prior side RuntimeError prior-side game optimum failed independent "
             "re-verification",
+            "forced-zero pi RuntimeError forced-zero LP failed independent re-verification",
             "certificate prior RuntimeError LP solution is not a valid prior: "
             "prior weight for t1 is negative: -1",
             "stein prior RuntimeError LP solution is not a valid prior: "
@@ -602,6 +643,8 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     # d0 = (1, 1) against d1 = (0, 3) and d2 = (3, 0): the witness set is
     # {t1, t2} with margin 1/2, and its dual prior is the uniform one
     three = DecisionProblem(("t1", "t2"), ("d0", "d1", "d2"), ((1, 0, 3), (1, 3, 0)))
+    # d0 is Bayes only under the Dirac prior at t1: t2 is forced to zero
+    tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
     has_ub = lambda kwargs: kwargs.get("A_ub") is not None
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
@@ -634,6 +677,12 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("game prior side",
          lambda res, kw: dataclasses.replace(res, ynum=[1, 1]),
          lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
+        # the forced-zero LP's pi moved onto t2, where z is 0 and d1 beats d0
+        ("forced-zero pi",
+         lambda res, kw: (res if kw.get("A_eq") else
+                          moved(res, [res.num[0], res.num[1] + res.D] + res.num[2:], res.D,
+                                res.objective)),
+         lambda: admissibility.positive_prior_certificate(tied, "d0")),
         # the remaining cases give x a negative weight, so x is no prior or
         # mixture at all: a fault of the LP (exit 3), not of the input (exit 2)
         ("certificate prior",

@@ -661,7 +661,7 @@ class TestStartup:
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "f1b12cb4a6a84e4ed1b7680e953a2c1e9a38152c15772caad4529d185881705d"
+PROBLEM_OUTPUTS_SHA256 = "a4e3513a163bc67165643a14764f69f9ef204d5b78c86cb86f20e32337834eef"
 
 
 def test_random_problem_outputs_are_pinned():

@@ -31,7 +31,7 @@ class TestHandProblems:
     def test_unbounded(self):
         r = solve_lp([1], A_ub=[[0]], b_ub=[1])
         assert r.status == "unbounded"
-        assert r.iterations == 1  # the slack enters in phase 1
+        assert r.iterations == 0  # the slack starts basic: x enters, and no row bounds it
 
     def test_minimize_with_free_variable(self):
         r = solve_lp([1], A_ub=[[-1]], b_ub=[5], free_vars=[0], maximize=False)
@@ -256,6 +256,41 @@ def test_matches_fraction_oracle_on_each_status():
         assert _assert_same_as_oracle(args, kwargs).status == status
 
 
+class _SimplexRuns:
+    """Counts the calls to the Bland loop: one per phase that runs."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = simplex._run_simplex
+
+        def spy(tab, basis, d):
+            self.count += 1
+            return real(tab, basis, d)
+        monkeypatch.setattr(simplex, "_run_simplex", spy)
+
+
+def test_all_slack_start_skips_phase_one(monkeypatch):
+    # every row is a <= b with b >= 0: each slack starts basic, no row needs
+    # an artificial, and only phase 2 runs
+    runs = _SimplexRuns(monkeypatch)
+    r = _assert_same_as_oracle(([1, 1],), dict(A_ub=[[1, 2], [3, 1], [1, 0]], b_ub=[4, 6, 0]))
+    assert runs.count == 1
+    assert r.x == [0, 2] and r.iterations == 2  # one degenerate pivot on x1 <= 0
+
+
+def test_slack_negative_rhs_and_equality_rows(monkeypatch):
+    # min x1 + 2 x2 - x3 with x1 + x2 + x3 <= 4 (its slack starts basic),
+    # x1 + 2 x2 >= 3 as a negative-rhs row and x1 - x3 = 1/2 (an artificial
+    # each): both inequality rows bind at x = (2, 1/2, 3/2)
+    runs = _SimplexRuns(monkeypatch)
+    r = _assert_same_as_oracle(
+        ([1, 2, -1],), dict(A_ub=[[1, 1, 1], [-1, -2, 0]], b_ub=[4, -3],
+                            A_eq=[[1, 0, -1]], b_eq=[F(1, 2)], maximize=False))
+    assert runs.count == 2
+    assert r.objective == F(3, 2) and r.x == [2, F(1, 2), F(3, 2)]
+    assert [F(v, r.D) for v in r.ynum] == [F(2, 3), F(4, 3)]
+
+
 class _NegativePivots:
     """Counts pivots on a negative entry, which only the drive-out step makes."""
 
@@ -272,13 +307,14 @@ class _NegativePivots:
 def test_drive_out_pivot_on_negative_entry(monkeypatch):
     # x1 = x2 = 0 as two equality rows with negative coefficients: phase 1
     # ends with an artificial basic at level 0 in a row whose first nonzero
-    # entry is negative, and phase 2 pivots once more after that
+    # entry is negative, and phase 2 pivots once more after that (the
+    # inequality row's slack starts basic, so phase 1 pivots only once)
     neg = _NegativePivots(monkeypatch)
     r = _assert_same_as_oracle(
         ([1, 3, 2],), dict(A_ub=[[3, 2, 2]], b_ub=[6],
                            A_eq=[[-1, -3, 0], [-1, -1, 0]], b_eq=[0, 0]))
     assert neg.count == 1
-    assert r.objective == 6 and r.x == [0, 0, 3] and r.iterations == 4
+    assert r.objective == 6 and r.x == [0, 0, 3] and r.iterations == 3
 
 
 class _Repacks:
@@ -324,7 +360,7 @@ def test_width_guard_repacks_before_a_field_can_overflow():
 
 def test_growing_entries_force_a_repack(monkeypatch):
     # 120-bit numerators over 12-digit denominators: the Bareiss minors
-    # outgrow the first width after a few pivots
+    # outgrow the first width within two pivots
     repacks = _Repacks(monkeypatch)
     rng = random.Random(12)
     n = 4
@@ -336,7 +372,7 @@ def test_growing_entries_force_a_repack(monkeypatch):
     x0 = [F(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(n)]
     b = [sum(a * v for a, v in zip(row, x0)) + abs(entry()) for row in A[:-1]] + [sum(x0) + 1]
     r = _assert_same_as_oracle(([entry() for _ in range(n)],), dict(A_ub=A, b_ub=b))
-    assert r.status == "optimal" and r.iterations >= 3
+    assert r.status == "optimal" and r.iterations >= 2
     assert repacks.count >= 1
 
 
