@@ -104,26 +104,37 @@ class HullDominanceReport:
 def _dominance_lp(p: DecisionProblem, j0: int):
     """LP: maximize total slack of a mixture under delta0's risk vector.
 
+    Variables: the competitors' weights mu_j (j != j0) and the slacks
+    s_theta; delta0 weighs 1 - sum(mu).  With that weight the mixture rows
+    sum_j lambda_j r(theta, j) + s_theta <= r(theta, j0), sum(lambda) == 1,
+    read sum_{j != j0} mu_j (r(theta, j) - r(theta, j0)) + s_theta <= 0 and
+    sum(mu) <= 1.  The map lambda -> (mu, s) is affine and one-to-one
+    between the two feasible sets, so the optimum is the same; every rhs is
+    >= 0, so the slack basis (delta0 itself) is feasible and no phase 1 runs.
+
     Returns the LP's result and, when its optimum is positive, the
     dominating mixture, re-verified without the LP; None otherwise.
     """
     nd, nt = len(p.proc_labels), len(p.theta_labels)
     den, irisk = p.den, p.irisk
+    cols = [j for j in range(nd) if j != j0]
 
-    # variables: lambda_d (nd), s_theta (nt); every row times den
+    # variables: mu_j (j != j0), s_theta (nt); every row times den
     A_ub = []
     for i, r in enumerate(irisk):
-        row = list(r) + [0] * nt
-        row[nd + i] = den
+        row = [r[j] - r[j0] for j in cols] + [0] * nt
+        row[nd - 1 + i] = den
         A_ub.append(row)
-    res = solve_lp([0] * nd + [1] * nt, A_ub=A_ub, b_ub=[r[j0] for r in irisk],
-                   A_eq=[[den] * nd + [0] * nt], b_eq=[den])
+    A_ub.append([den] * (nd - 1) + [0] * nt)
+    res = solve_lp([0] * (nd - 1) + [1] * nt, A_ub=A_ub, b_ub=[0] * nt + [den])
     if res.status != "optimal":
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
     if not res.objective > 0:
         return res, None
-    mix = _from_lp(Mixture, p.proc_labels, res.num, res.D)
-    gaps, _ = _mixture_gaps(p, res.num[:nd], res.D, j0)
+    w = res.num[:nd - 1]
+    w.insert(j0, res.D - sum(w))
+    mix = _from_lp(Mixture, p.proc_labels, w, res.D)
+    gaps, _ = _mixture_gaps(p, w, res.D, j0)
     if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
         raise RuntimeError("dominating mixture failed independent re-verification")
     return res, mix
@@ -417,9 +428,15 @@ class SteinResult:
 def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     """Find a prior whose excess Bayes risk at delta0 is within eps * pi(theta0).
 
-    Maximizes pi(theta0) subject to the excess constraints; Feasible
-    requires a strictly positive optimal weight at theta0.  Stein's condition
-    needs this for every eps > 0; passing on a finite eps grid is only necessary.
+    Maximizes v = pi(theta0) over pi >= 0 subject to the excess rows
+    r(pi, delta0) - r(pi, delta_j) <= eps * pi(theta0), one per competitor,
+    and sum(pi) <= 1.  The excess rows are homogeneous, so pi = 0 is
+    feasible (the slack basis: no phase 1), and an optimal pi with v > 0 has
+    sum(pi) == 1, since pi / sum(pi) would be feasible with a larger v.  So
+    the optimum and the optimal set are those of the normalised LP with
+    sum(pi) == 1, and v == 0 here is exactly "infeasible or optimum 0" there.
+    Feasible requires v > 0.  Stein's condition needs this for every
+    eps > 0; passing on a finite eps grid is only necessary.
     """
     eps = _as_fraction(eps)
     if eps <= 0:
@@ -435,11 +452,11 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
         row[i0] -= p.den * eps.numerator
     c = [0] * nt
     c[i0] = 1
-    res = solve_lp(c, A_ub=A_ub, b_ub=[0] * len(A_ub), A_eq=[[scale] * nt], b_eq=[scale])
-    if res.status == "infeasible" or (res.status == "optimal" and res.objective == 0):
-        return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
+    res = solve_lp(c, A_ub=A_ub + [[scale] * nt], b_ub=[0] * len(A_ub) + [scale])
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
+    if res.objective == 0:
+        return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
     prior = _from_lp(Prior, p.theta_labels, res.num, res.D)
     weight = prior.weight(theta0)
     if res.objective != weight:

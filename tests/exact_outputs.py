@@ -24,12 +24,21 @@ priors.  Pytest does not collect this file, but ``tests/test_cli.py`` pins
 the sha256 of that last section (``problem_outputs``); the help text and the
 Monte Carlo reports are left out of the pin, since their bytes depend on the
 Python and numpy versions.
+
+Given two such printouts, ``--compare`` counts what moved between them, per
+report kind (the API report's name, ``cli`` and the subcommand, or ``lp``)
+and per top-level key of its payload:
+
+    python tests/exact_outputs.py --compare before.txt after.txt
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import contextlib
 import io
+import json
 import os
 import random
 import sys
@@ -226,7 +235,88 @@ def kernel_outputs():
         print("lp", repr(simplex.solve_lp(*args, **kwargs)))
 
 
-def main() -> int:
+def _payload(text):
+    """A report's payload as {key: text}: JSON, a dict repr or an LPResult repr."""
+    text = text.strip()
+    with contextlib.suppress(ValueError):
+        value = json.loads(text)
+        if isinstance(value, dict):
+            return {k: json.dumps(v, sort_keys=True) for k, v in value.items()}
+    if text.startswith("{"):
+        with contextlib.suppress(ValueError, SyntaxError):
+            return {k: repr(v) for k, v in ast.literal_eval(text).items()}
+    if text.startswith("LPResult("):
+        return {kw.arg: ast.unparse(kw.value) for kw in ast.parse(text).body[0].value.keywords}
+    return {"": text}
+
+
+def _records(lines):
+    """{(section, name, occurrence): (kind, payload)} for one printout; a CLI
+    call's name is its command line, an API report's its kind."""
+    out, seen, section, k = {}, {}, "", 0
+
+    def add(name, kind, payload):
+        n = seen[section, name] = seen.get((section, name), -1) + 1
+        out[section, name, n] = kind, payload
+
+    while k < len(lines):
+        line = lines[k]
+        k += 1
+        if line.startswith("== "):
+            section = line
+        elif line.startswith("$ admlab"):
+            # a CLI call: its stdout, then "stderr: ..." and "exit: N"
+            start = k
+            while not lines[k].startswith("exit: "):
+                k += 1
+            err = next(j for j in range(k - 1, start - 1, -1) if lines[j].startswith("stderr: "))
+            payload = _payload("\n".join(lines[start:err]))
+            payload["stderr"] = "\n".join(lines[err:k])
+            payload["exit"] = lines[k]
+            k += 1
+            argv = line.split()
+            add(line, f"cli {argv[2] if len(argv) > 2 else ''}".rstrip(), payload)
+        elif line.strip():
+            # an API report or a kernel LP, paired by its place among its kind:
+            # labels, then a dict, a list or an LPResult, or an error's text
+            kind, _, rest = line.partition(" ")
+            cut = min((i for i in map(rest.find, ("{", "[", "LPResult(")) if i >= 0), default=0)
+            add(kind, kind, _payload(rest[cut:]))
+    return out
+
+
+def compare(old_path, new_path):
+    """Print, per report kind and key, how many payloads moved between two printouts."""
+    old, new = (_records(Path(p).read_text(encoding="utf-8").splitlines())
+                for p in (old_path, new_path))
+    totals, moved = {}, {}
+    for rid, (kind, before) in old.items():
+        if rid not in new:
+            continue
+        after = new[rid][1]
+        totals[kind] = totals.get(kind, 0) + 1
+        for key in sorted(set(before) | set(after)):
+            if before.get(key) != after.get(key):
+                moved[kind, key] = moved.get((kind, key), 0) + 1
+    print(f"{'kind':<14} {'key':<22} {'moved':>7} {'of':>7}")
+    for (kind, key), n in sorted(moved.items()):
+        print(f"{kind:<14} {key or '(text)':<22} {n:>7} {totals[kind]:>7}")
+    for what, ids in (("only in old", old.keys() - new.keys()),
+                      ("only in new", new.keys() - old.keys())):
+        if ids:
+            print(f"{what}: {len(ids)} reports, e.g. {min(ids)[1]}")
+    if not moved:
+        print("no payload moved")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print every exact output of admlab.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="count what moved between two printouts of this script")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
     os.environ["COLUMNS"] = "80"
     parser_outputs()
     gd_outputs()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fraction_simplex
 from admlab import LCNumber
 from admlab import admissibility as adm
-from admlab import decision
+from admlab import decision, simplex
 from admlab.decision import (
     DecisionProblem,
     Mixture,
@@ -369,6 +369,77 @@ class TestStein:
                 assert adm.stein_check(p, "d4", t, eps).feasible is feasible, (eps, t)
 
 
+def _equality_stein(p, d0, t0, eps):
+    """(feasible, theta0_weight, excess) of the Stein LP written with
+    sum(pi) == 1, by the Fraction kernel: infeasible or optimum 0 fails."""
+    j0, i0, nt = p.proc_index(d0), p.theta_index(t0), len(p.theta_labels)
+    rows = [[r[j0] - r[j] - (eps if i == i0 else 0) for i, r in enumerate(p.risk)]
+            for j in range(len(p.proc_labels)) if j != j0]
+    res = fraction_simplex.solve_lp([F(i == i0) for i in range(nt)], A_ub=rows,
+                                    b_ub=[0] * len(rows), A_eq=[[1] * nt], b_eq=[1])
+    if res.status == "infeasible" or res.objective == 0:
+        return False, None, None
+    prior = Prior(dict(zip(p.theta_labels, res.x)))
+    base = bayes_risk(p, prior, d0)
+    return True, res.objective, max(base - bayes_risk(p, prior, d) for d in p.proc_labels)
+
+
+def _equality_dominance(p, d0):
+    """(dominated, improvement) of the dominance LP over all weights lambda
+    with sum(lambda) == 1, by the Fraction kernel."""
+    j0, nt, nd = p.proc_index(d0), len(p.theta_labels), len(p.proc_labels)
+    rows = [list(r) + [F(k == i) for k in range(nt)] for i, r in enumerate(p.risk)]
+    res = fraction_simplex.solve_lp([0] * nd + [1] * nt, A_ub=rows,
+                                    b_ub=[r[j0] for r in p.risk],
+                                    A_eq=[[1] * nd + [0] * nt], b_eq=[1])
+    return res.objective > 0, res.objective
+
+
+_grid_risks = st.integers(1, 4).flatmap(lambda nt: st.integers(1, 4).flatmap(
+    lambda nd: st.lists(st.lists(st.integers(0, 8).map(lambda v: F(v, 8)),
+                                 min_size=nd, max_size=nd), min_size=nt, max_size=nt)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_risks, st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from((F(1), F(1, 10), F(1, 100), F(1, 7), F(1, 1000))))
+def test_stein_and_dominance_match_equality_formulations(risk, k, i, eps):
+    # the LPs start from their slack basis (sum(pi) <= 1; the competitors'
+    # weights only), and their optima must be those of the sum == 1 forms
+    p = DecisionProblem(tuple(f"t{n}" for n in range(len(risk))),
+                        tuple(f"d{n}" for n in range(len(risk[0]))), risk)
+    d0, t0 = p.proc_labels[k % len(p.proc_labels)], p.theta_labels[i % len(p.theta_labels)]
+    s = adm.stein_check(p, d0, t0, eps)
+    assert (s.feasible, s.theta0_weight, s.excess) == _equality_stein(p, d0, t0, eps)
+    h = adm.dominated_in_hull(p, d0)
+    assert (h.dominated, h.improvement) == _equality_dominance(p, d0)
+
+
+def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
+    # every row of both LPs is a.x <= b with b >= 0: one Bland loop per LP
+    runs, real = [], simplex._run_simplex
+
+    def spy(*args):
+        runs[-1] += 1
+        return real(*args)
+
+    def solve(*args, **kwargs):
+        runs.append(0)
+        return simplex.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_run_simplex", spy)
+    monkeypatch.setattr(adm, "solve_lp", solve)
+    dominated = infeasible = 0
+    for seed in range(20):
+        p = random_problem(1 + seed % 5, 1 + seed % 6, seed)
+        for j, d in enumerate(p.proc_labels):
+            dominated += adm._dominance_lp(p, j)[1] is not None
+            for t in p.theta_labels:
+                infeasible += not adm.stein_check(p, d, t, F(1, 100)).feasible
+    assert dominated and infeasible  # both verdicts were reached
+    assert len(runs) > 100 and set(runs) == {1}
+
+
 class TestDeterminingFamily:
     def test_singletons_always_pass(self):
         for seed in range(20):
@@ -613,7 +684,11 @@ class TestReverificationUnderOptimize:
             "prior weight for t1 is negative: -1",
             "stein prior RuntimeError LP solution is not a valid prior: "
             "prior weight for t1 is negative: -1",
+            "stein prior short of 1 RuntimeError LP solution is not a valid prior: "
+            "prior weights must sum to exactly 1, got 1/2",
             "hull mixture RuntimeError LP solution is not a valid mixture: "
+            "mixture weights must sum to exactly 1",
+            "hull mixture past 1 RuntimeError LP solution is not a valid mixture: "
             "mixture weights must sum to exactly 1",
             "game mixture RuntimeError LP solution is not a valid mixture: "
             "mixture weights must sum to exactly 1",
@@ -658,9 +733,11 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("stein_check",
          lambda res, kw: moved(res, [1, 3], 4, F(1, 4)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
-        # d1 itself, with slack 1 at t1 claimed: d1 is worse than d0 at t1
+        # the dominance LP's variables are [mu_d1, s_t1, s_t2], d0 weighted
+        # 1 - mu_d1: d1 itself, with slack 1 at t1 claimed, although d1 is
+        # worse than d0 at t1
         ("dominating mixture",
-         lambda res, kw: moved(res, [0, 1, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda res, kw: moved(res, [1, 1, 0], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # d1 claimed risk-equal to d0, although its risks are swapped
         ("risk-equal mixture",
@@ -691,8 +768,17 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("stein prior",
          lambda res, kw: moved(res, [-1, 2], 1, F(-1)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
+        # sum(pi) <= 1 is the Stein LP's row, but its optimum has sum(pi) == 1
+        ("stein prior short of 1",
+         lambda res, kw: moved(res, [1, 1], 4, F(1, 4)),
+         lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
+        # mu_d1 = -1, so d0 is weighted 2
         ("hull mixture",
-         lambda res, kw: moved(res, [-1, 2, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda res, kw: moved(res, [-1, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        # mu_d1 = 2 sums past 1, so d0's derived weight 1 - mu_d1 is -1
+        ("hull mixture past 1",
+         lambda res, kw: moved(res, [2, 1, 0], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         ("game mixture",
          lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),

@@ -661,7 +661,7 @@ class TestStartup:
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "a4e3513a163bc67165643a14764f69f9ef204d5b78c86cb86f20e32337834eef"
+PROBLEM_OUTPUTS_SHA256 = "1d84114140239123f8f98e627b06c1a09317281d88d468c93e835bc55899ce9c"
 
 
 def test_random_problem_outputs_are_pinned():
