@@ -228,7 +228,17 @@ def _bayes_rows(p: DecisionProblem, j0: int):
 
 
 def positive_prior_certificate(p: DecisionProblem, delta0):
-    """Max-min LP: find a prior, everywhere positive, under which delta0 is Bayes.
+    """Min-weight LP: find a prior, everywhere positive, under which delta0 is Bayes.
+
+    Maximizes t, the least weight, over priors pi = t + s with t >= 0 and
+    s >= 0 (one s_theta per parameter): the Bayes rows read
+    bayes_j . s + sum(bayes_j) t <= 0, one per competitor, and the prior's
+    mass sum(s) + |Theta| t == 1.  The max-min form (t free, t <= pi_theta,
+    sum(pi) == 1) has an optimum t* >= 0 whenever it is feasible, since
+    t = min(pi) >= 0 is feasible there, and (pi, t) -> (pi - t, t) is
+    one-to-one between its points with t >= 0 and this LP's.  So the
+    optimum, and infeasibility, are those of the max-min form, and at an
+    optimum some s_theta is 0, so min(pi) == t*.
 
     Returns a Certificate when the optimum t* > 0, otherwise NoPositivePrior
     with the exact set of parameters that any certifying prior must zero out.
@@ -237,20 +247,16 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     nt, den = len(p.theta_labels), p.den
     bayes = _bayes_rows(p, j0)
 
-    # variables: pi (nt), then t free; every row times den
-    A_ub = [row + [0] for row in bayes]
-    for i in range(nt):
-        row = [0] * (nt + 1)
-        row[i], row[nt] = -den, den   # t - pi_i <= 0
-        A_ub.append(row)
-    res = solve_lp([0] * nt + [1], A_ub=A_ub, b_ub=[0] * len(A_ub),
-                   A_eq=[[den] * nt + [0]], b_eq=[den], free_vars=[nt])
+    # variables: s (nt), then t; every row times den
+    res = solve_lp([0] * nt + [1], A_ub=[row + [sum(row)] for row in bayes],
+                   b_ub=[0] * len(bayes), A_eq=[[den] * nt + [den * nt]], b_eq=[den])
     iters = res.iterations
 
     if res.status == "optimal" and res.objective > 0:
-        prior = _from_lp(Prior, p.theta_labels, res.num, res.D)
-        cert = Certificate(delta0, prior, res.objective,
-                           _slacks(p, res.num[:nt], res.D, j0), iters)
+        t = res.num[nt]
+        pi = [v + t for v in res.num[:nt]]
+        prior = _from_lp(Prior, p.theta_labels, pi, res.D)
+        cert = Certificate(delta0, prior, res.objective, _slacks(p, pi, res.D, j0), iters)
         if not cert.verify(p):
             raise RuntimeError("certificate failed independent re-verification")
         return cert

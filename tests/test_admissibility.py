@@ -205,6 +205,51 @@ def test_forced_zero_matches_per_theta_probes(risk, k):
     else:
         assert probed is None and r.forced_zero == ()
 
+
+def _max_min_certificate_lp(p, d0):
+    """The certificate LP in max-min form, on the Fraction kernel: max t over
+    pi >= 0 and t free with t <= pi_theta, sum(pi) == 1 and d0 Bayes under pi."""
+    j0, nt = p.proc_index(d0), len(p.theta_labels)
+    A_ub = [[r[j0] - r[j] for r in p.risk] + [0]
+            for j in range(len(p.proc_labels)) if j != j0]
+    for i in range(nt):
+        A_ub.append([-F(k == i) for k in range(nt)] + [1])  # t - pi_i <= 0
+    return fraction_simplex.solve_lp([0] * nt + [1], A_ub=A_ub, b_ub=[0] * len(A_ub),
+                                     A_eq=[[1] * nt + [0]], b_eq=[1], free_vars=[nt])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 10**6), st.sampled_from((8, 97)),
+       st.booleans())
+def test_certificate_matches_max_min_lp(n_theta, n_proc, seed, grid, mixtures):
+    # the min-weight LP (pi = t + s) against the max-min form it replaced
+    q = random_problem(n_theta, n_proc, seed, grid)
+    p = DecisionProblem(q.theta_labels, q.proc_labels, q.risk, allow_mixtures=mixtures)
+    for d0 in p.proc_labels:
+        r = adm.positive_prior_certificate(p, d0)
+        oracle = _max_min_certificate_lp(p, d0)
+        if oracle.status == "optimal" and oracle.objective > 0:
+            assert isinstance(r, adm.Certificate)
+            assert r.min_weight == oracle.objective == min(r.prior.weights.values())
+        else:
+            assert isinstance(r, adm.NoPositivePrior)
+            assert r.any_prior == (oracle.status == "optimal")
+            assert r.forced_zero == (_probed_forced_zero(p, d0) or ())
+            assert mixtures or r.witness is None
+
+
+def test_large_entry_min_weights_are_pinned():
+    # 12x12 on the 10**-6 grid: entries near 130 bits in the tableau
+    p = random_problem(12, 12, 77, 10**6)
+    assert [adm.positive_prior_certificate(p, d).min_weight
+            for d in ("d1", "d2", "d3", "d4")] == [
+        F(294183450646, 3924647844931),
+        F(133946148531149112, 2137270757500150957),
+        F(381638834348049179, 6391529892952275230),
+        F(66263318554, 1084241399443),
+    ]
+
+
 class TestWitnessSet:
     def test_single_theta_witness(self):
         p = DecisionProblem(("t1", "t2", "t3"), ("d0", "d1", "d2"),
@@ -680,8 +725,11 @@ class TestReverificationUnderOptimize:
             "game prior side RuntimeError prior-side game optimum failed independent "
             "re-verification",
             "forced-zero pi RuntimeError forced-zero LP failed independent re-verification",
+            "certificate t RuntimeError certificate failed independent re-verification",
+            "certificate s level RuntimeError certificate failed independent "
+            "re-verification",
             "certificate prior RuntimeError LP solution is not a valid prior: "
-            "prior weight for t1 is negative: -1",
+            "prior weight for t1 is negative: -1/2",
             "stein prior RuntimeError LP solution is not a valid prior: "
             "prior weight for t1 is negative: -1",
             "stein prior short of 1 RuntimeError LP solution is not a valid prior: "
@@ -720,6 +768,8 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     three = DecisionProblem(("t1", "t2"), ("d0", "d1", "d2"), ((1, 0, 3), (1, 3, 0)))
     # d0 is Bayes only under the Dirac prior at t1: t2 is forced to zero
     tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
+    # d0 is Bayes iff pi(t1) >= 10 pi(t2): the certificate is (10/11, 1/11)
+    ten = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -10)))
     has_ub = lambda kwargs: kwargs.get("A_ub") is not None
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
@@ -760,8 +810,20 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
                           moved(res, [res.num[0], res.num[1] + res.D] + res.num[2:], res.D,
                                 res.objective)),
          lambda: admissibility.positive_prior_certificate(tied, "d0")),
+        # the certificate LP's variables are [s_t1, s_t2, t], its prior s + t;
+        # on ten its optimum is num = [9, 0, 1] under D = 11.  Here only t's
+        # level moves, 1 to 2 (D to 13, so s + t stays a prior): pi = (11/13,
+        # 2/13), whose least weight is t, but under which d1 beats d0
+        ("certificate t",
+         lambda res, kw: moved(res, [9, 0, 2], 13, F(2, 13)),
+         lambda: admissibility.positive_prior_certificate(ten, "d0")),
+        # only s_t1's level moves, 9 to 4 (D to 6): pi = (5/6, 1/6), d1 ahead again
+        ("certificate s level",
+         lambda res, kw: moved(res, [4, 0, 1], 6, F(1, 6)),
+         lambda: admissibility.positive_prior_certificate(ten, "d0")),
         # the remaining cases give x a negative weight, so x is no prior or
-        # mixture at all: a fault of the LP (exit 3), not of the input (exit 2)
+        # mixture at all: a fault of the LP (exit 3), not of the input (exit 2);
+        # here pi = (-2 + 1, 4 + 1) / 2
         ("certificate prior",
          lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),
          lambda: admissibility.positive_prior_certificate(p, "d0")),

@@ -661,7 +661,7 @@ class TestStartup:
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "1d84114140239123f8f98e627b06c1a09317281d88d468c93e835bc55899ce9c"
+PROBLEM_OUTPUTS_SHA256 = "8b3c5ee394b9309f859804b1ece1ee379f8be310297e07129a2092ace08a65f9"
 
 
 def test_random_problem_outputs_are_pinned():
