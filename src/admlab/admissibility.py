@@ -6,9 +6,12 @@ recomputation, so the LP kernel is never the single point of trust.  Every LP
 row is plain ints, one LP's rows all scaled by one positive factor (the
 problem's common risk denominator ``den``, times eps's denominator for
 Stein), and the re-checks, the ``ns_*`` excess included, are integer passes
-over the problem's ``irisk`` (``decision``'s helpers).  Throughout, the
-infimum over the convex hull of procedures is replaced by the minimum over
-its vertices, which is exact because risk is linear in the mixture.
+over the problem's ``irisk`` (``decision``'s helpers).  Stein's int rows go
+into the kernel's tableau already packed: each is an int combination of the
+packed risk columns, which is the packed row since packing is linear.
+Throughout, the infimum over the convex hull of procedures is replaced by
+the minimum over its vertices, which is exact because risk is linear in the
+mixture.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from admlab.decision import (
     _mixture_gaps,
 )
 from admlab.hyperreal import LCNumber, _as_fraction, approx_leq, compare
-from admlab.simplex import solve_lp
+from admlab.simplex import _solve_tableau, _Tableau, solve_lp
 
 __all__ = [
     "Certificate",
@@ -449,31 +452,38 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
         raise ValueError("eps must be a positive rational")
     i0 = p.theta_index(theta0)
     j0 = p.proc_index(delta0)
-    nt = len(p.theta_labels)
 
-    # every row times den * q for eps = a / q
-    scale = p.den * eps.denominator
-    A_ub = [[eps.denominator * v for v in row] for row in _bayes_rows(p, j0)]
-    for row in A_ub:
-        row[i0] -= p.den * eps.numerator
-    c = [0] * nt
-    c[i0] = 1
-    res = solve_lp(c, A_ub=A_ub + [[scale] * nt], b_ub=[0] * len(A_ub) + [scale])
+    # variables: pi (nt), then one slack per row; every row times den * q for
+    # eps = a / q, packed from the risk columns: packing is linear.  No field
+    # of a competitor's row exceeds q * (hi - lo) + den * a, nor of the mass row den * q
+    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
+    a, q = eps.numerator, eps.denominator
+    hi, lo = max(map(max, p.irisk)), min(map(min, p.irisk))
+    tab = _Tableau(nt + nd + 1, max(q * (hi - lo) + den * a, den * q).bit_length())
+    W = tab.W
+    cols = [q * tab.pack(col) for col in zip(*p.irisk)]
+    top = cols[j0] - (den * a << W * i0)
+    tab.rows = [top - cols[j] + (1 << W * (nt + k))
+                for k, j in enumerate(j for j in range(nd) if j != j0)]
+    ones = ((1 << W * nt) - 1) // ((1 << W) - 1)
+    tab.rows.append(den * q * (ones + (1 << tab.rsh)) + (1 << W * (nt + nd - 1)))
+    cost = [0] * (nt + nd)
+    cost[i0] = 1
+    res = _solve_tableau(tab, list(range(nt, nt + nd)), cost, nt)
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
     if res.objective == 0:
         return SteinResult(delta0, theta0, eps, False, None, None, None, None, res.iterations)
     prior = _from_lp(Prior, p.theta_labels, res.num, res.D)
-    weight = prior.weight(theta0)
+    weight = prior.weights[theta0]
     if res.objective != weight:
         raise RuntimeError("stein LP objective differs from its prior's weight at theta0")
     gaps, n = _bayes_gaps(p, res.num, res.D, j0)
-    excess = Fraction(-min(gaps), n)
-    bound = eps * weight
-    if not excess <= bound:  # the LP's constraints, recomputed exactly
+    excess = -min(gaps)  # over n = D * den
+    if excess * q > a * res.num[i0] * den:  # the LP's constraints, recomputed exactly
         raise RuntimeError("stein prior failed independent re-verification")
     return SteinResult(delta0, theta0, eps, True, prior, weight,
-                       excess, bound, res.iterations)
+                       Fraction(excess, n), eps * weight, res.iterations)
 
 
 # -- determining families and the infinitesimal-weight checkers -----------------

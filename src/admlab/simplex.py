@@ -59,6 +59,18 @@ field by field as bytes, at ``W = T + g + 32`` rounded up to a multiple of
 8.  All fields are still valid under the old ``W`` at that point, so no
 field is ever read after it overflowed.
 
+**The private entry.**  ``solve_lp`` validates its input, scales it to ints
+and packs its rows; ``_solve_tableau`` does the rest (phase 1 when some row
+has an artificial, phase 2 and the read-out below) on a packed tableau.  A
+checker that packs its own rows calls it directly.  It guarantees what
+``solve_lp`` does: every rhs is ``>= 0``, each row's basic column is its own
+slack, stored as 1, or an artificial, and ``T`` bounds every field of every
+row (and of phase 1's objective, if it runs).  Packing is linear, since a
+packed row is ``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) +
+c*pack(v) == pack(u + c*v)`` for int vectors and an int ``c``.  So such a
+row can be made from packed vectors with a few bignum operations, and it
+reads back field by field when every field of the result is below ``2**T``.
+
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
 is its positive part minus its negative part); ``x`` itself is derived on
@@ -125,9 +137,9 @@ class _Tableau:
 
     __slots__ = ("rows", "nfields", "T", "W", "M", "H", "B", "pos", "cols", "rsh")
 
-    def __init__(self, nfields, T, W):
+    def __init__(self, nfields, T, W=None):
         self.rows, self.nfields, self.T = [], nfields, T
-        self.fit(W)
+        self.fit(W or _width(T))
 
     def fit(self, W):
         """Set the width to W (rows must be packed again)."""
@@ -275,9 +287,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + [0] * nslack
 
     # every entry, the phase-1 objective's (a sum of up to m rows) too, is below 2**T
-    m = len(rows)
-    T = _bits(rows) + m.bit_length()
-    tab = _Tableau(ncols + 1, T, _width(T))
+    T = _bits(rows) + len(rows).bit_length()
+    tab = _Tableau(ncols + 1, T)
     basis = []
     for i, arow in enumerate(rows):  # inequality rows first, each with its slack, stored as 1
         x = tab.pack(arow[:n] + [-arow[j] for j in free]) + (arow[n] << tab.rsh)
@@ -286,7 +297,19 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         # the slack starts basic in a row it can hold; any other row gets an artificial
         basis.append(n + nf + i if i < nslack and arow[n] >= 0 else ncols + i)
         tab.rows.append(x if arow[n] >= 0 else -x)
+    return _solve_tableau(tab, basis, cost, n, free, L, Lc, sign)
 
+
+def _solve_tableau(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
+    """Solve the LP packed in tab (the private entry; see the module docstring).
+
+    Row i of ``tab.rows`` has basic column ``basis[i]``, ``ncols + i`` for an
+    artificial, with ``ncols = len(cost)``: ``n`` structural columns, one
+    negative part per entry of ``free``, then one slack per inequality row.
+    ``cost`` is the objective as ints, times ``Lc`` and times ``sign`` (-1 for
+    a min), ``L`` the rows' common factor.
+    """
+    ncols, nf, m = len(cost), len(free), len(basis)
     iters, d = 0, 1
     if basis and max(basis) >= ncols:
         # phase 1: max -sum(artificials) (columns ncols.., never stored)
@@ -329,6 +352,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
             num[bj] += tab.rhs(x)
         elif bj < n + nf:
             num[free[bj - n]] -= tab.rhs(x)
-    obj = tab.rows[-1]
-    ynum = [L * (tab.H - (obj + tab.B >> tab.W * s & tab.M)) for s in range(n + nf, ncols)]
-    return LPResult("optimal", sign * Fraction(-tab.rhs(obj), d * Lc), num, d, iters, ynum)
+    obj, W, M, H = tab.rows[-1] + tab.B, tab.W, tab.M, tab.H  # the objective row, biased
+    ynum = [L * (H - (obj >> W * s & M)) for s in range(n + nf, ncols)]
+    return LPResult("optimal", Fraction(sign * (H - (obj >> tab.rsh)), d * Lc),
+                    num, d, iters, ynum)

@@ -203,14 +203,20 @@ def large_entry_lps(count=40, seed=20261019):
 
 
 def kernel_outputs():
-    """Every LPResult the checkers and the game solve, then the large-entry LPs."""
-    def record(*args, **kwargs):
-        res = simplex.solve_lp(*args, **kwargs)
-        print("lp", repr(res))
-        return res
+    """Every LPResult the checkers and the game solve, then the large-entry LPs.
 
-    saved = adm.solve_lp, game.solve_lp
-    adm.solve_lp = game.solve_lp = record
+    ``stein_check`` packs its own tableau and calls the kernel's private
+    entry ``simplex._solve_tableau``, so both entries are recorded."""
+    def recorded(solve):
+        def record(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            print("lp", repr(res))
+            return res
+        return record
+
+    saved = adm.solve_lp, game.solve_lp, adm._solve_tableau
+    adm.solve_lp = game.solve_lp = recorded(simplex.solve_lp)
+    adm._solve_tableau = recorded(simplex._solve_tableau)
     try:
         for grid in GRIDS:
             for seed, (nt, nd) in enumerate(KERNEL_SHAPES):
@@ -229,7 +235,7 @@ def kernel_outputs():
                         adm.witness_set(p, d)
                     game.derived_game_value(p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
     finally:
-        adm.solve_lp, game.solve_lp = saved
+        adm.solve_lp, game.solve_lp, adm._solve_tableau = saved
     print("== large entries")
     for args, kwargs in large_entry_lps():
         print("lp", repr(simplex.solve_lp(*args, **kwargs)))

@@ -461,28 +461,108 @@ def test_stein_and_dominance_match_equality_formulations(risk, k, i, eps):
 
 
 def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
-    # every row of both LPs is a.x <= b with b >= 0: one Bland loop per LP
+    # every row of both LPs is a.x <= b with b >= 0: one Bland loop per LP.
+    # The dominance LP goes through solve_lp; stein_check packs its own
+    # tableau and calls the kernel's private entry
     runs, real = [], simplex._run_simplex
 
     def spy(*args):
-        runs[-1] += 1
+        runs[-1][1] += 1
         return real(*args)
 
-    def solve(*args, **kwargs):
-        runs.append(0)
-        return simplex.solve_lp(*args, **kwargs)
+    def counted(kind, solve):
+        def wrapper(*args, **kwargs):
+            runs.append([kind, 0])
+            return solve(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(simplex, "_run_simplex", spy)
-    monkeypatch.setattr(adm, "solve_lp", solve)
-    dominated = infeasible = 0
+    monkeypatch.setattr(adm, "solve_lp", counted("dominance", simplex.solve_lp))
+    monkeypatch.setattr(adm, "_solve_tableau", counted("stein", simplex._solve_tableau))
+    dominated = infeasible = checks = 0
     for seed in range(20):
         p = random_problem(1 + seed % 5, 1 + seed % 6, seed)
         for j, d in enumerate(p.proc_labels):
             dominated += adm._dominance_lp(p, j)[1] is not None
             for t in p.theta_labels:
                 infeasible += not adm.stein_check(p, d, t, F(1, 100)).feasible
+                checks += 1
     assert dominated and infeasible  # both verdicts were reached
-    assert len(runs) > 100 and set(runs) == {1}
+    assert [kind for kind, _ in runs].count("stein") == checks > 100
+    assert len(runs) > checks and {loops for _, loops in runs} == {1}
+
+
+def _list_stein(p, d0, t0, eps, solve):
+    """stein_check's SteinResult from its LP written as lists and solved by
+    solve: _bayes_rows times q, den * a off theta0's field, and the mass row,
+    for eps = a / q; the excess recomputed by bayes_risk."""
+    j0, i0, nt = p.proc_index(d0), p.theta_index(t0), len(p.theta_labels)
+    a, q = eps.numerator, eps.denominator
+    rows = [[q * v for v in row] for row in adm._bayes_rows(p, j0)]
+    for row in rows:
+        row[i0] -= p.den * a
+    res = solve([int(i == i0) for i in range(nt)], A_ub=rows + [[p.den * q] * nt],
+                b_ub=[0] * len(rows) + [p.den * q])
+    if res.objective == 0:
+        return adm.SteinResult(d0, t0, eps, False, None, None, None, None, res.iterations)
+    prior = Prior(dict(zip(p.theta_labels, res.x)))
+    base = bayes_risk(p, prior, d0)
+    excess = max(base - bayes_risk(p, prior, d) for d in p.proc_labels)
+    return adm.SteinResult(d0, t0, eps, True, prior, res.objective, excess,
+                           eps * res.objective, res.iterations)
+
+
+class _PackedStein:
+    """Spies the private entry that stein_check calls: T must bound every
+    field of the rows it packed; counts the LPs where T is the least bound."""
+
+    def __init__(self):
+        self.lps = self.tight = 0
+        self.real = simplex._solve_tableau
+
+    def __call__(self, tab, *args):
+        top = max(abs(v) for s in range(tab.nfields) for v in tab.column(s))
+        assert top < 2 ** tab.T
+        self.lps += 1
+        self.tight += top >= 2 ** (tab.T - 1)
+        return self.real(tab, *args)
+
+
+def _same_as_list_stein(p, eps, solve=simplex.solve_lp):
+    spy = _PackedStein()
+    with mock.patch.object(adm, "_solve_tableau", spy):
+        for d in p.proc_labels:
+            for t in p.theta_labels:
+                assert adm.stein_check(p, d, t, eps) == _list_stein(p, d, t, eps, solve), (d, t)
+    assert spy.lps == len(p.proc_labels) * len(p.theta_labels)
+    return spy
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 10**6),
+       st.sampled_from((8, 97, 10**6)),
+       st.sampled_from((F(1), F(1, 10), F(1, 7), F(3, 1000), F(1, 10**9 + 7),
+                        F(5, 2**61 - 1))))
+@example(3, 1, 0, 8, F(1, 100))  # a single procedure: the mass row alone
+def test_packed_stein_lp_matches_the_list_form(n_theta, n_proc, seed, grid, eps):
+    # the rows packed from the risk columns are the list form's rows, field
+    # for field, and T bounds them: same SteinResult, prior and pivots included
+    _same_as_list_stein(random_problem(n_theta, n_proc, seed, grid), eps)
+
+
+def test_packed_stein_lp_repacks_and_reads_the_new_rows():
+    # entries near 2**50 outgrow the first width on the first pivot, so the
+    # kernel packs its rows again; the results must come from those rows,
+    # which the Fraction-tableau kernel, sharing no code with it, confirms
+    repacks, real = [], simplex._repack
+
+    def spy(tab, W):
+        repacks.append(W)
+        return real(tab, W)
+    with mock.patch.object(simplex, "_repack", spy):
+        packed = _same_as_list_stein(random_problem(4, 6, 3, 10**6), F(1, 10**9 + 7),
+                                     fraction_simplex.solve_lp)
+    assert repacks and packed.tight  # and T is the least bound on some LP
 
 
 class TestDeterminingFamily:
@@ -670,13 +750,17 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
     from admlab import admissibility, game, simplex
     from admlab.decision import DecisionProblem
 
-    def corrupt(*args, **kwargs):
-        res = simplex.solve_lp(*args, **kwargs)
-        if res.objective is None:
-            return res
-        return dataclasses.replace(res, objective=res.objective + 1)
+    def corrupted(solve):
+        def corrupt(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if res.objective is None:
+                return res
+            return dataclasses.replace(res, objective=res.objective + 1)
+        return corrupt
 
-    admissibility.solve_lp = game.solve_lp = corrupt
+    # stein_check packs its own tableau and calls the kernel's private entry
+    admissibility.solve_lp = game.solve_lp = corrupted(simplex.solve_lp)
+    admissibility._solve_tableau = corrupted(simplex._solve_tableau)
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
     print("optimize", sys.flags.optimize)
     for name, call in [("dominated_in_hull", lambda: admissibility.dominated_in_hull(p, "d0")),
@@ -874,8 +958,13 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
-        admissibility.solve_lp = game.solve_lp = (
-            lambda *a, move=move, **kw: move(simplex.solve_lp(*a, **kw), kw))
+        # stein_check packs its own tableau and calls the kernel's private
+        # entry; every other checker, and the game, calls solve_lp
+        stein = name.startswith("stein")
+        solve = simplex._solve_tableau if stein else simplex.solve_lp
+        moving = lambda *a, move=move, solve=solve, **kw: move(solve(*a, **kw), kw)
+        admissibility.solve_lp = game.solve_lp = simplex.solve_lp if stein else moving
+        admissibility._solve_tableau = moving if stein else simplex._solve_tableau
         try:
             print(name, "returned", call())
         except RuntimeError as exc:

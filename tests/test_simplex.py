@@ -377,23 +377,44 @@ def test_growing_entries_force_a_repack(monkeypatch):
 
 
 class _Recorded:
-    """Records every LP the checkers and the game solve, on the real kernel."""
+    """Records every LP the checkers and the game solve, on the real kernel.
+
+    ``stein_check`` packs its own tableau and calls ``simplex._solve_tableau``:
+    its LPs are recorded unpacked, as the inequality rows of their fields,
+    with the result that the packed tableau gave.
+    """
 
     def __init__(self, monkeypatch):
         self.calls = []
 
         def record(*args, **kwargs):
-            self.calls.append((args, kwargs))
+            self.calls.append((args, kwargs, None))
             return solve_lp(*args, **kwargs)
+
+        def record_packed(tab, basis, cost, n, *rest):
+            fields = list(zip(*(tab.column(k) for k in range(tab.nfields))))
+            # a slack per row, stored as 1 and basic, and no other column
+            assert tab.nfields == n + len(fields) + 1 and basis == list(range(n, n + len(fields)))
+            assert [list(f[n:-1]) for f in fields] == [
+                [int(i == k) for k in range(len(fields))] for i in range(len(fields))]
+            lp = (list(cost[:n]),), dict(A_ub=[list(f[:n]) for f in fields],
+                                         b_ub=[f[-1] for f in fields])
+            res = simplex._solve_tableau(tab, basis, cost, n, *rest)
+            self.calls.append((*lp, res))
+            return res
         monkeypatch.setattr(admissibility, "solve_lp", record)
         monkeypatch.setattr(game, "solve_lp", record)
+        monkeypatch.setattr(admissibility, "_solve_tableau", record_packed)
 
     def replay(self, monkeypatch):
-        """Each recorded LP against the oracle; the number of negative pivots."""
+        """Each recorded LP against the oracle, and a packed one's result
+        against solve_lp's; the number of negative pivots."""
         monkeypatch.undo()
         neg = _NegativePivots(monkeypatch)
-        for args, kwargs in self.calls:
+        for args, kwargs, packed in self.calls:
             _assert_same_as_oracle(args, kwargs)
+            if packed is not None:
+                assert packed == solve_lp(*args, **kwargs)
         return neg.count
 
 
@@ -430,7 +451,7 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
             except ValueError:
                 refused += 1
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(1 + j % 3, 2))
-    kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw in lps.calls}
+    kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw, _ in lps.calls}
     assert kinds == {(False, True)}
     assert refused > 0 and len(lps.calls) > 60
     lps.replay(monkeypatch)
