@@ -16,7 +16,7 @@ mixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from admlab.decision import (
@@ -90,18 +90,10 @@ class HullDominanceReport:
     improvement: Fraction            # LP optimum: total slack across parameters
     risk_equal: bool                 # a competitor mixture matches the risk vector exactly
     equal_mixture: Mixture | None
-    iterations: int
+    iterations: int = field(metadata={"key": "lp_iterations"})
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "dominated": self.dominated,
-            "mixture": self.mixture,
-            "improvement": self.improvement,
-            "risk_equal": self.risk_equal,
-            "equal_mixture": self.equal_mixture,
-            "lp_iterations": self.iterations,
-        })
+        return _fmt(self)
 
 
 def _dominance_lp(p: DecisionProblem, j0: int):
@@ -184,7 +176,8 @@ class Certificate:
     prior: Prior
     min_weight: Fraction             # > 0
     slacks: dict                     # delta -> bayes_risk(pi, delta) - bayes_risk(pi, delta0)
-    iterations: int
+    iterations: int = field(metadata={"key": "lp_iterations"})
+    verdict: str = field(default="certificate", init=False)
 
     def verify(self, p: DecisionProblem) -> bool:
         """Recompute everything from scratch, bypassing the LP."""
@@ -197,32 +190,20 @@ class Certificate:
         return slacks == self.slacks and min(slacks.values()) >= 0
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "prior": self.prior,
-            "min_weight": self.min_weight,
-            "slacks": self.slacks,
-            "lp_iterations": self.iterations,
-        })
+        return _fmt(self)
 
 
 @dataclass(frozen=True)
 class NoPositivePrior:
     delta0: str
+    verdict: str = field(default="no_positive_prior", init=False)
     any_prior: bool                  # does any prior make delta0 Bayes at all?
     forced_zero: tuple               # thetas that no certifying prior can weight
     witness: Mixture | None          # a dominating mixture, when one exists
-    iterations: int
+    iterations: int = field(metadata={"key": "lp_iterations"})
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "verdict": "no_positive_prior",
-            "any_prior": self.any_prior,
-            "forced_zero": self.forced_zero,
-            "witness": self.witness,
-            "lp_iterations": self.iterations,
-        })
+        return _fmt(self)
 
 
 def _bayes_rows(p: DecisionProblem, j0: int):
@@ -319,14 +300,7 @@ class WitnessSet:
     validation_value: Fraction | None
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "thetas": self.thetas,
-            "margin": self.margin,
-            "iterations": self.iterations,
-            "validated": self.validated,
-            "validation_value": self.validation_value,
-        })
+        return _fmt(self)
 
 
 def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
@@ -418,20 +392,10 @@ class SteinResult:
     theta0_weight: Fraction | None
     excess: Fraction | None          # recomputed: max over vertices of Bayes-risk gap
     bound: Fraction | None           # eps * pi(theta0)
-    iterations: int
+    iterations: int = field(metadata={"key": "lp_iterations"})
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "theta0": self.theta0,
-            "eps": self.eps,
-            "feasible": self.feasible,
-            "prior": self.prior,
-            "theta0_weight": self.theta0_weight,
-            "excess": self.excess,
-            "bound": self.bound,
-            "lp_iterations": self.iterations,
-        })
+        return _fmt(self)
 
 
 def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
@@ -494,7 +458,7 @@ class DeterminingFamilyReport:
     pairs: tuple                     # (delta0, delta1, best_gap, best_set_index) per improving pair
     failures: tuple                  # improving pairs with no uniformly separating member
 
-    def as_dict(self):
+    def as_dict(self):  # its own: each pair tuple becomes a dict of named parts
         return _fmt({
             "ok": self.ok,
             "pairs": [{"delta0": a, "delta1": b, "gap": g, "set_index": k}
@@ -504,13 +468,17 @@ class DeterminingFamilyReport:
 
 
 def _validate_family(p: DecisionProblem, family):
+    """The members as tuples: each nonempty, of known labels, none repeated
+    (a repeated label would count its prior mass twice)."""
     sets = []
     for k, B in enumerate(family):
         B = tuple(B)
         if not B:
-            raise ValueError(f"family member {k} is empty")
-        for t in B:
+            raise ValueError(f"family member {k} must be a nonempty set of parameter labels")
+        for i, t in enumerate(B):
             p.theta_index(t)
+            if t in B[:i]:
+                raise ValueError(f"family member {k} repeats parameter label {t!r}")
         sets.append(B)
     return sets
 
@@ -552,7 +520,7 @@ class NsSteinReport:
     bound: LCNumber
 
     def as_dict(self):
-        return _fmt({"ok": self.ok, "excess": self.excess, "bound": self.bound})
+        return _fmt(self)
 
 
 def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinReport:
@@ -560,11 +528,7 @@ def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinR
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be a positive rational")
-    B = tuple(B)
-    if not B:
-        raise ValueError("B must be a nonempty set of parameter labels")
-    for t in B:
-        p.theta_index(t)
+    (B,) = _validate_family(p, (B,))
     excess = _lc_excess(p, prior, delta0)
     bound = sum((prior.weight(t) for t in B), LCNumber.zero()) * eps
     return NsSteinReport(compare(excess, bound) <= 0, excess, bound)
@@ -579,7 +543,7 @@ class NsBlythReport:
     excess: LCNumber
     ratio: LCNumber
 
-    def as_dict(self):
+    def as_dict(self):  # its own: JSON keys constants by text, not by a label tuple
         return _fmt({
             "ok": self.ok,
             "mass_ok": self.mass_ok,

@@ -82,7 +82,10 @@ def _parse_prior_spec(spec: str) -> Prior:
         if not sep or not label.strip() or not expr.strip():
             raise ValueError(f"cannot parse prior entry {chunk!r}; "
                              "expected label:weight")
-        weights[label.strip()] = parse_lc(expr.strip())
+        label = label.strip()
+        if label in weights:
+            raise ValueError(f"prior label {label!r} repeated")
+        weights[label] = parse_lc(expr.strip())
     if not weights:
         raise ValueError("empty prior specification")
     return Prior(weights)
@@ -173,13 +176,8 @@ def cmd_check(args) -> int:
 def cmd_certify(args) -> int:
     p = _read_problem(args.problem)
     result = positive_prior_certificate(p, args.delta)
-    payload = result.as_dict()
-    if isinstance(result, Certificate):
-        payload.setdefault("verdict", "certificate")
-        _emit(payload)
-        return EXIT_OK
-    _emit(payload)
-    return EXIT_NEGATIVE
+    _emit(result.as_dict())
+    return EXIT_OK if isinstance(result, Certificate) else EXIT_NEGATIVE
 
 
 def cmd_witness(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -155,8 +155,10 @@ def _from_lp(cls, labels, num, D):
 
 def _fmt(v):
     """A payload's encoding of an exact value: a Fraction as 'n' or 'n/d', a
-    Levi-Civita number as its text, a Prior or Mixture as its weights, and a
-    dict, tuple or list item by item; anything else (None included) as it is."""
+    Levi-Civita number as its text, a Prior or Mixture as its weights, a dict,
+    tuple or list item by item, any other dataclass (a report) as its fields
+    in order, each under its name or its metadata's "key"; anything else
+    (None included) as it is."""
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, LCNumber):
@@ -167,6 +169,8 @@ def _fmt(v):
         return {k: _fmt(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
         return [_fmt(x) for x in v]
+    if is_dataclass(v):
+        return {f.metadata.get("key", f.name): _fmt(getattr(v, f.name)) for f in fields(v)}
     return v
 
 
@@ -309,6 +313,15 @@ def _reject_float(s):
         f"bare float {s!r} in problem file; write rationals as strings like \"1/3\" or \"0.25\"")
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemFormatError(f"key {key!r} repeated in problem file")
+        obj[key] = value
+    return obj
+
+
 def _parse_prior_weight(s, where: str):
     if isinstance(s, str) and ("ε" in s or "eps" in s):
         try:
@@ -323,7 +336,7 @@ def load_problem(data) -> DecisionProblem:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        raw = json.loads(data, parse_float=_reject_float)
+        raw = json.loads(data, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as ex:
         raise ProblemFormatError(f"not valid JSON: line {ex.lineno} column {ex.colno}") from ex
     if not isinstance(raw, dict):
@@ -380,6 +393,8 @@ def random_problem(n_theta: int, n_proc: int, seed: int,
     """
     if n_theta < 1 or n_proc < 1:
         raise ValueError("sizes must be at least 1")
+    if grid_denominator < 1:
+        raise ValueError("grid_denominator must be at least 1")
     rng = random.Random(seed)
     risk = tuple(
         tuple(Fraction(rng.randint(0, grid_denominator), grid_denominator)

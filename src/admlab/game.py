@@ -14,7 +14,7 @@ int matrix, the payoff times ``den * q`` for gamma = a / q, and must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from admlab.decision import (
@@ -52,25 +52,10 @@ class GameValueReport:
     optimal_prior: Prior
     optimal_mixture: Mixture
     payoff: tuple                    # rows by theta, columns by procedure
-    iterations: int
+    iterations: int = field(metadata={"key": "lp_iterations"})
 
     def as_dict(self):
-        return _fmt({
-            "delta0": self.delta0,
-            "theta0": self.theta0,
-            "gamma": self.gamma,
-            "lower": self.lower,
-            "upper": self.upper,
-            "determined": self.determined,
-            # the sup over pure parameters and over priors coincide at the
-            # optimum for a finite matrix; both names point at the same value
-            "sup_over_thetas": self.upper,
-            "sup_over_priors": self.lower,
-            "optimal_prior": self.optimal_prior,
-            "optimal_mixture": self.optimal_mixture,
-            "payoff": self.payoff,
-            "lp_iterations": self.iterations,
-        })
+        return _fmt(self)
 
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:

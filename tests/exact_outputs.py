@@ -163,15 +163,21 @@ def api_outputs(p):
 
 def problem_outputs():
     """The CLI and API outputs of every random problem, in a scratch directory."""
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for grid in GRIDS:
-            for seed in SEEDS:
-                p = random_problem(2 + seed % 5, 2 + (seed * 7) % 5, seed, grid)
-                print(f"== seed {seed}, grid 1/{grid}, {len(p.theta_labels)}x{len(p.proc_labels)}")
-                path = f"seed{seed}-grid{grid}.json"
-                Path(path).write_bytes(save_problem(p))
-                cli_outputs(path, p)
-                api_outputs(p)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # contextlib.chdir needs Python 3.11
+        try:
+            for grid in GRIDS:
+                for seed in SEEDS:
+                    p = random_problem(2 + seed % 5, 2 + (seed * 7) % 5, seed, grid)
+                    print(f"== seed {seed}, grid 1/{grid}, "
+                          f"{len(p.theta_labels)}x{len(p.proc_labels)}")
+                    path = f"seed{seed}-grid{grid}.json"
+                    Path(path).write_bytes(save_problem(p))
+                    cli_outputs(path, p)
+                    api_outputs(p)
+        finally:
+            os.chdir(cwd)
 
 
 KERNEL_SHAPES = ((2, 3), (3, 3), (4, 5), (5, 4), (6, 6), (8, 8), (9, 11))

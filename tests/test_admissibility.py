@@ -621,6 +621,19 @@ class TestNsStein:
         with pytest.raises(ValueError, match="nonempty"):
             adm.ns_stein_check(TWO_POINT, "d0", pi, (), F(1))
 
+    def test_a_repeated_label_is_rejected(self):
+        # excess 1/4 over the bound prior(t1) * eps = 1/6; counting t1 twice
+        # would raise the bound to 1/3 and pass
+        p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 0), (0, F(1, 2))))
+        pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
+        r = adm.ns_stein_check(p, "d0", pi, ("t1",), F(1, 3))
+        assert not r.ok
+        assert r.excess == LCNumber.from_real(F(1, 4)) and r.bound == LCNumber.from_real(F(1, 6))
+        with pytest.raises(ValueError, match="repeats parameter label 't1'"):
+            adm.ns_stein_check(p, "d0", pi, ("t1", "t1"), F(1, 3))
+        with pytest.raises(ValueError, match="repeats parameter label 't1'"):
+            adm.ns_blyth_check(p, "d0", pi, F(1, 2), [("t2",), ("t1", "t1")])
+
     def test_float_eps_is_rejected(self):
         pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
         with pytest.raises(TypeError, match="exact rational"):

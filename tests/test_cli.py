@@ -16,7 +16,8 @@ import pytest
 import exact_outputs
 from admlab import admissibility, cli
 from admlab.admissibility import dominated_in_hull
-from admlab.decision import DecisionProblem, load_problem, random_problem, save_problem
+from admlab.decision import DecisionProblem, Prior, load_problem, random_problem, save_problem
+from admlab.game import derived_game_value
 from admlab.simplex import solve_lp
 
 
@@ -240,6 +241,27 @@ class TestNs:
                            "--mode", "stein", "--eps", "1")
         assert code == 2
         assert "prior entry" in err
+
+    def test_a_repeated_prior_label_is_an_input_error(self, capsys, two_point):
+        # kept last-wins, it would parse as {t1: 1, t2: 0}
+        code, out, err = run(capsys, "ns", two_point, "--delta", "d0",
+                             "--prior", "t1:1, t1:1, t2:0", "--family", "t1",
+                             "--mode", "stein", "--eps", "1")
+        assert code == 2 and out == ""
+        assert "prior label 't1' repeated" in err
+
+    def test_a_repeated_family_label_is_an_input_error(self, capsys, tmp_path):
+        # excess 1/4 misses prior(t1) * eps = 1/6; t1 counted twice would pass
+        path = tmp_path / "repeat.json"
+        path.write_bytes(save_problem(
+            DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 0), (0, F(1, 2))))))
+        argv = ("ns", str(path), "--delta", "d0", "--prior", "t1:1/2,t2:1/2",
+                "--mode", "stein", "--eps", "1/3", "--family")
+        code, payload, _ = run_json(capsys, *argv, "t1")
+        assert code == 1 and payload["ok"] is False and payload["bound"] == "1/6"
+        code, out, err = run(capsys, *argv, "t1 t1")
+        assert code == 2 and out == ""
+        assert "repeats parameter label 't1'" in err
 
     def test_prior_term_past_the_truncation_degree_is_an_input_error(
             self, capsys, tmp_path):
@@ -479,6 +501,14 @@ class TestExitCodes:
         assert code == 2
         assert err
 
+    def test_a_repeated_key_in_a_problem_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text('{"theta": ["t1"], "procedures": ["d0", "d1"], '
+                        '"risk": [["0", "1"]], "risk": [["1", "0"]]}')
+        code, out, err = run(capsys, "check", str(path), "--delta", "d0")
+        assert code == 2 and out == ""
+        assert "key 'risk' repeated" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"theta": ["t1"]}')
@@ -659,9 +689,38 @@ class TestStartup:
         assert self.scipy_loaded_by(call) == expected
 
 
+def test_exact_report_payloads_are_their_fields():
+    # each exact report's payload is its fields in declaration order, each
+    # under its name; an LP's pivot count goes out as lp_iterations, while a
+    # witness set's iterations count cutting-plane rounds and keep their name
+    p = DecisionProblem(("t1", "t2"), ("d0", "d1", "dbad"), ((0, 1, 2), (1, 0, 2)))
+    pi = Prior({"t1": F(1, 2), "t2": F(1, 2)})
+    reports = [
+        admissibility.dominated_in_hull(p, "dbad"),
+        admissibility.positive_prior_certificate(p, "d0"),
+        admissibility.positive_prior_certificate(p, "dbad"),
+        admissibility.witness_set(p, "d0"),
+        admissibility.stein_check(p, "d0", "t1", F(1, 10)),
+        admissibility.ns_stein_check(p, "d0", pi, ("t1",), F(1, 10)),
+        derived_game_value(p, "d0", "t1", F(1, 2)),
+    ]
+    assert [type(rep).__name__ for rep in reports] == [
+        "HullDominanceReport", "Certificate", "NoPositivePrior", "WitnessSet",
+        "SteinResult", "NsSteinReport", "GameValueReport"]
+    for rep in reports:
+        names = [f.name for f in dataclasses.fields(rep)]
+        if not isinstance(rep, admissibility.WitnessSet):
+            names = ["lp_iterations" if n == "iterations" else n for n in names]
+        payload = rep.as_dict()
+        assert list(payload) == names, type(rep).__name__
+        json.dumps(payload)
+    assert reports[1].as_dict()["verdict"] == "certificate"
+    assert reports[2].as_dict()["verdict"] == "no_positive_prior"
+
+
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "8b3c5ee394b9309f859804b1ece1ee379f8be310297e07129a2092ace08a65f9"
+PROBLEM_OUTPUTS_SHA256 = "9d57b7a40b8e8eb036353e3f90ef98f10e8ceddce401f7d87da75211329afdaf"
 
 
 def test_random_problem_outputs_are_pinned():

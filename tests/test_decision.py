@@ -164,6 +164,17 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="JSON"):
             load_problem(b"not json {")
 
+    def test_repeated_keys_rejected(self):
+        # json.loads alone keeps the last value of a repeated key: the first
+        # file would load the second matrix, the second the prior (1/2, 1/2)
+        risk_twice = ('{"theta": ["a"], "procedures": ["d"], '
+                      '"risk": [["1"]], "risk": [["2"]]}')
+        prior_twice = ('{"theta": ["a", "b"], "procedures": ["d"], "risk": [["1"], ["2"]], '
+                       '"priors": {"pi": {"a": "1", "a": "1/2", "b": "1/2"}}}')
+        for text, key in ((risk_twice, "risk"), (prior_twice, "a")):
+            with pytest.raises(ProblemFormatError, match=f"key '{key}' repeated"):
+                load_problem(text)
+
 
 # recorded from the first run and pinned: the acceptance analyses of this
 # instance must never drift
@@ -198,6 +209,11 @@ class TestRandomProblem:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             random_problem(0, 3, seed=1)
+
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_grid_validation(self, q):
+        with pytest.raises(ValueError, match="grid_denominator must be at least 1"):
+            random_problem(2, 2, 0, grid_denominator=q)
 
 
 def small_problem(seed):
