@@ -97,40 +97,36 @@ class HullDominanceReport:
 
 
 def _dominance_lp(p: DecisionProblem, j0: int):
-    """LP: maximize total slack of a mixture under delta0's risk vector.
+    """LP: maximize the total slack of a mixture under delta0's risk vector.
 
-    Variables: the competitors' weights mu_j (j != j0) and the slacks
-    s_theta; delta0 weighs 1 - sum(mu).  With that weight the mixture rows
-    sum_j lambda_j r(theta, j) + s_theta <= r(theta, j0), sum(lambda) == 1,
-    read sum_{j != j0} mu_j (r(theta, j) - r(theta, j0)) + s_theta <= 0 and
-    sum(mu) <= 1.  The map lambda -> (mu, s) is affine and one-to-one
-    between the two feasible sets, so the optimum is the same; every rhs is
-    >= 0, so the slack basis (delta0 itself) is feasible and no phase 1 runs.
+    The variables are the competitors' weights mu_j (j != j0) alone, delta0
+    weighing 1 - sum(mu).  The slack at theta, s_theta = sum_j mu_j
+    (r(theta, j0) - r(theta, j)), is the theta row's own slack over den, so
+    it needs no column: the LP maximizes sum(s) = sum_j c_j mu_j, with
+    c_j = sum_theta (r(theta, j0) - r(theta, j)), subject to s >= 0 and
+    sum(mu) <= 1, rows and c times den; its optimum over den is the
+    ``improvement``.  Every rhs is >= 0, so the slack basis (delta0 itself)
+    is feasible and no phase 1 runs.
 
     Returns the LP's result and, when its optimum is positive, the
     dominating mixture, re-verified without the LP; None otherwise.
     """
-    nd, nt = len(p.proc_labels), len(p.theta_labels)
-    den, irisk = p.den, p.irisk
+    nd, den, irisk = len(p.proc_labels), p.den, p.irisk
     cols = [j for j in range(nd) if j != j0]
-
-    # variables: mu_j (j != j0), s_theta (nt); every row times den
-    A_ub = []
-    for i, r in enumerate(irisk):
-        row = [r[j] - r[j0] for j in cols] + [0] * nt
-        row[nd - 1 + i] = den
-        A_ub.append(row)
-    A_ub.append([den] * (nd - 1) + [0] * nt)
-    res = solve_lp([0] * (nd - 1) + [1] * nt, A_ub=A_ub, b_ub=[0] * nt + [den])
+    A_ub = [[r[j] - r[j0] for j in cols] for r in irisk]
+    res = solve_lp([sum(r[j0] - r[j] for r in irisk) for j in cols],
+                   A_ub=A_ub + [[den] * len(cols)], b_ub=[0] * len(irisk) + [den])
     if res.status != "optimal":
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
     if not res.objective > 0:
         return res, None
-    w = res.num[:nd - 1]
+    w = res.num[:]
     w.insert(j0, res.D - sum(w))
     mix = _from_lp(Mixture, p.proc_labels, w, res.D)
-    gaps, _ = _mixture_gaps(p, w, res.D, j0)
-    if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)):
+    gaps, n = _mixture_gaps(p, w, res.D, j0)
+    # its total slack, -sum(gaps) / n, is the objective over den at any feasible point
+    if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)
+            and Fraction(-sum(gaps) * den, n) == res.objective):
         raise RuntimeError("dominating mixture failed independent re-verification")
     return res, mix
 
@@ -164,7 +160,7 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
             w.insert(j0, 0)
             if any(_mixture_gaps(p, w, eq.D, j0)[0]):
                 raise RuntimeError("risk-equal mixture failed independent re-verification")
-    return HullDominanceReport(delta0, mix is not None, mix, res.objective,
+    return HullDominanceReport(delta0, mix is not None, mix, res.objective / p.den,
                                risk_equal, equal_mixture, iters)
 
 

@@ -356,6 +356,8 @@ def load_problem(data) -> DecisionProblem:
     allow = raw.get("allow_mixtures", True)
     if not isinstance(allow, bool):
         raise ProblemFormatError("field 'allow_mixtures' must be a boolean")
+    if not isinstance(raw.get("priors"), (dict, type(None))):
+        raise ProblemFormatError("field 'priors' must be an object or null")
     priors = {}
     for name, spec in (raw.get("priors") or {}).items():
         if not isinstance(spec, dict):

@@ -492,6 +492,88 @@ def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
     assert len(runs) > checks and {loops for _, loops in runs} == {1}
 
 
+def _s_column_dominance(p, d0):
+    """(dominated, improvement) of the dominance LP in the form it replaced,
+    by the Fraction kernel: the competitors' weights mu and one slack s_theta
+    per parameter, max sum(s) subject to
+    sum_j mu_j (r(theta, j) - r(theta, d0)) + s_theta <= 0 and sum(mu) <= 1."""
+    j0, nt = p.proc_index(d0), len(p.theta_labels)
+    cols = [j for j in range(len(p.proc_labels)) if j != j0]
+    rows = [[r[j] - r[j0] for j in cols] + [F(k == i) for k in range(nt)]
+            for i, r in enumerate(p.risk)]
+    rows.append([1] * len(cols) + [0] * nt)
+    res = fraction_simplex.solve_lp([0] * len(cols) + [1] * nt, A_ub=rows, b_ub=[0] * nt + [1])
+    return res.objective > 0, res.objective
+
+
+def _same_as_s_column_dominance(p):
+    for j0, d0 in enumerate(p.proc_labels):
+        h = adm.dominated_in_hull(p, d0)
+        assert (h.dominated, h.improvement) == _s_column_dominance(p, d0), d0
+        if h.dominated:
+            # the mixture is nowhere worse than d0, and better by the improvement in total
+            slack = [r[j0] - mixture_risk(p, t, h.mixture) for t, r in zip(p.theta_labels, p.risk)]
+            assert min(slack) >= 0 and sum(slack) == h.improvement > 0
+
+
+def _with_planted(p, rng):
+    """p and one more procedure: the uniform mixture of some of its procedures,
+    one grid step worse at one parameter, so a mixture dominates it."""
+    some = rng.sample(range(len(p.proc_labels)), rng.randint(1, len(p.proc_labels)))
+    i0, step = rng.randrange(len(p.theta_labels)), F(1, p.den)
+    risk = [list(r) + [sum(r[j] for j in some) / len(some) + (step if i == i0 else 0)]
+            for i, r in enumerate(p.risk)]
+    return DecisionProblem(p.theta_labels, p.proc_labels + ("planted",), risk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.integers(0, 10**6),
+       st.sampled_from((8, 97, 10**6)), st.booleans())
+def test_dominance_lp_matches_the_s_column_form(n_theta, n_proc, seed, grid, plant):
+    # the LP over the competitors' weights alone has the s-column form's
+    # optimum: the same verdict and improvement, with a dominating mixture
+    p = random_problem(n_theta, n_proc, seed, grid)
+    _same_as_s_column_dominance(_with_planted(p, random.Random(seed)) if plant else p)
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_s_column_cross_check_sees_a_cost_off_by_one(delta):
+    # one cost coefficient of the dominance LP off by one (the risk-equal LP,
+    # with equality rows only, is left alone): the cross-check, or the
+    # dominance LP's own improvement re-check, fails on some problem
+    def off_by_one(c, **kwargs):
+        if kwargs.get("A_eq") is None:
+            c = [c[0] + delta] + c[1:]
+        return simplex.solve_lp(c, **kwargs)
+    failed = 0
+    for seed in range(20):
+        p = _with_planted(random_problem(3, 4, seed), random.Random(seed))
+        with mock.patch.object(adm, "solve_lp", off_by_one):
+            try:
+                _same_as_s_column_dominance(p)
+            except (AssertionError, RuntimeError):
+                failed += 1
+    assert failed
+    # the d0 = (1, 1), d1 = (1, 0) case: c = [1], and c = [0] reads as not dominated
+    tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
+    with mock.patch.object(adm, "solve_lp", off_by_one), \
+            pytest.raises(AssertionError if delta < 0 else RuntimeError):
+        _same_as_s_column_dominance(tied)
+
+
+def test_large_entry_hull_verdicts_are_pinned():
+    # 12x12 on the 10**-6 grid: no procedure is dominated; a 13th, the
+    # midpoint of d1 and d2 made worse by 10**-6 at t1, is, by that midpoint
+    p = random_problem(12, 12, 77, 10**6)
+    hulls = [adm.dominated_in_hull(p, d) for d in p.proc_labels]
+    assert [(h.dominated, h.improvement) for h in hulls] == [(False, 0)] * 12
+    risk = [list(r) + [(r[0] + r[1]) / 2 + F(i == 0, 10**6)] for i, r in enumerate(p.risk)]
+    q = DecisionProblem(p.theta_labels, p.proc_labels + ("d13",), risk)
+    h = adm.dominated_in_hull(q, "d13")
+    assert (h.dominated, h.improvement) == (True, F(1, 10**6))
+    assert h.mixture.weights == {"d1": F(1, 2), "d2": F(1, 2)}
+
+
 def _list_stein(p, d0, t0, eps, solve):
     """stein_check's SteinResult from its LP written as lists and solved by
     solve: _bayes_rows times q, den * a off theta0's field, and the mass row,
@@ -815,6 +897,8 @@ class TestReverificationUnderOptimize:
             "stein_check RuntimeError stein prior failed independent re-verification",
             "dominating mixture RuntimeError dominating mixture failed independent "
             "re-verification",
+            "hull improvement RuntimeError dominating mixture failed independent "
+            "re-verification",
             "risk-equal mixture RuntimeError risk-equal mixture failed independent "
             "re-verification",
             "game mixture side RuntimeError mixture-side game optimum failed independent "
@@ -850,8 +934,9 @@ class TestReverificationUnderOptimize:
 
 # Each case moves the LP's solution num / D, or its duals ynum, off the
 # feasible set or off the optimum (keeping a valid prior or mixture, and an
-# objective consistent with it), so only the integer re-check against the
-# problem's risks can catch it.  A witness set is still returned, with
+# objective consistent with it), or claims an objective that its valid point
+# does not reach, so only the integer re-check against the problem's risks
+# can catch it.  A witness set is still returned, with
 # validated False and its validation_value.
 _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     import dataclasses, sys
@@ -880,12 +965,17 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("stein_check",
          lambda res, kw: moved(res, [1, 3], 4, F(1, 4)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
-        # the dominance LP's variables are [mu_d1, s_t1, s_t2], d0 weighted
-        # 1 - mu_d1: d1 itself, with slack 1 at t1 claimed, although d1 is
-        # worse than d0 at t1
+        # the dominance LP's only variable is [mu_d1], d0 weighted 1 - mu_d1:
+        # d1 itself, with total slack 1 claimed, although d1 is worse than d0
+        # at t1
         ("dominating mixture",
-         lambda res, kw: moved(res, [1, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda res, kw: moved(res, [1], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
+        # on tied, d1 = (1, 0) dominates d0 = (1, 1) with total slack 1: the
+        # LP's mixture is kept, and its optimum claimed as 2
+        ("hull improvement",
+         lambda res, kw: moved(res, res.num, res.D, res.objective + 1) if has_ub(kw) else res,
+         lambda: admissibility.dominated_in_hull(tied, "d0")),
         # d1 claimed risk-equal to d0, although its risks are swapped
         ("risk-equal mixture",
          lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [1], 1, 0),
@@ -933,11 +1023,11 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
         # mu_d1 = -1, so d0 is weighted 2
         ("hull mixture",
-         lambda res, kw: moved(res, [-1, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda res, kw: moved(res, [-1], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # mu_d1 = 2 sums past 1, so d0's derived weight 1 - mu_d1 is -1
         ("hull mixture past 1",
-         lambda res, kw: moved(res, [2, 1, 0], 1, F(1)) if has_ub(kw) else res,
+         lambda res, kw: moved(res, [2], 1, F(1)) if has_ub(kw) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         ("game mixture",
          lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),

@@ -509,6 +509,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "key 'risk' repeated" in err
 
+    def test_a_list_of_priors_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "priors.json"
+        for value in ('["x"]', "[]"):
+            path.write_text('{"theta": ["t1"], "procedures": ["d1"], "risk": [["0"]], '
+                            '"priors": %s}' % value)
+            code, out, err = run(capsys, "check", str(path))
+            assert code == 2 and out == ""
+            assert "'priors' must be an object or null" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"theta": ["t1"]}')
@@ -720,7 +729,7 @@ def test_exact_report_payloads_are_their_fields():
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "9d57b7a40b8e8eb036353e3f90ef98f10e8ceddce401f7d87da75211329afdaf"
+PROBLEM_OUTPUTS_SHA256 = "e030b7aa6b1e7c8834add8bbbd101d1e6599c39aa2d0e9cec13499cec9a63d40"
 
 
 def test_random_problem_outputs_are_pinned():

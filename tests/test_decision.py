@@ -175,6 +175,15 @@ class TestSerialization:
             with pytest.raises(ProblemFormatError, match=f"key '{key}' repeated"):
                 load_problem(text)
 
+    def test_priors_must_be_an_object_or_null(self):
+        # a list of priors raised AttributeError, and an empty one read as no priors
+        base = '{"theta": ["t1"], "procedures": ["d1"], "risk": [["0"]], "priors": %s}'
+        for value in ('["x"]', '[]', '0', '""'):
+            with pytest.raises(ProblemFormatError, match="'priors' must be an object or null"):
+                load_problem(base % value)
+        assert load_problem(base % "null").priors == {}
+        assert load_problem(base % "{}").priors == {}
+
 
 # recorded from the first run and pinned: the acceptance analyses of this
 # instance must never drift
