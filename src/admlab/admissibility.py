@@ -6,9 +6,13 @@ recomputation, so the LP kernel is never the single point of trust.  Every LP
 row is plain ints, one LP's rows all scaled by one positive factor (the
 problem's common risk denominator ``den``, times eps's denominator for
 Stein), and the re-checks, the ``ns_*`` excess included, are integer passes
-over the problem's ``irisk`` (``decision``'s helpers).  Stein's int rows go
-into the kernel's tableau already packed: each is an int combination of the
-packed risk columns, which is the packed row since packing is linear.
+over the problem's ``irisk`` (``decision``'s helpers).  The hull,
+risk-equal, certificate, witness and Stein LPs go into the kernel's tableau
+already packed: each row is an int combination of the problem's packed risk
+columns or rows (``decision._packed_risk``), which is the packed row since
+packing is linear, and each builder states the bound ``T`` on its fields.
+Only the forced-zero LP, whose rows are not risk combinations, goes through
+``solve_lp``.
 Throughout, the infimum over the convex hull of procedures is replaced by
 the minimum over its vertices, which is exact because risk is linear in the
 mixture.
@@ -29,9 +33,11 @@ from admlab.decision import (
     _int_weights,
     _lc_gaps,
     _mixture_gaps,
+    _packed_risk,
+    _risk_span,
 )
 from admlab.hyperreal import LCNumber, _as_fraction, approx_leq, compare
-from admlab.simplex import _solve_tableau, _Tableau, solve_lp
+from admlab.simplex import _ones, _solve_tableau, _Tableau, solve_lp
 
 __all__ = [
     "Certificate",
@@ -96,6 +102,29 @@ class HullDominanceReport:
         return _fmt(self)
 
 
+def _hull_lp(p: DecisionProblem, j0: int):
+    """The dominance LP of ``_dominance_lp``, packed from the risk rows.
+
+    Columns: one weight per procedure, delta0's all zero (a column that is
+    zero in every row and in the cost never enters, so Bland's path is that
+    of the competitors alone), a slack per parameter and the mass row's, the
+    rhs.  With ``R_theta`` theta's packed risk row (``_packed_risk``), the
+    theta row is ``R_theta - r(theta, j0) * ones``, and no field exceeds
+    max(hi - lo, den), ``hi`` and ``lo`` the largest and least risk.
+    """
+    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
+    hi, lo, sums = _risk_span(p)
+    T = max(hi - lo, den).bit_length()
+    W, _, rows = _packed_risk(p, T)
+    tab = _Tableau(nd + nt + 2, T, W)
+    ones = _ones(nd, W)
+    tab.rows = [x - r[j0] * ones + (1 << W * (nd + i))
+                for i, (x, r) in enumerate(zip(rows, p.irisk))]
+    tab.rows.append(den * (ones - (1 << W * j0) + (1 << tab.rsh)) + (1 << W * (nd + nt)))
+    cost = [sums[j0] - v for v in sums] + [0] * (nt + 1)
+    return _solve_tableau(tab, list(range(nd, nd + nt + 1)), cost, nd)
+
+
 def _dominance_lp(p: DecisionProblem, j0: int):
     """LP: maximize the total slack of a mixture under delta0's risk vector.
 
@@ -111,24 +140,43 @@ def _dominance_lp(p: DecisionProblem, j0: int):
     Returns the LP's result and, when its optimum is positive, the
     dominating mixture, re-verified without the LP; None otherwise.
     """
-    nd, den, irisk = len(p.proc_labels), p.den, p.irisk
-    cols = [j for j in range(nd) if j != j0]
-    A_ub = [[r[j] - r[j0] for j in cols] for r in irisk]
-    res = solve_lp([sum(r[j0] - r[j] for r in irisk) for j in cols],
-                   A_ub=A_ub + [[den] * len(cols)], b_ub=[0] * len(irisk) + [den])
+    res = _hull_lp(p, j0)
     if res.status != "optimal":
         raise RuntimeError(f"dominance LP unexpectedly {res.status}")
     if not res.objective > 0:
         return res, None
     w = res.num[:]
-    w.insert(j0, res.D - sum(w))
+    w[j0] = res.D - (sum(w) - w[j0])  # delta0 weighs 1 - sum(mu)
     mix = _from_lp(Mixture, p.proc_labels, w, res.D)
     gaps, n = _mixture_gaps(p, w, res.D, j0)
     # its total slack, -sum(gaps) / n, is the objective over den at any feasible point
     if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)
-            and Fraction(-sum(gaps) * den, n) == res.objective):
+            and Fraction(-sum(gaps) * p.den, n) == res.objective):
         raise RuntimeError("dominating mixture failed independent re-verification")
     return res, mix
+
+
+def _risk_equal_lp(p: DecisionProblem, j0: int):
+    """LP: a competitor mixture with delta0's risk vector, packed from the risk rows.
+
+    Equality rows only, each with an artificial: r(theta, mu) == r(theta,
+    j0) per parameter and sum(mu) == 1, times den, a row with a negative rhs
+    negated.  Columns: one weight per procedure, delta0's all zero (see
+    ``_hull_lp``), the rhs; the theta row is ``R_theta - r(theta, j0) *
+    2**(W*j0)`` with rhs r(theta, j0).  Phase 1's objective sums all nt + 1
+    rows, so no field exceeds (nt + 1) * max(hi, -lo, den).
+    """
+    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
+    hi, lo, _ = _risk_span(p)
+    T = max(hi, -lo, den).bit_length() + (nt + 1).bit_length()
+    W, _, rows = _packed_risk(p, T)
+    tab = _Tableau(nd + 1, T, W)
+    rsh, e0 = tab.rsh, 1 << W * j0
+    for x, r in zip(rows, p.irisk):
+        x += r[j0] * ((1 << rsh) - e0)
+        tab.rows.append(x if r[j0] >= 0 else -x)
+    tab.rows.append(den * (_ones(nd, W) - e0 + (1 << rsh)))
+    return _solve_tableau(tab, list(range(nd, nd + nt + 1)), [0] * nd, nd)
 
 
 def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
@@ -144,20 +192,15 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
     res, mix = _dominance_lp(p, j0)
     iters = res.iterations
 
-    competitors = [d for d in p.proc_labels if d != delta0]
     risk_equal, equal_mixture = False, None
-    if competitors:
-        cols = [j for j in range(len(p.proc_labels)) if j != j0]
-        den, irisk = p.den, p.irisk
-        eq = solve_lp([0] * len(cols),
-                      A_eq=[[r[j] for j in cols] for r in irisk] + [[den] * len(cols)],
-                      b_eq=[r[j0] for r in irisk] + [den])
+    if len(p.proc_labels) > 1:
+        eq = _risk_equal_lp(p, j0)
         iters += eq.iterations
         if eq.status == "optimal":
             risk_equal = True
-            equal_mixture = _from_lp(Mixture, competitors, eq.num, eq.D)
             w = eq.num[:]
-            w.insert(j0, 0)
+            w[j0] = 0  # a competitor mixture: delta0's own column carries no weight
+            equal_mixture = _from_lp(Mixture, p.proc_labels, w, eq.D)
             if any(_mixture_gaps(p, w, eq.D, j0)[0]):
                 raise RuntimeError("risk-equal mixture failed independent re-verification")
     return HullDominanceReport(delta0, mix is not None, mix, res.objective / p.den,
@@ -224,27 +267,28 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     with the exact set of parameters that any certifying prior must zero out.
     """
     j0 = p.proc_index(delta0)
-    nt, den = len(p.theta_labels), p.den
-    bayes = _bayes_rows(p, j0)
-
-    # variables: s (nt), then t; every row times den
-    res = solve_lp([0] * nt + [1], A_ub=[row + [sum(row)] for row in bayes],
-                   b_ub=[0] * len(bayes), A_eq=[[den] * nt + [den * nt]], b_eq=[den])
+    nt = len(p.theta_labels)
+    res = _certificate_lp(p, j0)
     iters = res.iterations
 
     if res.status == "optimal" and res.objective > 0:
-        t = res.num[nt]
+        t, D = res.num[nt], res.D
         pi = [v + t for v in res.num[:nt]]
-        prior = _from_lp(Prior, p.theta_labels, pi, res.D)
-        cert = Certificate(delta0, prior, res.objective, _slacks(p, pi, res.D, j0), iters)
-        if not cert.verify(p):
+        prior = _from_lp(Prior, p.theta_labels, pi, D)
+        gaps, n = _bayes_gaps(p, pi, D, j0)
+        # Certificate.verify's checks, in ints: the least weight is t > 0 and
+        # the LP's optimum t / D, and delta0 is Bayes under pi
+        obj = res.objective
+        if not (min(pi) == t > 0 and obj.numerator * D == t * obj.denominator
+                and min(gaps) >= 0):
             raise RuntimeError("certificate failed independent re-verification")
-        return cert
+        slacks = {d: Fraction(g, n) for d, g in zip(p.proc_labels, gaps)}
+        return Certificate(delta0, prior, obj, slacks, iters)
 
     any_prior = res.status == "optimal"
     forced = ()
     if any_prior:
-        forced, sub_iters = _forced_zero(p, j0, bayes)
+        forced, sub_iters = _forced_zero(p, j0)
         iters += sub_iters
     witness = None
     if p.allow_mixtures:
@@ -253,7 +297,30 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
     return NoPositivePrior(delta0, any_prior, forced, witness, iters)
 
 
-def _forced_zero(p: DecisionProblem, j0: int, bayes):
+def _certificate_lp(p: DecisionProblem, j0: int):
+    """The min-weight LP of ``positive_prior_certificate``, packed from the risk columns.
+
+    Columns: s (nt), t, a slack per competitor, the rhs.  Competitor j's
+    Bayes row is ``P_j0 - P_j`` with sum(bayes_j) in t's field, plus its
+    slack bit; the mass row holds den in each s field, den * nt in t's and
+    den in the rhs, and is the only one with an artificial (phase 1's
+    objective).  No field exceeds max(nt * (hi - lo), den * nt).
+    """
+    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
+    hi, lo, sums = _risk_span(p)
+    T = max(nt * (hi - lo), den * nt).bit_length()
+    W, cols, _ = _packed_risk(p, T)
+    tab = _Tableau(nt + nd + 1, T, W)
+    top = cols[j0] + (sums[j0] << W * nt)
+    tab.rows = [top - cols[j] - (sums[j] << W * nt) + (1 << W * (nt + 1 + k))
+                for k, j in enumerate(j for j in range(nd) if j != j0)]
+    tab.rows.append(den * (_ones(nt, W) + (nt << W * nt) + (1 << tab.rsh)))
+    cost = [0] * (nt + nd)
+    cost[nt] = 1
+    return _solve_tableau(tab, list(range(nt + 1, nt + nd)) + [nt + 2 * nd - 1], cost, nt + 1)
+
+
+def _forced_zero(p: DecisionProblem, j0: int):
     """The thetas that no prior under which delta0 is Bayes can weight, and the LP's pivots.
 
     One LP over the unnormalised Bayes cone: max sum(z) with z_i <= pi_i and
@@ -264,7 +331,7 @@ def _forced_zero(p: DecisionProblem, j0: int, bayes):
     """
     nt = len(p.theta_labels)
     # variables: pi (nt), then z (nt); the Bayes rows times den, the rest as they are
-    A_ub = [row + [0] * nt for row in bayes]
+    A_ub = [row + [0] * nt for row in _bayes_rows(p, j0)]
     for i in range(nt):
         row = [0] * (2 * nt)
         row[i], row[nt + i] = -1, 1   # z_i - pi_i <= 0
@@ -341,18 +408,12 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
                 raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
             raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
         chosen.append(best_i)
-        # min over lam of max over chosen thetas of r(theta, lam) - r(theta, delta0),
-        # as r(theta, lam) - v <= r(theta, delta0) with v free, rows times den
-        rows = [p.irisk[i] for i in chosen]
-        res = solve_lp([0] * len(cols) + [1],
-                       A_ub=[[r[j] for j in cols] + [-p.den] for r in rows],
-                       b_ub=[r[j0] for r in rows], A_eq=[[p.den] * len(cols) + [0]],
-                       b_eq=[p.den], free_vars=[len(cols)], maximize=False)
+        res = _restriction_lp(p, j0, chosen)
         if res.status != "optimal":
             raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
-        _from_lp(Mixture, competitors, res.num, res.D)  # lam must be a mixture
-        w, q = res.num[:len(cols)], res.D
-        w.insert(j0, 0)
+        w, q = res.num[:-1], res.D
+        w[j0] = 0  # lam is a competitor mixture: delta0's own column carries no weight
+        _from_lp(Mixture, p.proc_labels, w, q)  # lam must be a mixture
         if res.objective > 0:
             break
     margin = res.objective
@@ -374,6 +435,38 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     chosen.sort()
     thetas = tuple(p.theta_labels[i] for i in chosen)
     return WitnessSet(delta0, thetas, margin, len(chosen), validated, value)
+
+
+def _restriction_lp(p: DecisionProblem, j0: int, chosen):
+    """The witness restriction LP, packed from the risk rows: min over lam of
+    max over the chosen thetas of r(theta, lam) - r(theta, delta0), as
+    r(theta, lam) - v <= r(theta, delta0) with v free and sum(lam) == 1,
+    rows times den.
+
+    Columns: one weight per procedure, delta0's all zero (see ``_hull_lp``),
+    v, v's negative part, a slack per chosen theta, the rhs.  The theta row
+    is ``R_theta - r(theta, j0) * 2**(W*j0)``, -den and den in v's two
+    fields, its slack bit and rhs r(theta, j0), negated when that is
+    negative; the mass row holds den in each competitor's field and in the
+    rhs.  Both kinds of row with an artificial go into phase 1's objective,
+    so no field exceeds (len(chosen) + 1) * max(hi, -lo, den).
+    """
+    nd, den, m = len(p.proc_labels), p.den, len(chosen)
+    hi, lo, _ = _risk_span(p)
+    T = max(hi, -lo, den).bit_length() + (m + 1).bit_length()
+    W, _, rows = _packed_risk(p, T)
+    tab = _Tableau(nd + m + 3, T, W)
+    rsh, ncols, e0 = tab.rsh, nd + m + 2, 1 << W * j0
+    v = (den << W * (nd + 1)) - (den << W * nd)
+    basis = []
+    for k, i in enumerate(chosen):
+        b = p.irisk[i][j0]
+        x = rows[i] + b * ((1 << rsh) - e0) + v + (1 << W * (nd + 2 + k))
+        tab.rows.append(x if b >= 0 else -x)
+        basis.append(nd + 2 + k if b >= 0 else ncols + k)
+    tab.rows.append(den * (_ones(nd, W) - e0 + (1 << rsh)))
+    basis.append(ncols + m)
+    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * m, nd + 1, [nd], sign=-1)
 
 
 # -- Stein's condition ---------------------------------------------------------
@@ -418,15 +511,14 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     # of a competitor's row exceeds q * (hi - lo) + den * a, nor of the mass row den * q
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     a, q = eps.numerator, eps.denominator
-    hi, lo = max(map(max, p.irisk)), min(map(min, p.irisk))
-    tab = _Tableau(nt + nd + 1, max(q * (hi - lo) + den * a, den * q).bit_length())
-    W = tab.W
-    cols = [q * tab.pack(col) for col in zip(*p.irisk)]
-    top = cols[j0] - (den * a << W * i0)
-    tab.rows = [top - cols[j] + (1 << W * (nt + k))
+    hi, lo, _ = _risk_span(p)
+    T = max(q * (hi - lo) + den * a, den * q).bit_length()
+    W, cols, _ = _packed_risk(p, T)
+    tab = _Tableau(nt + nd + 1, T, W)
+    top = q * cols[j0] - (den * a << W * i0)
+    tab.rows = [top - q * cols[j] + (1 << W * (nt + k))
                 for k, j in enumerate(j for j in range(nd) if j != j0)]
-    ones = ((1 << W * nt) - 1) // ((1 << W) - 1)
-    tab.rows.append(den * q * (ones + (1 << tab.rsh)) + (1 << W * (nt + nd - 1)))
+    tab.rows.append(den * q * (_ones(nt, W) + (1 << tab.rsh)) + (1 << W * (nt + nd - 1)))
     cost = [0] * (nt + nd)
     cost[i0] = 1
     res = _solve_tableau(tab, list(range(nt, nt + nd)), cost, nt)

@@ -15,6 +15,7 @@ from math import lcm
 from operator import mul
 
 from admlab.hyperreal import LCNumber, _as_fraction, format_rational, parse_lc
+from admlab.simplex import _pack, _width
 
 __all__ = [
     "DecisionProblem",
@@ -180,6 +181,9 @@ class DecisionProblem:
 
     Derived at construction: ``den``, the least common denominator of the risks,
     and ``irisk``, the int matrix with ``risk[i][j] == irisk[i][j] / den``.
+    ``_packed`` keeps what the LP builders derive from ``irisk`` on first
+    use: its span (``_risk_span``) and its packed columns and rows, per field
+    width (``_packed_risk``).
     """
 
     theta_labels: tuple
@@ -189,6 +193,7 @@ class DecisionProblem:
     priors: dict = field(default_factory=dict, compare=False)
     den: int = field(init=False, repr=False, compare=False)
     irisk: tuple = field(init=False, repr=False, compare=False)
+    _packed: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thetas = tuple(self.theta_labels)
@@ -217,6 +222,7 @@ class DecisionProblem:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "irisk", tuple(
             tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix))
+        object.__setattr__(self, "_packed", {})
 
     def theta_index(self, label) -> int:
         try:
@@ -261,6 +267,39 @@ def bayes_risk(p: DecisionProblem, prior: Prior, delta):
 
 
 # -- integer passes over irisk -----------------------------------------------
+
+def _risk_span(p: DecisionProblem):
+    """(hi, lo, sums): the largest and the least entry of irisk and its column
+    sums, computed on the first call and kept in ``p._packed``."""
+    span = p._packed.get("span")
+    if span is None:
+        irisk = p.irisk
+        span = p._packed["span"] = (max(map(max, irisk)), min(map(min, irisk)),
+                                     [sum(c) for c in zip(*irisk)])
+    return span
+
+
+def _packed_risk(p: DecisionProblem, T: int):
+    """(W, cols, rows): irisk packed at a field width W for entries below 2**T.
+
+    ``cols[j]`` holds ``irisk[i][j]`` in field i (procedure j's risk column),
+    ``rows[i]`` holds it in field j (parameter i's risk row), each packed as
+    ``simplex._pack`` packs a row.  W is ``simplex._width`` of T, but never less
+    than that of ``Tp = bits(max(hi - lo, hi, -lo, den)) + bits(nt + 1)``, which
+    is at least the T of the hull, risk-equal, certificate and witness LPs:
+    those share one packing, and only the Stein and game LPs, whose rows
+    scale by eps's or gamma's parts, may need a wider one.  Both vectors are
+    built together on the first call for a width and kept in ``p._packed``.
+    """
+    hi, lo, _ = _risk_span(p)
+    Tp = max(hi - lo, hi, -lo, p.den).bit_length() + (len(p.theta_labels) + 1).bit_length()
+    W = _width(max(T, Tp))
+    memo = p._packed.get(W)
+    if memo is None:
+        memo = p._packed[W] = ([_pack(c, W) for c in zip(*p.irisk)],
+                               [_pack(r, W) for r in p.irisk])
+    return (W, *memo)
+
 
 def _int_weights(weights):
     """(w, q): rational weights as ints w[j] / q, q their least common denominator."""

@@ -25,10 +25,12 @@ from admlab.decision import (
     _fmt,
     _from_lp,
     _lc_gaps,
+    _packed_risk,
+    _risk_span,
     _weighted_rows,
 )
 from admlab.hyperreal import _as_fraction
-from admlab.simplex import solve_lp
+from admlab.simplex import _ones, _solve_tableau, _Tableau
 
 __all__ = ["GameValueReport", "derived_game_value", "shifted_risk"]
 
@@ -58,6 +60,33 @@ class GameValueReport:
         return _fmt(self)
 
 
+def _game_lp(p: DecisionProblem, i0: int, j0: int, a: int, q: int):
+    """The statistician's side, packed from the risk rows: minimize v with
+    payoff(theta, mix) <= v for every theta and sum(mix) == 1, rows times
+    scale = den * q for gamma = a / q; nature's side is its LP dual, a prior
+    weighting theta by ynum.
+
+    Columns: one weight per procedure, v, v's negative part, a slack per
+    parameter, the rhs.  The theta row is ``q * (R_theta0 - r(theta0, j0) *
+    ones) + a * (R_theta - r(theta, j0) * ones)``, -scale and scale in v's two
+    fields and its slack bit, rhs 0; the mass row, the only one with an
+    artificial, holds scale in each weight's field and in the rhs.  No field
+    exceeds max((a + q) * (hi - lo), scale).
+    """
+    nt, nd, scale = len(p.theta_labels), len(p.proc_labels), p.den * q
+    hi, lo, _ = _risk_span(p)
+    T = max((a + q) * (hi - lo), scale).bit_length()
+    W, _, rows = _packed_risk(p, T)
+    tab = _Tableau(nd + nt + 3, T, W)
+    ones, irisk = _ones(nd, W), p.irisk
+    top = q * (rows[i0] - irisk[i0][j0] * ones) + (scale << W * (nd + 1)) - (scale << W * nd)
+    tab.rows = [top + a * (x - r[j0] * ones) + (1 << W * (nd + 2 + i))
+                for i, (x, r) in enumerate(zip(rows, irisk))]
+    tab.rows.append(scale * (ones + (1 << tab.rsh)))
+    basis = list(range(nd + 2, nd + nt + 2)) + [nd + 2 * nt + 2]
+    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * nt, nd + 1, [nd], sign=-1)
+
+
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
     """Solve the derived game exactly: one LP, its optimal prior from the duals."""
     gamma = _as_fraction(gamma)
@@ -67,7 +96,7 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
         raise ValueError("the derived game needs mixtures enabled")
     i0 = p.theta_index(theta0)
     j0 = p.proc_index(delta0)
-    nt, nd = len(p.theta_labels), len(p.proc_labels)
+    nd = len(p.proc_labels)
 
     # payoff times scale = den * q for gamma = a / q
     a, q = gamma.numerator, gamma.denominator
@@ -76,11 +105,7 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     ipay = [[q * (top[j] - top[j0]) + a * (row[j] - row[j0]) for j in range(nd)]
             for row in p.irisk]
 
-    # statistician side: minimize v with payoff(theta, mix) <= v for every
-    # theta; nature's side is its LP dual, a prior weighting theta by ynum
-    lp = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay], b_ub=[0] * nt,
-                  A_eq=[[scale] * nd + [0]], b_eq=[scale],
-                  free_vars=[nd], maximize=False)
+    lp = _game_lp(p, i0, j0, a, q)
     if lp.status != "optimal":
         raise RuntimeError(f"mixture-side game LP unexpectedly {lp.status}")
     upper = lp.objective

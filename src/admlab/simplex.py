@@ -61,15 +61,24 @@ field is ever read after it overflowed.
 
 **The private entry.**  ``solve_lp`` validates its input, scales it to ints
 and packs its rows; ``_solve_tableau`` does the rest (phase 1 when some row
-has an artificial, phase 2 and the read-out below) on a packed tableau.  A
-checker that packs its own rows calls it directly.  It guarantees what
-``solve_lp`` does: every rhs is ``>= 0``, each row's basic column is its own
-slack, stored as 1, or an artificial, and ``T`` bounds every field of every
-row (and of phase 1's objective, if it runs).  Packing is linear, since a
-packed row is ``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) +
-c*pack(v) == pack(u + c*v)`` for int vectors and an int ``c``.  So such a
-row can be made from packed vectors with a few bignum operations, and it
-reads back field by field when every field of the result is below ``2**T``.
+has an artificial, phase 2 and the read-out below) on a packed tableau.
+Every checker LP but the forced-zero one, and the derived game's, packs its
+own rows and calls it directly; ``solve_lp`` stays the public front for LPs
+of any shape.  A caller guarantees what ``solve_lp`` does: every rhs is
+``>= 0`` (a row with a negative rhs is negated and gets an artificial),
+each row's basic column is its own slack, stored as 1, or an artificial,
+and ``T`` bounds every field of every row (and of phase 1's objective, the
+sum of the rows with an artificial, if it runs).  Packing is linear, since
+a packed row is ``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) +
+c*pack(v) == pack(u + c*v)`` for int vectors and an int ``c``.  So the
+checkers make each row from the problem's packed risk columns or rows,
+built once per problem and width (``decision._packed_risk``), with a few
+bignum operations, and it reads back field by field when every field of
+the result is below ``2**T``.  A column that is zero in every row and in
+the cost never has a positive reduced cost, in phase 1 or phase 2, so it
+never enters and the drive-out never picks it: a caller may keep such a
+column (delta0's own weight in the hull, risk-equal and witness LPs) and
+the pivots are those of the LP without it.
 
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
@@ -123,6 +132,19 @@ def _bits(rows):
     return max(1, top.bit_length())
 
 
+def _pack(fields, W):
+    """The packed row sum(v_k * 2**(W*k)) of the int fields v_0, v_1, ..."""
+    x = 0
+    for v in reversed(fields):
+        x = (x << W) + v
+    return x
+
+
+def _ones(n, W):
+    """1 in each of n fields of width W."""
+    return ((1 << W * n) - 1) // ((1 << W) - 1)
+
+
 def _width(T):
     """The field width for entries below 2**T: 32 bits to grow, rounded up to bytes."""
     return (T + 39) // 8 * 8
@@ -144,7 +166,7 @@ class _Tableau:
     def fit(self, W):
         """Set the width to W (rows must be packed again)."""
         n = self.nfields
-        ones = ((1 << W * n) - 1) // ((1 << W) - 1)  # 1 in every field
+        ones = _ones(n, W)
         self.W, self.M, self.H = W, (1 << W) - 1, 1 << W - 1
         self.B = self.H * ones                         # the all-field bias
         self.pos = self.B - ones                       # bit W-1 set where v > 0
@@ -152,10 +174,7 @@ class _Tableau:
         self.rsh = W * (n - 1)                         # the rhs field's offset
 
     def pack(self, fields):
-        x = 0
-        for v in reversed(fields):
-            x = (x << self.W) + v
-        return x
+        return _pack(fields, self.W)
 
     def rhs(self, x):
         return (x + self.B >> self.rsh) - self.H

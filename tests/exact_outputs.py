@@ -27,7 +27,10 @@ Python and numpy versions.
 
 Given two such printouts, ``--compare`` counts what moved between them, per
 report kind (the API report's name, ``cli`` and the subcommand, or ``lp``)
-and per top-level key of its payload:
+and per key path in its payload, with list indices and parameter or
+procedure labels read as ``*`` (``reports.*.lp_iterations``: some
+procedure's pivot count in ``admlab check``'s reports), counting each
+report once per path:
 
     python tests/exact_outputs.py --compare before.txt after.txt
 """
@@ -41,6 +44,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -211,8 +215,9 @@ def large_entry_lps(count=40, seed=20261019):
 def kernel_outputs():
     """Every LPResult the checkers and the game solve, then the large-entry LPs.
 
-    ``stein_check`` packs its own tableau and calls the kernel's private
-    entry ``simplex._solve_tableau``, so both entries are recorded."""
+    The forced-zero LP goes through ``solve_lp``; every other checker LP, and
+    the game's, packs its own tableau and calls the kernel's private entry
+    ``simplex._solve_tableau``, so both entries are recorded."""
     def recorded(solve):
         def record(*args, **kwargs):
             res = solve(*args, **kwargs)
@@ -220,9 +225,9 @@ def kernel_outputs():
             return res
         return record
 
-    saved = adm.solve_lp, game.solve_lp, adm._solve_tableau
-    adm.solve_lp = game.solve_lp = recorded(simplex.solve_lp)
-    adm._solve_tableau = recorded(simplex._solve_tableau)
+    saved = adm.solve_lp, adm._solve_tableau, game._solve_tableau
+    adm.solve_lp = recorded(simplex.solve_lp)
+    adm._solve_tableau = game._solve_tableau = recorded(simplex._solve_tableau)
     try:
         for grid in GRIDS:
             for seed, (nt, nd) in enumerate(KERNEL_SHAPES):
@@ -241,25 +246,46 @@ def kernel_outputs():
                         adm.witness_set(p, d)
                     game.derived_game_value(p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
     finally:
-        adm.solve_lp, game.solve_lp, adm._solve_tableau = saved
+        adm.solve_lp, adm._solve_tableau, game._solve_tableau = saved
     print("== large entries")
     for args, kwargs in large_entry_lps():
         print("lp", repr(simplex.solve_lp(*args, **kwargs)))
 
 
+def _leaves(value, path=()):
+    """{path: leaf} of a parsed payload, a path the tuple of dict keys and list
+    indices down to a leaf (a scalar, or an empty dict or list)."""
+    if isinstance(value, (dict, list)) and value:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return {k: v for key, item in items for k, v in _leaves(item, path + (key,)).items()}
+    return {path: value}
+
+
 def _payload(text):
-    """A report's payload as {key: text}: JSON, a dict repr or an LPResult repr."""
+    """A report's payload as {path: text}: JSON, a dict repr or an LPResult repr."""
     text = text.strip()
     with contextlib.suppress(ValueError):
         value = json.loads(text)
         if isinstance(value, dict):
-            return {k: json.dumps(v, sort_keys=True) for k, v in value.items()}
+            return {k: json.dumps(v) for k, v in _leaves(value).items()}
     if text.startswith("{"):
         with contextlib.suppress(ValueError, SyntaxError):
-            return {k: repr(v) for k, v in ast.literal_eval(text).items()}
+            return {k: repr(v) for k, v in _leaves(ast.literal_eval(text)).items()}
     if text.startswith("LPResult("):
-        return {kw.arg: ast.unparse(kw.value) for kw in ast.parse(text).body[0].value.keywords}
-    return {"": text}
+        return {(kw.arg,): ast.unparse(kw.value)
+                for kw in ast.parse(text).body[0].value.keywords}
+    return {(): text}
+
+
+# a parameter or procedure label of random_problem, or several joined by spaces
+_LABEL = re.compile(r"[td]\d+( [td]\d+)*")
+
+
+def _key_path(path):
+    """A payload path as text, list indices and labels read as *: so
+    ``reports.*.lp_iterations`` counts every procedure's pivots together."""
+    return ".".join("*" if isinstance(k, int) or _LABEL.fullmatch(k) else k
+                    for k in path) or "(text)"
 
 
 def _records(lines):
@@ -283,8 +309,8 @@ def _records(lines):
                 k += 1
             err = next(j for j in range(k - 1, start - 1, -1) if lines[j].startswith("stderr: "))
             payload = _payload("\n".join(lines[start:err]))
-            payload["stderr"] = "\n".join(lines[err:k])
-            payload["exit"] = lines[k]
+            payload[("stderr",)] = "\n".join(lines[err:k])
+            payload[("exit",)] = lines[k]
             k += 1
             argv = line.split()
             add(line, f"cli {argv[2] if len(argv) > 2 else ''}".rstrip(), payload)
@@ -298,7 +324,7 @@ def _records(lines):
 
 
 def compare(old_path, new_path):
-    """Print, per report kind and key, how many payloads moved between two printouts."""
+    """Print, per report kind and key path, how many payloads moved between two printouts."""
     old, new = (_records(Path(p).read_text(encoding="utf-8").splitlines())
                 for p in (old_path, new_path))
     totals, moved = {}, {}
@@ -307,12 +333,13 @@ def compare(old_path, new_path):
             continue
         after = new[rid][1]
         totals[kind] = totals.get(kind, 0) + 1
-        for key in sorted(set(before) | set(after)):
-            if before.get(key) != after.get(key):
-                moved[kind, key] = moved.get((kind, key), 0) + 1
-    print(f"{'kind':<14} {'key':<22} {'moved':>7} {'of':>7}")
+        for key in {_key_path(k) for k in before.keys() | after.keys()
+                    if before.get(k) != after.get(k)}:
+            moved[kind, key] = moved.get((kind, key), 0) + 1
+    width = max((len(key) for _, key in moved), default=0)
+    print(f"{'kind':<14} {'key':<{width}} {'moved':>7} {'of':>7}")
     for (kind, key), n in sorted(moved.items()):
-        print(f"{kind:<14} {key or '(text)':<22} {n:>7} {totals[kind]:>7}")
+        print(f"{kind:<14} {key:<{width}} {n:>7} {totals[kind]:>7}")
     for what, ids in (("only in old", old.keys() - new.keys()),
                       ("only in new", new.keys() - old.keys())):
         if ids:

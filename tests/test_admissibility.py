@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import random
@@ -250,6 +251,12 @@ def test_large_entry_min_weights_are_pinned():
     ]
 
 
+def _maximizes(args, kwargs):
+    """Is the LP passed to the kernel's private entry a max (sign 1)?"""
+    return inspect.signature(simplex._solve_tableau).bind(*args, **kwargs).arguments.get(
+        "sign", 1) == 1
+
+
 class TestWitnessSet:
     def test_single_theta_witness(self):
         p = DecisionProblem(("t1", "t2", "t3"), ("d0", "d1", "d2"),
@@ -298,9 +305,10 @@ class TestWitnessSet:
     def _traced(p, d):
         """witness_set's outcome (a WitnessSet or the refusal text), the gaps
         of lam when separation failed (None on return), and the number of
-        maximizing LPs it solved (the restriction LPs minimize)."""
+        maximizing LPs it solved (the restriction LPs minimize).  Every LP
+        there packs its own tableau and calls the kernel's private entry."""
         events = []
-        gaps_of, solve = adm._mixture_gaps, adm.solve_lp
+        gaps_of, solve = adm._mixture_gaps, adm._solve_tableau
 
         def spy_gaps(*args):
             out = gaps_of(*args)
@@ -308,10 +316,10 @@ class TestWitnessSet:
             return out
 
         def spy_lp(*args, **kwargs):
-            events.append(kwargs.get("maximize", True))
+            events.append(_maximizes(args, kwargs))
             return solve(*args, **kwargs)
         with mock.patch.object(adm, "_mixture_gaps", spy_gaps), \
-                mock.patch.object(adm, "solve_lp", spy_lp), \
+                mock.patch.object(adm, "_solve_tableau", spy_lp), \
                 mock.patch.object(adm, "dominated_in_hull", side_effect=AssertionError):
             try:
                 outcome = adm.witness_set(p, d)
@@ -355,16 +363,17 @@ class TestWitnessSet:
 
     def test_a_refusal_where_lam_loses_is_an_internal_fault(self):
         # on TWO_POINT the restriction LP on {t1} has v = 1 for lam = d1; an
-        # LP that claims v = -1 ends separation with lam losing at t1
-        solve = adm.solve_lp
+        # LP that claims v = -1 ends separation with lam losing at t1 (v is
+        # the LP's last variable)
+        solve = adm._solve_tableau
 
         def understate(*args, **kwargs):
             res = solve(*args, **kwargs)
-            if kwargs.get("maximize", True):
+            if _maximizes(args, kwargs):
                 return res
-            return dataclasses.replace(res, num=[res.num[0], res.num[1] - 2 * res.D],
+            return dataclasses.replace(res, num=res.num[:-1] + [res.num[-1] - 2 * res.D],
                                        objective=res.objective - 2)
-        with mock.patch.object(adm, "solve_lp", understate):
+        with mock.patch.object(adm, "_solve_tableau", understate):
             with pytest.raises(RuntimeError, match="witness restriction mixture failed"):
                 adm.witness_set(TWO_POINT, "d0")
 
@@ -462,28 +471,26 @@ def test_stein_and_dominance_match_equality_formulations(risk, k, i, eps):
 
 def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
     # every row of both LPs is a.x <= b with b >= 0: one Bland loop per LP.
-    # The dominance LP goes through solve_lp; stein_check packs its own
-    # tableau and calls the kernel's private entry
-    runs, real = [], simplex._run_simplex
+    # Both pack their own tableau and call the kernel's private entry
+    runs, real, kind = [], simplex._run_simplex, ["dominance"]
 
     def spy(*args):
         runs[-1][1] += 1
         return real(*args)
 
-    def counted(kind, solve):
-        def wrapper(*args, **kwargs):
-            runs.append([kind, 0])
-            return solve(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        runs.append([kind[0], 0])
+        return simplex._solve_tableau(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "_run_simplex", spy)
-    monkeypatch.setattr(adm, "solve_lp", counted("dominance", simplex.solve_lp))
-    monkeypatch.setattr(adm, "_solve_tableau", counted("stein", simplex._solve_tableau))
+    monkeypatch.setattr(adm, "_solve_tableau", counted)
     dominated = infeasible = checks = 0
     for seed in range(20):
         p = random_problem(1 + seed % 5, 1 + seed % 6, seed)
         for j, d in enumerate(p.proc_labels):
+            kind[0] = "dominance"
             dominated += adm._dominance_lp(p, j)[1] is not None
+            kind[0] = "stein"
             for t in p.theta_labels:
                 infeasible += not adm.stein_check(p, d, t, F(1, 100)).feasible
                 checks += 1
@@ -538,17 +545,20 @@ def test_dominance_lp_matches_the_s_column_form(n_theta, n_proc, seed, grid, pla
 
 @pytest.mark.parametrize("delta", (1, -1))
 def test_s_column_cross_check_sees_a_cost_off_by_one(delta):
-    # one cost coefficient of the dominance LP off by one (the risk-equal LP,
-    # with equality rows only, is left alone): the cross-check, or the
-    # dominance LP's own improvement re-check, fails on some problem
-    def off_by_one(c, **kwargs):
-        if kwargs.get("A_eq") is None:
-            c = [c[0] + delta] + c[1:]
-        return simplex.solve_lp(c, **kwargs)
+    # the first competitor's cost coefficient in the dominance LP off by one
+    # (the risk-equal LP, with equality rows only and no slack column, is
+    # left alone): the cross-check, or the dominance LP's own improvement
+    # re-check, fails on some problem
+    def off_by_one(tab, basis, cost, n, *rest):
+        if len(cost) > n:
+            # delta0's column is all zero; a competitor's holds den in the mass row
+            k = next(k for k in range(n) if tab.column(k)[-1])
+            cost = cost[:k] + [cost[k] + delta] + cost[k + 1:]
+        return simplex._solve_tableau(tab, basis, cost, n, *rest)
     failed = 0
     for seed in range(20):
         p = _with_planted(random_problem(3, 4, seed), random.Random(seed))
-        with mock.patch.object(adm, "solve_lp", off_by_one):
+        with mock.patch.object(adm, "_solve_tableau", off_by_one):
             try:
                 _same_as_s_column_dominance(p)
             except (AssertionError, RuntimeError):
@@ -556,7 +566,7 @@ def test_s_column_cross_check_sees_a_cost_off_by_one(delta):
     assert failed
     # the d0 = (1, 1), d1 = (1, 0) case: c = [1], and c = [0] reads as not dominated
     tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
-    with mock.patch.object(adm, "solve_lp", off_by_one), \
+    with mock.patch.object(adm, "_solve_tableau", off_by_one), \
             pytest.raises(AssertionError if delta < 0 else RuntimeError):
         _same_as_s_column_dominance(tied)
 
@@ -853,9 +863,10 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
             return dataclasses.replace(res, objective=res.objective + 1)
         return corrupt
 
-    # stein_check packs its own tableau and calls the kernel's private entry
-    admissibility.solve_lp = game.solve_lp = corrupted(simplex.solve_lp)
-    admissibility._solve_tableau = corrupted(simplex._solve_tableau)
+    # these checkers and the game pack their own tableaux and call the
+    # kernel's private entry; only the forced-zero LP goes through solve_lp
+    admissibility.solve_lp = corrupted(simplex.solve_lp)
+    admissibility._solve_tableau = game._solve_tableau = corrupted(simplex._solve_tableau)
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
     print("optimize", sys.flags.optimize)
     for name, call in [("dominated_in_hull", lambda: admissibility.dominated_in_hull(p, "d0")),
@@ -929,6 +940,18 @@ class TestReverificationUnderOptimize:
             "witness dual prior returned False None",
             "witness suboptimal dual prior returned False 1",
             "witness negative dual prior returned False None",
+            "hull weight on delta0 RuntimeError dominating mixture failed independent "
+            "re-verification",
+            "risk-equal weight on delta0 RuntimeError LP solution is not a valid mixture: "
+            "mixture weights must sum to exactly 1",
+            "witness weight on delta0 RuntimeError LP solution is not a valid mixture: "
+            "mixture weights must sum to exactly 1",
+            "certificate objective RuntimeError certificate failed independent "
+            "re-verification",
+            "certificate least weight RuntimeError certificate failed independent "
+            "re-verification",
+            "game mixture side, negative risks RuntimeError mixture-side game optimum failed "
+            "independent re-verification",
         ]
 
 
@@ -952,7 +975,9 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
     # d0 is Bayes iff pi(t1) >= 10 pi(t2): the certificate is (10/11, 1/11)
     ten = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -10)))
-    has_ub = lambda kwargs: kwargs.get("A_ub") is not None
+    negated = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, -1), (-1, 0)))
+    # the dominance LP has slack columns past its n variables, the risk-equal LP none
+    has_ub = lambda args: len(args[2]) > args[3]
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
 
@@ -963,111 +988,142 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     cases = [
         # pi = (1/4, 3/4): excess 1/2 > eps * pi(t1) = 1/400
         ("stein_check",
-         lambda res, kw: moved(res, [1, 3], 4, F(1, 4)),
+         lambda res, a: moved(res, [1, 3], 4, F(1, 4)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
-        # the dominance LP's only variable is [mu_d1], d0 weighted 1 - mu_d1:
-        # d1 itself, with total slack 1 claimed, although d1 is worse than d0
-        # at t1
+        # the dominance LP's variables are [mu_d0, mu_d1], d0's column all
+        # zero and d0 weighted 1 - mu_d1: d1 itself, with total slack 1
+        # claimed, although d1 is worse than d0 at t1
         ("dominating mixture",
-         lambda res, kw: moved(res, [1], 1, F(1)) if has_ub(kw) else res,
+         lambda res, a: moved(res, [0, 1], 1, F(1)) if has_ub(a) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # on tied, d1 = (1, 0) dominates d0 = (1, 1) with total slack 1: the
         # LP's mixture is kept, and its optimum claimed as 2
         ("hull improvement",
-         lambda res, kw: moved(res, res.num, res.D, res.objective + 1) if has_ub(kw) else res,
+         lambda res, a: moved(res, res.num, res.D, res.objective + 1) if has_ub(a) else res,
          lambda: admissibility.dominated_in_hull(tied, "d0")),
         # d1 claimed risk-equal to d0, although its risks are swapped
         ("risk-equal mixture",
-         lambda res, kw: res if has_ub(kw) else simplex.LPResult("optimal", F(0), [1], 1, 0),
+         lambda res, a: res if has_ub(a) else simplex.LPResult("optimal", F(0), [0, 1], 1, 0),
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # payoff at gamma = 1/2 is ((0, 3/2), (0, 1/2)): the mixture d1 with
         # v = 1/2 claimed, although its payoff at t1 is 3/2
         ("game mixture side",
-         lambda res, kw: moved(res, [0, 2, 1], 2, F(1, 2)),
+         lambda res, a: moved(res, [0, 2, 1], 2, F(1, 2)),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
         # against d1 at t1 the payoff is ((-3/2, 0), (-1/2, 0)), of value
         # -1/2 at the prior on t2; the uniform prior as the duals is a valid
         # prior whose worst payoff is -1, so it is no optimal one
         ("game prior side",
-         lambda res, kw: dataclasses.replace(res, ynum=[1, 1]),
+         lambda res, a: dataclasses.replace(res, ynum=[1, 1]),
          lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
         # the forced-zero LP's pi moved onto t2, where z is 0 and d1 beats d0
         ("forced-zero pi",
-         lambda res, kw: (res if kw.get("A_eq") else
-                          moved(res, [res.num[0], res.num[1] + res.D] + res.num[2:], res.D,
-                                res.objective)),
+         lambda res, a: moved(res, [res.num[0], res.num[1] + res.D] + res.num[2:], res.D,
+                              res.objective),
          lambda: admissibility.positive_prior_certificate(tied, "d0")),
         # the certificate LP's variables are [s_t1, s_t2, t], its prior s + t;
         # on ten its optimum is num = [9, 0, 1] under D = 11.  Here only t's
         # level moves, 1 to 2 (D to 13, so s + t stays a prior): pi = (11/13,
         # 2/13), whose least weight is t, but under which d1 beats d0
         ("certificate t",
-         lambda res, kw: moved(res, [9, 0, 2], 13, F(2, 13)),
+         lambda res, a: moved(res, [9, 0, 2], 13, F(2, 13)),
          lambda: admissibility.positive_prior_certificate(ten, "d0")),
         # only s_t1's level moves, 9 to 4 (D to 6): pi = (5/6, 1/6), d1 ahead again
         ("certificate s level",
-         lambda res, kw: moved(res, [4, 0, 1], 6, F(1, 6)),
+         lambda res, a: moved(res, [4, 0, 1], 6, F(1, 6)),
          lambda: admissibility.positive_prior_certificate(ten, "d0")),
         # the remaining cases give x a negative weight, so x is no prior or
         # mixture at all: a fault of the LP (exit 3), not of the input (exit 2);
         # here pi = (-2 + 1, 4 + 1) / 2
         ("certificate prior",
-         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),
+         lambda res, a: moved(res, [-2, 4, 1], 2, F(1, 2)),
          lambda: admissibility.positive_prior_certificate(p, "d0")),
         ("stein prior",
-         lambda res, kw: moved(res, [-1, 2], 1, F(-1)),
+         lambda res, a: moved(res, [-1, 2], 1, F(-1)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
         # sum(pi) <= 1 is the Stein LP's row, but its optimum has sum(pi) == 1
         ("stein prior short of 1",
-         lambda res, kw: moved(res, [1, 1], 4, F(1, 4)),
+         lambda res, a: moved(res, [1, 1], 4, F(1, 4)),
          lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
         # mu_d1 = -1, so d0 is weighted 2
         ("hull mixture",
-         lambda res, kw: moved(res, [-1], 1, F(1)) if has_ub(kw) else res,
+         lambda res, a: moved(res, [0, -1], 1, F(1)) if has_ub(a) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         # mu_d1 = 2 sums past 1, so d0's derived weight 1 - mu_d1 is -1
         ("hull mixture past 1",
-         lambda res, kw: moved(res, [2], 1, F(1)) if has_ub(kw) else res,
+         lambda res, a: moved(res, [0, 2], 1, F(1)) if has_ub(a) else res,
          lambda: admissibility.dominated_in_hull(p, "d0")),
         ("game mixture",
-         lambda res, kw: moved(res, [-2, 4, 1], 2, F(1, 2)),
+         lambda res, a: moved(res, [-2, 4, 1], 2, F(1, 2)),
          lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
         ("game prior",
-         lambda res, kw: dataclasses.replace(res, ynum=[-1, 2]),
+         lambda res, a: dataclasses.replace(res, ynum=[-1, 2]),
          lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
         # the restriction LP on {t1} claims margin 2 with v = 2, a feasible
         # but not optimal point: its mixture d1 loses to d0 at t1 by only 1
+        # (v is the LP's last variable)
         ("witness margin",
-         lambda res, kw: (moved(res, [res.num[0], res.num[1] + res.D], res.D,
-                                res.objective + 1)),
+         lambda res, a: moved(res, res.num[:-1] + [res.num[-1] + res.D], res.D,
+                              res.objective + 1),
          lambda: admissibility.witness_set(p, "d0")),
         # the same LP claims v = -1 for lam = d1, whose gap at t1 is 1: the
         # margin reads as no separation, and lam ends it losing at t1
         ("witness refusal",
-         lambda res, kw: (moved(res, [res.num[0], res.num[1] - 2 * res.D], res.D,
-                                res.objective - 2)),
+         lambda res, a: moved(res, res.num[:-1] + [res.num[-1] - 2 * res.D], res.D,
+                              res.objective - 2),
          lambda: admissibility.witness_set(p, "d0")),
         # the witness set {t1} with duals that sum to 0: no prior at all
         ("witness dual prior",
-         lambda res, kw: dataclasses.replace(res, ynum=[0] * len(res.ynum)),
+         lambda res, a: dataclasses.replace(res, ynum=[0] * len(res.ynum)),
          lambda: witnessed(p)),
         # the prior on t1 alone: d1 beats d0 there, so the least gap is -1
         ("witness suboptimal dual prior",
-         lambda res, kw: dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1)),
+         lambda res, a: dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1)),
          lambda: witnessed(three)),
         ("witness negative dual prior",
-         lambda res, kw: dataclasses.replace(res, ynum=[-1] + [2] * (len(res.ynum) - 1)),
+         lambda res, a: dataclasses.replace(res, ynum=[-1] + [2] * (len(res.ynum) - 1)),
          lambda: witnessed(three)),
+        # the packed LPs keep delta0's column, all zero, in the hull, risk-equal
+        # and witness LPs: weight there is delta0 itself, no competitor.  Here
+        # the dominance LP weights d0 alone and claims total slack 1
+        ("hull weight on delta0",
+         lambda res, a: moved(res, [1, 0], 1, F(1)) if has_ub(a) else res,
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        # the risk-equal LP weights d0 alone, which matches d0's risks trivially
+        ("risk-equal weight on delta0",
+         lambda res, a: res if has_ub(a) else simplex.LPResult("optimal", F(0), [1, 0], 1, 0),
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        # the restriction LP weights d0 alone, with v = 0
+        ("witness weight on delta0",
+         lambda res, a: moved(res, [1, 0, 0], 1, F(0)),
+         lambda: admissibility.witness_set(p, "d0")),
+        # on ten the optimum is t = 1/11 at num = [9, 0, 1] under D = 11; the
+        # same point with the optimum claimed as 1/22
+        ("certificate objective",
+         lambda res, a: moved(res, res.num, res.D, res.objective / 2),
+         lambda: admissibility.positive_prior_certificate(ten, "d0")),
+        # on ten, pi = (21/23, 2/23) with t = 1/23 claimed: delta0 is Bayes
+        # under pi, but its least weight is 2/23, not t
+        ("certificate least weight",
+         lambda res, a: moved(res, [20, 1, 1], 23, F(1, 23)),
+         lambda: admissibility.positive_prior_certificate(ten, "d0")),
+        # p with its risks negated: the payoff against d0 at t1, gamma = 1/2,
+        # is ((0, -3/2), (0, -1/2)); the mixture d1 with v = 1/2 claimed,
+        # although its worst payoff is -1/2
+        ("game mixture side, negative risks",
+         lambda res, a: moved(res, [0, 2, 1], 2, F(1, 2)),
+         lambda: game.derived_game_value(negated, "d0", "t1", F(1, 2))),
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
-        # stein_check packs its own tableau and calls the kernel's private
-        # entry; every other checker, and the game, calls solve_lp
-        stein = name.startswith("stein")
-        solve = simplex._solve_tableau if stein else simplex.solve_lp
-        moving = lambda *a, move=move, solve=solve, **kw: move(solve(*a, **kw), kw)
-        admissibility.solve_lp = game.solve_lp = simplex.solve_lp if stein else moving
-        admissibility._solve_tableau = moving if stein else simplex._solve_tableau
+        # the forced-zero LP goes through solve_lp; every other checker, and
+        # the game, packs its own tableau and calls the kernel's private entry
+        listed = name.startswith("forced-zero")
+        solve = simplex.solve_lp if listed else simplex._solve_tableau
+        moving = lambda *a, move=move, solve=solve, **kw: move(solve(*a, **kw), a)
+        admissibility.solve_lp = moving if listed else simplex.solve_lp
+        admissibility._solve_tableau = game._solve_tableau = (
+            simplex._solve_tableau if listed else moving)
         try:
             print(name, "returned", call())
         except RuntimeError as exc:

@@ -18,7 +18,7 @@ from admlab import admissibility, cli
 from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, Prior, load_problem, random_problem, save_problem
 from admlab.game import derived_game_value
-from admlab.simplex import solve_lp
+from admlab.simplex import _solve_tableau
 
 
 def run(capsys, *argv):
@@ -139,9 +139,9 @@ class TestWitness:
         path.write_bytes(save_problem(p))
 
         def moved(*args, **kwargs):
-            res = solve_lp(*args, **kwargs)
+            res = _solve_tableau(*args, **kwargs)
             return dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1))
-        monkeypatch.setattr(admissibility, "solve_lp", moved)
+        monkeypatch.setattr(admissibility, "_solve_tableau", moved)
         code, out, err = run(capsys, "witness", str(path), "--delta", "d0")
         payload = json.loads(out)
         assert code == 3
@@ -549,9 +549,9 @@ class TestExitCodes:
         # an LP whose solution carries a negative weight: the bad prior comes
         # from the program, not from the input file
         def negative(*args, **kwargs):
-            res = solve_lp(*args, **kwargs)
+            res = _solve_tableau(*args, **kwargs)
             return dataclasses.replace(res, num=[-2, 4, 1], D=2, objective=F(1, 2))
-        monkeypatch.setattr(admissibility, "solve_lp", negative)
+        monkeypatch.setattr(admissibility, "_solve_tableau", negative)
         code, out, err = run(capsys, "certify", two_point, "--delta", "d0")
         assert code == 3
         assert out == ""

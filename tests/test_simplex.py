@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import exact_outputs
 import fraction_simplex
 from admlab import admissibility, game, simplex
-from admlab.decision import random_problem
+from admlab.decision import DecisionProblem, random_problem
 from admlab.simplex import LPResult, solve_lp
 
 
@@ -376,12 +376,47 @@ def test_growing_entries_force_a_repack(monkeypatch):
     assert repacks.count >= 1
 
 
+def _unpacked(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
+    """The list-form LP that solve_lp packs into the same tableau (args, kwargs).
+
+    Rows with a slack come first, slack k in row k: stored as 1 and basic,
+    or as -1 in a row negated for its negative rhs, whose artificial is
+    basic.  The rest are equality rows, each with an artificial.  A free
+    variable's negative part is its column negated, in the rows and in the
+    cost.  The checkers' rows and costs are ints under no common factor.
+    """
+    assert L == Lc == 1
+    ncols, nf = len(cost), len(free)
+    nslack = ncols - n - nf
+    assert tab.nfields == ncols + 1 and len(basis) >= nslack
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    cols = [tab.column(k) for k in range(tab.nfields)]
+    for i, bj in enumerate(basis):
+        f = [col[i] for col in cols]
+        assert f[n:n + nf] == [-f[j] for j in free]
+        slack = f[n + nf:ncols]
+        if i < nslack:
+            s = slack[i]
+            assert slack == [s * (k == i) for k in range(nslack)]
+            assert ((s, bj) == (1, n + nf + i) and f[-1] >= 0
+                    or (s, bj) == (-1, ncols + i) and f[-1] > 0)
+            A_ub.append([s * v for v in f[:n]])
+            b_ub.append(s * f[-1])
+        else:
+            assert not any(slack) and bj == ncols + i and f[-1] >= 0
+            A_eq.append(f[:n])
+            b_eq.append(f[-1])
+    assert cost[n:] == [-cost[j] for j in free] + [0] * nslack
+    return ([sign * v for v in cost[:n]],), dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                                 free_vars=list(free), maximize=sign == 1)
+
+
 class _Recorded:
     """Records every LP the checkers and the game solve, on the real kernel.
 
-    ``stein_check`` packs its own tableau and calls ``simplex._solve_tableau``:
-    its LPs are recorded unpacked, as the inequality rows of their fields,
-    with the result that the packed tableau gave.
+    Every checker LP but the forced-zero one, and the game's, packs its own
+    tableau and calls ``simplex._solve_tableau``: those LPs are recorded
+    unpacked, in list form, with the result that the packed tableau gave.
     """
 
     def __init__(self, monkeypatch):
@@ -391,20 +426,14 @@ class _Recorded:
             self.calls.append((args, kwargs, None))
             return solve_lp(*args, **kwargs)
 
-        def record_packed(tab, basis, cost, n, *rest):
-            fields = list(zip(*(tab.column(k) for k in range(tab.nfields))))
-            # a slack per row, stored as 1 and basic, and no other column
-            assert tab.nfields == n + len(fields) + 1 and basis == list(range(n, n + len(fields)))
-            assert [list(f[n:-1]) for f in fields] == [
-                [int(i == k) for k in range(len(fields))] for i in range(len(fields))]
-            lp = (list(cost[:n]),), dict(A_ub=[list(f[:n]) for f in fields],
-                                         b_ub=[f[-1] for f in fields])
-            res = simplex._solve_tableau(tab, basis, cost, n, *rest)
+        def record_packed(*args, **kwargs):
+            lp = _unpacked(*args, **kwargs)
+            res = simplex._solve_tableau(*args, **kwargs)
             self.calls.append((*lp, res))
             return res
         monkeypatch.setattr(admissibility, "solve_lp", record)
-        monkeypatch.setattr(game, "solve_lp", record)
         monkeypatch.setattr(admissibility, "_solve_tableau", record_packed)
+        monkeypatch.setattr(game, "_solve_tableau", record_packed)
 
     def replay(self, monkeypatch):
         """Each recorded LP against the oracle, and a packed one's result
@@ -454,4 +483,26 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
     kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw, _ in lps.calls}
     assert kinds == {(False, True)}
     assert refused > 0 and len(lps.calls) > 60
+    lps.replay(monkeypatch)
+
+
+def test_negative_risk_lps_match_fraction_oracle(monkeypatch):
+    # risks in [-1, 1]: the risk-equal and witness rows with a negative rhs
+    # are negated and get an artificial, as solve_lp does
+    lps = _Recorded(monkeypatch)
+    rng = random.Random(41)
+    for nt, nd in [(2, 3), (3, 3), (4, 5), (5, 4)]:
+        p = DecisionProblem(tuple(f"t{i}" for i in range(nt)), tuple(f"d{j}" for j in range(nd)),
+                            [[F(rng.randint(-8, 8), 8) for _ in range(nd)] for _ in range(nt)])
+        for j, d in enumerate(p.proc_labels):
+            admissibility.dominated_in_hull(p, d)
+            admissibility.positive_prior_certificate(p, d)
+            try:
+                admissibility.witness_set(p, d)
+            except ValueError:
+                pass
+            game.derived_game_value(p, d, p.theta_labels[j % nt], F(2))
+    # a packed witness LP with a negated inequality row, unpacked to its negative rhs
+    assert any(packed is not None and min(kw["b_ub"], default=0) < 0
+               for _, kw, packed in lps.calls)
     lps.replay(monkeypatch)
