@@ -11,7 +11,10 @@ risk-equal, certificate, witness and Stein LPs go into the kernel's tableau
 already packed: each row is an int combination of the problem's packed risk
 columns or rows (``decision._packed_risk``), which is the packed row since
 packing is linear, and each builder states the bound ``T`` on its fields.
-Only the forced-zero LP, whose rows are not risk combinations, goes through
+The witness restriction LP is the derived game's LP at its gamma -> infinity
+end, on the chosen parameters with delta0 barred, so ``game._minimax_lp``
+builds it, and ``game._minimax_sides`` re-checks both of its sides.  Only
+the forced-zero LP, whose rows are not risk combinations, goes through
 ``solve_lp``.
 Throughout, the infimum over the convex hull of procedures is replaced by
 the minimum over its vertices, which is exact because risk is linear in the
@@ -36,6 +39,7 @@ from admlab.decision import (
     _packed_risk,
     _risk_span,
 )
+from admlab.game import _minimax_lp, _minimax_sides
 from admlab.hyperreal import LCNumber, _as_fraction, approx_leq, compare
 from admlab.simplex import _ones, _solve_tableau, _Tableau, solve_lp
 
@@ -408,7 +412,7 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
                 raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
             raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
         chosen.append(best_i)
-        res = _restriction_lp(p, j0, chosen)
+        res = _minimax_lp(p, j0, chosen, 1, 0)  # the game at q = 0
         if res.status != "optimal":
             raise RuntimeError(f"witness restriction LP unexpectedly {res.status}")
         w, q = res.num[:-1], res.D
@@ -417,56 +421,19 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
         if res.objective > 0:
             break
     margin = res.objective
-    # the margin is the LP mixture's worst gap on the chosen parameters
-    gaps, n = _mixture_gaps(p, w, q, j0)
-    if Fraction(max(gaps[i] for i in chosen), n) != margin:
+    # independent re-checks: the margin is the LP mixture's worst gap on the
+    # chosen parameters, and the LP's duals, in row order, are a prior on them
+    # under which every competitor loses by at least the margin
+    gaps = [[v - p.irisk[i][j0] for v in p.irisk[i]] for i in chosen]
+    worst, least = _minimax_sides(gaps, res, p.den, cols)
+    if worst != margin:
         raise RuntimeError("witness margin failed independent re-verification")
-
-    # independent validation: the LP's duals, in row order, are a prior on the
-    # chosen parameters under which every competitor loses by the margin
-    y, pi, value = res.ynum, [0] * len(p.theta_labels), None
-    for i, v in zip(chosen, y):
-        pi[i] = v
-    if min(y) >= 0 and sum(y) > 0:
-        gaps, n = _bayes_gaps(p, pi, sum(y), j0)
-        value = -Fraction(min(gaps[j] for j in cols), n)
+    value = None if least is None else -least
     validated = value is not None and value <= -margin < 0
 
     chosen.sort()
     thetas = tuple(p.theta_labels[i] for i in chosen)
     return WitnessSet(delta0, thetas, margin, len(chosen), validated, value)
-
-
-def _restriction_lp(p: DecisionProblem, j0: int, chosen):
-    """The witness restriction LP, packed from the risk rows: min over lam of
-    max over the chosen thetas of r(theta, lam) - r(theta, delta0), as
-    r(theta, lam) - v <= r(theta, delta0) with v free and sum(lam) == 1,
-    rows times den.
-
-    Columns: one weight per procedure, delta0's all zero (see ``_hull_lp``),
-    v, v's negative part, a slack per chosen theta, the rhs.  The theta row
-    is ``R_theta - r(theta, j0) * 2**(W*j0)``, -den and den in v's two
-    fields, its slack bit and rhs r(theta, j0), negated when that is
-    negative; the mass row holds den in each competitor's field and in the
-    rhs.  Both kinds of row with an artificial go into phase 1's objective,
-    so no field exceeds (len(chosen) + 1) * max(hi, -lo, den).
-    """
-    nd, den, m = len(p.proc_labels), p.den, len(chosen)
-    hi, lo, _ = _risk_span(p)
-    T = max(hi, -lo, den).bit_length() + (m + 1).bit_length()
-    W, _, rows = _packed_risk(p, T)
-    tab = _Tableau(nd + m + 3, T, W)
-    rsh, ncols, e0 = tab.rsh, nd + m + 2, 1 << W * j0
-    v = (den << W * (nd + 1)) - (den << W * nd)
-    basis = []
-    for k, i in enumerate(chosen):
-        b = p.irisk[i][j0]
-        x = rows[i] + b * ((1 << rsh) - e0) + v + (1 << W * (nd + 2 + k))
-        tab.rows.append(x if b >= 0 else -x)
-        basis.append(nd + 2 + k if b >= 0 else ncols + k)
-    tab.rows.append(den * (_ones(nd, W) - e0 + (1 << rsh)))
-    basis.append(ncols + m)
-    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * m, nd + 1, [nd], sign=-1)
 
 
 # -- Stein's condition ---------------------------------------------------------

@@ -286,9 +286,10 @@ def _packed_risk(p: DecisionProblem, T: int):
     ``rows[i]`` holds it in field j (parameter i's risk row), each packed as
     ``simplex._pack`` packs a row.  W is ``simplex._width`` of T, but never less
     than that of ``Tp = bits(max(hi - lo, hi, -lo, den)) + bits(nt + 1)``, which
-    is at least the T of the hull, risk-equal, certificate and witness LPs:
-    those share one packing, and only the Stein and game LPs, whose rows
-    scale by eps's or gamma's parts, may need a wider one.  Both vectors are
+    is at least the T of the hull, risk-equal, certificate and witness LPs
+    (the witness LP is the game's at q = 0, a = 1, with T = bits(max(hi - lo,
+    den))): those share one packing, and only the Stein and game LPs, whose
+    rows scale by eps's or gamma's parts, may need a wider one.  Both vectors are
     built together on the first call for a width and kept in ``p._packed``.
     """
     hi, lo, _ = _risk_span(p)

@@ -10,6 +10,8 @@ Nature mixes over parameters (a prior), the statistician mixes over base
 procedures.  One exact LP solves the statistician's side, and its duals are
 nature's (Dantzig 1951); both optimal values are recomputed from the one
 int matrix, the payoff times ``den * q`` for gamma = a / q, and must agree.
+The same LP at the gamma -> infinity end, over a set of parameters and with
+delta0 barred, is the restriction LP of ``admissibility.witness_set``.
 """
 
 from __future__ import annotations
@@ -60,31 +62,51 @@ class GameValueReport:
         return _fmt(self)
 
 
-def _game_lp(p: DecisionProblem, i0: int, j0: int, a: int, q: int):
-    """The statistician's side, packed from the risk rows: minimize v with
-    payoff(theta, mix) <= v for every theta and sum(mix) == 1, rows times
-    scale = den * q for gamma = a / q; nature's side is its LP dual, a prior
-    weighting theta by ynum.
+def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0):
+    """min v over mixtures lam with payoff(theta, lam) <= v for each given
+    theta, packed from the risk rows: the payoff rows are ``q * G[theta0] +
+    a * G[theta]`` over scale = den * q (den * a at q = 0), with ``G = irisk
+    - irisk[:, j0]`` delta0's gap matrix.  Nature's side is its LP dual, a prior on those
+    thetas weighting them by ynum.  The derived game keeps every theta with
+    gamma = a / q.  The witness restriction LP is its gamma -> infinity end,
+    q = 0 and a = 1 on the chosen thetas: the rows are G over scale = den,
+    and delta0, which pays 0 at every theta, is barred from the mass row, so
+    lam is a competitor mixture.
 
     Columns: one weight per procedure, v, v's negative part, a slack per
-    parameter, the rhs.  The theta row is ``q * (R_theta0 - r(theta0, j0) *
-    ones) + a * (R_theta - r(theta, j0) * ones)``, -scale and scale in v's two
-    fields and its slack bit, rhs 0; the mass row, the only one with an
-    artificial, holds scale in each weight's field and in the rhs.  No field
-    exceeds max((a + q) * (hi - lo), scale).
+    kept theta, the rhs.  The theta row is ``q * (R_theta0 - r(theta0, j0) *
+    ones) + a * (R_theta - r(theta, j0) * ones)``, -scale and scale in v's
+    two fields and its slack bit, rhs 0; the mass row, the only one with an
+    artificial, holds scale in each allowed weight's field and in the rhs.
+    delta0's column is 0 in every theta row, so barred it is all zero and
+    never enters.  No field exceeds max((a + q) * (hi - lo), scale).
     """
-    nt, nd, scale = len(p.theta_labels), len(p.proc_labels), p.den * q
+    nd, m, scale = len(p.proc_labels), len(thetas), p.den * (q or a)
     hi, lo, _ = _risk_span(p)
     T = max((a + q) * (hi - lo), scale).bit_length()
     W, _, rows = _packed_risk(p, T)
-    tab = _Tableau(nd + nt + 3, T, W)
+    tab = _Tableau(nd + m + 3, T, W)
     ones, irisk = _ones(nd, W), p.irisk
     top = q * (rows[i0] - irisk[i0][j0] * ones) + (scale << W * (nd + 1)) - (scale << W * nd)
-    tab.rows = [top + a * (x - r[j0] * ones) + (1 << W * (nd + 2 + i))
-                for i, (x, r) in enumerate(zip(rows, irisk))]
-    tab.rows.append(scale * (ones + (1 << tab.rsh)))
-    basis = list(range(nd + 2, nd + nt + 2)) + [nd + 2 * nt + 2]
-    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * nt, nd + 1, [nd], sign=-1)
+    tab.rows = [top + a * (rows[i] - irisk[i][j0] * ones) + (1 << W * (nd + 2 + k))
+                for k, i in enumerate(thetas)]
+    mass = ones if q else ones - (1 << W * j0)  # at q = 0, delta0 is barred
+    tab.rows.append(scale * (mass + (1 << tab.rsh)))
+    basis = list(range(nd + 2, nd + m + 2)) + [nd + 2 * m + 2]
+    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * m, nd + 1, [nd], sign=-1)
+
+
+def _minimax_sides(pay, lp, scale: int, cols):
+    """Both sides of a ``_minimax_lp`` optimum, recomputed in ints on its int
+    payoff rows pay (times scale): the mixture's worst row, and the dual
+    prior's least payoff over the procedures in cols, None when the duals
+    are no prior."""
+    worst = Fraction(max(_weighted_rows(pay, lp.num[:len(pay[0])])), lp.D * scale)
+    y, total = lp.ynum, sum(lp.ynum)
+    if min(y) < 0 or not total:
+        return worst, None
+    pays = _weighted_rows(zip(*pay), y)
+    return worst, Fraction(min(pays[j] for j in cols), total * scale)
 
 
 def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueReport:
@@ -105,7 +127,7 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
     ipay = [[q * (top[j] - top[j0]) + a * (row[j] - row[j0]) for j in range(nd)]
             for row in p.irisk]
 
-    lp = _game_lp(p, i0, j0, a, q)
+    lp = _minimax_lp(p, j0, range(len(p.theta_labels)), a, q, i0)
     if lp.status != "optimal":
         raise RuntimeError(f"mixture-side game LP unexpectedly {lp.status}")
     upper = lp.objective
@@ -114,9 +136,9 @@ def derived_game_value(p: DecisionProblem, delta0, theta0, gamma) -> GameValueRe
 
     # re-verify both optima directly on the payoff matrix: the mixture's worst
     # payoff is upper, and the prior's worst payoff (lower) must equal it
-    if Fraction(max(_weighted_rows(ipay, lp.num[:nd])), lp.D * scale) != upper:
+    worst, lower = _minimax_sides(ipay, lp, scale, range(nd))
+    if worst != upper:
         raise RuntimeError("mixture-side game optimum failed independent re-verification")
-    lower = Fraction(min(_weighted_rows(zip(*ipay), lp.ynum)), sum(lp.ynum) * scale)
     if lower != upper:
         raise RuntimeError("prior-side game optimum failed independent re-verification")
 

@@ -77,8 +77,9 @@ bignum operations, and it reads back field by field when every field of
 the result is below ``2**T``.  A column that is zero in every row and in
 the cost never has a positive reduced cost, in phase 1 or phase 2, so it
 never enters and the drive-out never picks it: a caller may keep such a
-column (delta0's own weight in the hull, risk-equal and witness LPs) and
-the pivots are those of the LP without it.
+column (delta0's own weight in the hull and risk-equal LPs, and in the
+witness LP, the game's LP with delta0 barred from its mass row) and the
+pivots are those of the LP without it.
 
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level

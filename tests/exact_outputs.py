@@ -13,7 +13,7 @@ exit code of every ``admlab gd`` report at fixed seeds: ``gd risk`` with the
 ``gd``, ``bayes`` and a constant weight, ``gd diff``, ``gd excess``, ``gd mass``
 with and without its Monte Carlo cross-check, and ``gd blyth`` as CSV and as
 JSON.  Each runs at 196625 draws (three full shards of 2^16 and a partial one)
-on one thread and on two, which must print the same numbers.  Last it covers
+on one thread and on two, which must print the same numbers.  Then it covers
 ``random_problem`` seeds 0-11 on the 1/8 and 1/97 grids.  For
 each problem it prints the stdout, stderr and exit code of the CLI
 subcommands check, certify, witness, stein, game and ns, then
@@ -23,10 +23,13 @@ prior and under an infinitesimal one, and the shifted risks under both
 priors.  Pytest does not collect this file, but ``tests/test_cli.py`` pins
 the sha256 of that last section (``problem_outputs``); the help text and the
 Monte Carlo reports are left out of the pin, since their bytes depend on the
-Python and numpy versions.
+Python and numpy versions.  Last comes the kernel dump: every ``LPResult``
+the checkers and the game solve on fixed problems, each printed as ``lp``
+and the public checker that solved it, then fixed LPs with large entries.
 
 Given two such printouts, ``--compare`` counts what moved between them, per
-report kind (the API report's name, ``cli`` and the subcommand, or ``lp``)
+report kind (the API report's name, ``cli`` and the subcommand, or ``lp``
+and the public checker that solved the LP, such as ``lp witness_set``)
 and per key path in its payload, with list indices and parameter or
 procedure labels read as ``*`` (``reports.*.lp_iterations``: some
 procedure's pivot count in ``admlab check``'s reports), counting each
@@ -217,13 +220,22 @@ def kernel_outputs():
 
     The forced-zero LP goes through ``solve_lp``; every other checker LP, and
     the game's, packs its own tableau and calls the kernel's private entry
-    ``simplex._solve_tableau``, so both entries are recorded."""
+    ``simplex._solve_tableau``, so both entries are recorded.  Each LP prints
+    as ``lp`` and the public checker that solved it (``lp witness_set``), a
+    large-entry LP as ``lp solve_lp``."""
+    checker = None
+
     def recorded(solve):
         def record(*args, **kwargs):
             res = solve(*args, **kwargs)
-            print("lp", repr(res))
+            print("lp", checker, repr(res))
             return res
         return record
+
+    def check(fn, *args):
+        nonlocal checker
+        checker = fn.__name__
+        return fn(*args)
 
     saved = adm.solve_lp, adm._solve_tableau, game._solve_tableau
     adm.solve_lp = recorded(simplex.solve_lp)
@@ -235,21 +247,21 @@ def kernel_outputs():
                 print(f"== kernel seed {100 + seed}, grid 1/{grid}, {nt}x{nd}")
                 singles = tuple((t,) for t in p.theta_labels)
                 for j, d in enumerate(p.proc_labels):
-                    adm.dominated_in_hull(p, d)
-                    cert = adm.positive_prior_certificate(p, d)
+                    check(adm.dominated_in_hull, p, d)
+                    cert = check(adm.positive_prior_certificate, p, d)
                     for t in p.theta_labels:
                         for e in EPS_GRID:
-                            adm.stein_check(p, d, t, e)
+                            check(adm.stein_check, p, d, t, e)
                     if isinstance(cert, adm.Certificate):
-                        adm.ns_blyth_check(p, d, cert.prior, cert.min_weight, singles)
+                        check(adm.ns_blyth_check, p, d, cert.prior, cert.min_weight, singles)
                     with contextlib.suppress(ValueError):  # a refusal is an output too
-                        adm.witness_set(p, d)
-                    game.derived_game_value(p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
+                        check(adm.witness_set, p, d)
+                    check(game.derived_game_value, p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
     finally:
         adm.solve_lp, adm._solve_tableau, game._solve_tableau = saved
     print("== large entries")
     for args, kwargs in large_entry_lps():
-        print("lp", repr(simplex.solve_lp(*args, **kwargs)))
+        print("lp solve_lp", repr(simplex.solve_lp(*args, **kwargs)))
 
 
 def _leaves(value, path=()):
@@ -316,8 +328,13 @@ def _records(lines):
             add(line, f"cli {argv[2] if len(argv) > 2 else ''}".rstrip(), payload)
         elif line.strip():
             # an API report or a kernel LP, paired by its place among its kind:
-            # labels, then a dict, a list or an LPResult, or an error's text
+            # labels, then a dict, a list or an LPResult, or an error's text;
+            # an LP's kind is "lp" and the checker that solved it ("lp" alone
+            # in a printout from before LPs were labelled)
             kind, _, rest = line.partition(" ")
+            if kind == "lp" and not rest.startswith("LPResult("):
+                checker, _, rest = rest.partition(" ")
+                kind = f"lp {checker}"
             cut = min((i for i in map(rest.find, ("{", "[", "LPResult(")) if i >= 0), default=0)
             add(kind, kind, _payload(rest[cut:]))
     return out
@@ -336,10 +353,11 @@ def compare(old_path, new_path):
         for key in {_key_path(k) for k in before.keys() | after.keys()
                     if before.get(k) != after.get(k)}:
             moved[kind, key] = moved.get((kind, key), 0) + 1
+    kinds = max((len(kind) for kind, _ in moved), default=4)
     width = max((len(key) for _, key in moved), default=0)
-    print(f"{'kind':<14} {'key':<{width}} {'moved':>7} {'of':>7}")
+    print(f"{'kind':<{kinds}} {'key':<{width}} {'moved':>7} {'of':>7}")
     for (kind, key), n in sorted(moved.items()):
-        print(f"{kind:<14} {key:<{width}} {n:>7} {totals[kind]:>7}")
+        print(f"{kind:<{kinds}} {key:<{width}} {n:>7} {totals[kind]:>7}")
     for what, ids in (("only in old", old.keys() - new.keys()),
                       ("only in new", new.keys() - old.keys())):
         if ids:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import fraction_simplex
 from admlab import LCNumber
 from admlab import admissibility as adm
-from admlab import decision, simplex
+from admlab import decision, game, simplex
 from admlab.decision import (
     DecisionProblem,
     Mixture,
@@ -306,9 +306,10 @@ class TestWitnessSet:
         """witness_set's outcome (a WitnessSet or the refusal text), the gaps
         of lam when separation failed (None on return), and the number of
         maximizing LPs it solved (the restriction LPs minimize).  Every LP
-        there packs its own tableau and calls the kernel's private entry."""
+        there packs its own tableau and calls the kernel's private entry: the
+        restriction LPs through ``game``, the dominance LP through ``adm``."""
         events = []
-        gaps_of, solve = adm._mixture_gaps, adm._solve_tableau
+        gaps_of, solve = adm._mixture_gaps, simplex._solve_tableau
 
         def spy_gaps(*args):
             out = gaps_of(*args)
@@ -320,6 +321,7 @@ class TestWitnessSet:
             return solve(*args, **kwargs)
         with mock.patch.object(adm, "_mixture_gaps", spy_gaps), \
                 mock.patch.object(adm, "_solve_tableau", spy_lp), \
+                mock.patch.object(game, "_solve_tableau", spy_lp), \
                 mock.patch.object(adm, "dominated_in_hull", side_effect=AssertionError):
             try:
                 outcome = adm.witness_set(p, d)
@@ -365,7 +367,7 @@ class TestWitnessSet:
         # on TWO_POINT the restriction LP on {t1} has v = 1 for lam = d1; an
         # LP that claims v = -1 ends separation with lam losing at t1 (v is
         # the LP's last variable)
-        solve = adm._solve_tableau
+        solve = game._solve_tableau
 
         def understate(*args, **kwargs):
             res = solve(*args, **kwargs)
@@ -373,7 +375,7 @@ class TestWitnessSet:
                 return res
             return dataclasses.replace(res, num=res.num[:-1] + [res.num[-1] - 2 * res.D],
                                        objective=res.objective - 2)
-        with mock.patch.object(adm, "_solve_tableau", understate):
+        with mock.patch.object(game, "_solve_tableau", understate):
             with pytest.raises(RuntimeError, match="witness restriction mixture failed"):
                 adm.witness_set(TWO_POINT, "d0")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import exact_outputs
-from admlab import admissibility, cli
+from admlab import admissibility, cli, game
 from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, Prior, load_problem, random_problem, save_problem
 from admlab.game import derived_game_value
@@ -141,7 +141,7 @@ class TestWitness:
         def moved(*args, **kwargs):
             res = _solve_tableau(*args, **kwargs)
             return dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1))
-        monkeypatch.setattr(admissibility, "_solve_tableau", moved)
+        monkeypatch.setattr(game, "_solve_tableau", moved)
         code, out, err = run(capsys, "witness", str(path), "--delta", "d0")
         payload = json.loads(out)
         assert code == 3
@@ -518,6 +518,48 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "'priors' must be an object or null" in err
 
+    @pytest.mark.parametrize("change, message", [
+        (None, "top level must be a JSON object"),
+        ({"theta": [], "risk": []}, "need at least one parameter and one procedure"),
+        ({"theta": [1, "t2"]}, "field 'theta' must be a list of strings"),
+        ({"procedures": ["d0", 1]}, "field 'procedures' must be a list of strings"),
+        ({"procedures": ["d0", "d0"]}, "duplicate procedure labels"),
+        ({"risk": "0"}, "field 'risk' must be a list of rows"),
+        ({"risk": [["0", "1"]]}, "risk matrix has 1 rows for 2 parameters"),
+        ({"risk": [[None, "1"], ["1", "0"]]}, "risk[0][0]: expected a rational, got NoneType"),
+        ({"risk": [[True, "1"], ["1", "0"]]}, "risk[0][0]: floats are not accepted"),
+        ({"allow_mixtures": "yes"}, "field 'allow_mixtures' must be a boolean"),
+        ({"priors": {"pi": ["t1"]}}, "prior 'pi' must map labels to weights"),
+        ({"priors": {"pi": {}}}, "prior 'pi': prior needs at least one weight"),
+        ({"priors": {"pi": {"t9": "1"}}}, "prior 'pi' references unknown labels"),
+    ], ids=["top-level", "no-labels", "theta-label", "procedure-label", "repeated-procedure",
+            "risk-not-list", "risk-rows", "risk-entry", "risk-bool", "allow-mixtures",
+            "prior-not-object", "empty-prior", "prior-labels"])
+    def test_a_rejected_problem_file_is_an_input_error(self, capsys, tmp_path, change, message):
+        doc = {"theta": ["t1", "t2"], "procedures": ["d0", "d1"],
+               "risk": [["0", "1"], ["1", "0"]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([doc] if change is None else {**doc, **change}))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("ns", "{}", "--delta", "d0", "--prior", ",", "--family", "t1", "--mode", "stein",
+          "--eps", "1"), "empty prior specification"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", ";",
+          "--mode", "stein", "--eps", "1"), "empty family specification"),
+        (("gd", "blyth", "--alpha", "0.25", "--betas", ","), "empty beta list"),
+        (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "bayes",
+          "--alpha", "0.25"), "--phi bayes needs --alpha and --beta"),
+        (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "gdx"),
+         "unknown phi spec 'gdx'"),
+    ], ids=["empty-prior", "empty-family", "empty-betas", "bayes-phi", "unknown-phi"])
+    def test_a_rejected_option_is_an_input_error(self, capsys, two_point, argv, message):
+        code, out, err = run(capsys, *(a.format(two_point) for a in argv))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"theta": ["t1"]}')
@@ -741,3 +783,26 @@ def test_random_problem_outputs_are_pinned():
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == PROBLEM_OUTPUTS_SHA256, (
         "exact outputs moved; diff `python tests/exact_outputs.py` against the parent tree")
+
+
+def test_exact_outputs_script_runs_end_to_end(tmp_path, monkeypatch):
+    # every section of the script runs, the parser, Monte Carlo and kernel
+    # ones that the pin leaves out included; a printout compared with itself
+    # moves nothing, and a moved LP counts under the checker that solved it
+    monkeypatch.setenv("COLUMNS", "80")  # main sets it; restored after the test
+
+    def printed(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert exact_outputs.main(list(argv)) == 0
+        return out.getvalue()
+
+    text = printed()
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(text, encoding="utf-8")
+    assert printed("--compare", str(old), str(old)).splitlines()[-1] == "no payload moved"
+    lp = next(line for line in text.splitlines() if line.startswith("lp witness_set LPResult("))
+    new.write_text(text.replace(lp, lp.replace("iterations=", "iterations=1"), 1),
+                   encoding="utf-8")
+    moved = printed("--compare", str(old), str(new)).splitlines()
+    assert [line.split()[:4] for line in moved[1:]] == [["lp", "witness_set", "iterations", "1"]]

@@ -128,6 +128,8 @@ class TestSerialization:
         doc = json.dumps({"theta": ["a"], "procedures": ["d"], "risk": [[0.5]]})
         with pytest.raises(ProblemFormatError, match="float"):
             load_problem(doc)
+        with pytest.raises(ProblemFormatError, match=r"risk\[0\]\[0\]: floats are not accepted"):
+            DecisionProblem(("a",), ("d",), ((0.5,),))
 
     def test_decimal_strings_parse_exactly(self):
         p = load_problem('{"theta":["a"],"procedures":["d"],"risk":[["0.25"]]}')

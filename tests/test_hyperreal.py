@@ -52,6 +52,11 @@ class TestArithmetic:
         with pytest.raises(ExponentRangeError):
             ONE / LCNumber.eps(16) / LCNumber.eps(16)
 
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_eps_exponent_out_of_range(self, k):
+        with pytest.raises(ValueError, match=r"eps exponent must lie in \[1, 16\]"):
+            LCNumber.eps(k)
+
 
 class TestOrder:
     def test_infinitesimal_chain(self):

@@ -2,10 +2,13 @@
 
 Each checker LP but the forced-zero one, and the game's, is packed straight
 from the problem's packed risk columns or rows and goes to the kernel's
-private entry.  Here each builder's result is compared with the list-form
-LP it replaced, solved by ``solve_lp``: the same status, objective,
-solution (as rationals, delta0's all-zero column dropped where the builder
-keeps one), pivots and duals.  A spy on the private entry checks that each
+private entry.  The derived game and the witness set share one builder,
+``game._minimax_lp``: the witness restriction LP is the game at q = 0 on
+the chosen thetas, with delta0 barred from the mass row.  Here each
+builder's result is compared with its LP in list form, solved by
+``solve_lp``: the same status, objective, solution (as rationals, delta0's
+all-zero column dropped where the hull and risk-equal builders keep one),
+pivots and duals.  A spy on the private entry checks that each
 builder's closed-form ``T`` bounds every field it packed, and every field
 of phase 1's objective row when phase 1 runs.
 """
@@ -133,40 +136,27 @@ def test_certificate_lp_matches_the_list_form(p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_problems(), st.randoms(use_true_random=False))
-@example(_EDGES[1], random.Random(1))
-@example(_EDGES[2], random.Random(2))
-@example(_EDGES[3], random.Random(3))
-def test_restriction_lp_matches_the_list_form(p, rng):
-    nt, den = len(p.theta_labels), p.den
-    for j0 in range(len(p.proc_labels)):
-        cols = _others(p, j0)
-        if not cols:
-            continue  # witness_set solves no LP then
-        chosen = rng.sample(range(nt), rng.randint(1, nt))
-        rows = [p.irisk[i] for i in chosen]
-        listed = solve_lp([0] * len(cols) + [1],
-                          A_ub=[[r[j] for j in cols] + [-den] for r in rows],
-                          b_ub=[r[j0] for r in rows], A_eq=[[den] * len(cols) + [0]],
-                          b_eq=[den], free_vars=[len(cols)], maximize=False)
-        _assert_same(_packed(lambda: adm._restriction_lp(p, j0, chosen)), listed, j0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_problems(), st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 7), F(2, 97))))
-@example(_EDGES[0], F(2))
-@example(_EDGES[1], F(3, 2))
-@example(_EDGES[2], F(2))
-@example(_EDGES[3], F(1, 7))
-def test_game_lp_matches_the_list_form(p, gamma):
-    nt, nd, a, q = len(p.theta_labels), len(p.proc_labels), gamma.numerator, gamma.denominator
-    scale = p.den * q
+@given(_problems(), st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 7), F(2, 97))),
+       st.randoms(use_true_random=False))
+@example(_EDGES[0], F(2), random.Random(0))
+@example(_EDGES[1], F(3, 2), random.Random(1))
+@example(_EDGES[2], F(2), random.Random(2))
+@example(_EDGES[3], F(1, 7), random.Random(3))
+def test_game_lp_matches_the_list_form(p, gamma, rng):
+    # the derived game at gamma on every theta, and the witness restriction
+    # LP: q = 0 and a = 1 (scale den) on a random subset of the thetas, with
+    # delta0 left out of the mass row
+    nt, nd, irisk = len(p.theta_labels), len(p.proc_labels), p.irisk
     for j0 in range(nd):
-        for i0 in range(nt):
-            top = p.irisk[i0]
-            ipay = [[q * (top[j] - top[j0]) + a * (r[j] - r[j0]) for j in range(nd)]
-                    for r in p.irisk]
+        cases = [(range(nt), gamma.numerator, gamma.denominator, i0) for i0 in range(nt)]
+        if nd > 1:  # witness_set solves no LP without competitors
+            cases.append((rng.sample(range(nt), rng.randint(1, nt)), 1, 0, 0))
+        for thetas, a, q, i0 in cases:
+            scale, top = p.den * (q or a), irisk[i0]
+            ipay = [[q * (top[j] - top[j0]) + a * (irisk[i][j] - irisk[i][j0])
+                     for j in range(nd)] for i in thetas]
             listed = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay],
-                              b_ub=[0] * nt, A_eq=[[scale] * nd + [0]], b_eq=[scale],
-                              free_vars=[nd], maximize=False)
-            _assert_same(_packed(lambda: game._game_lp(p, i0, j0, a, q)), listed)
+                              b_ub=[0] * len(ipay),
+                              A_eq=[[0 if q == 0 and j == j0 else scale for j in range(nd)] + [0]],
+                              b_eq=[scale], free_vars=[nd], maximize=False)
+            _assert_same(_packed(lambda: game._minimax_lp(p, j0, thetas, a, q, i0)), listed)

@@ -81,6 +81,11 @@ class TestHandProblems:
         with pytest.raises(ValueError):
             solve_lp([1], A_ub=[[1]], b_ub=[1, 2])
 
+    @pytest.mark.parametrize("free", [[1], [-1]])
+    def test_free_variable_out_of_range(self, free):
+        with pytest.raises(ValueError, match="free variable index out of range"):
+            solve_lp([1], A_ub=[[1]], b_ub=[1], free_vars=free)
+
 
 def test_matches_scipy_on_random_instances():
     # scipy stays an independent reference beside the Fraction-kernel oracle
@@ -487,22 +492,30 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
 
 
 def test_negative_risk_lps_match_fraction_oracle(monkeypatch):
-    # risks in [-1, 1]: the risk-equal and witness rows with a negative rhs
-    # are negated and get an artificial, as solve_lp does
+    # risks in [-1, 1]: the risk-equal rows with a negative rhs are negated
+    # and get an artificial, as solve_lp does; the witness and game rows have
+    # rhs 0 and need neither
     lps = _Recorded(monkeypatch)
     rng = random.Random(41)
+    negated = 0
     for nt, nd in [(2, 3), (3, 3), (4, 5), (5, 4)]:
         p = DecisionProblem(tuple(f"t{i}" for i in range(nt)), tuple(f"d{j}" for j in range(nd)),
                             [[F(rng.randint(-8, 8), 8) for _ in range(nd)] for _ in range(nt)])
         for j, d in enumerate(p.proc_labels):
             admissibility.dominated_in_hull(p, d)
+            # the risk-equal LP, unpacked: a theta row negated for its negative
+            # rhs reads -r(theta, .), delta0's field 0, and rhs -r(theta, d) > 0
+            eq = lps.calls[-1][1]
+            for row, b, r in zip(eq["A_eq"], eq["b_eq"], p.irisk):
+                sign = -1 if r[j] < 0 else 1
+                assert b == sign * r[j]
+                assert row == [0 if k == j else sign * v for k, v in enumerate(r)]
+                negated += sign < 0
             admissibility.positive_prior_certificate(p, d)
             try:
                 admissibility.witness_set(p, d)
             except ValueError:
                 pass
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(2))
-    # a packed witness LP with a negated inequality row, unpacked to its negative rhs
-    assert any(packed is not None and min(kw["b_ub"], default=0) < 0
-               for _, kw, packed in lps.calls)
+    assert negated > 0
     lps.replay(monkeypatch)
