@@ -136,27 +136,50 @@ def test_certificate_lp_matches_the_list_form(p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_problems(), st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 7), F(2, 97))),
-       st.randoms(use_true_random=False))
-@example(_EDGES[0], F(2), random.Random(0))
-@example(_EDGES[1], F(3, 2), random.Random(1))
-@example(_EDGES[2], F(2), random.Random(2))
-@example(_EDGES[3], F(1, 7), random.Random(3))
-def test_game_lp_matches_the_list_form(p, gamma, rng):
-    # the derived game at gamma on every theta, and the witness restriction
-    # LP: q = 0 and a = 1 (scale den) on a random subset of the thetas, with
-    # delta0 left out of the mass row
-    nt, nd, irisk = len(p.theta_labels), len(p.proc_labels), p.irisk
+@given(_problems(), st.randoms(use_true_random=False))
+@example(_EDGES[1], random.Random(1))
+@example(_EDGES[2], random.Random(2))
+@example(_EDGES[3], random.Random(3))
+def test_restriction_lp_matches_the_list_form(p, rng):
+    # the witness restriction LP is the derived game at q = 0 and a = 1
+    # (scale den) on the chosen thetas, with delta0 left out of the mass row
+    nt, nd, den, irisk = len(p.theta_labels), len(p.proc_labels), p.den, p.irisk
     for j0 in range(nd):
-        cases = [(range(nt), gamma.numerator, gamma.denominator, i0) for i0 in range(nt)]
-        if nd > 1:  # witness_set solves no LP without competitors
-            cases.append((rng.sample(range(nt), rng.randint(1, nt)), 1, 0, 0))
-        for thetas, a, q, i0 in cases:
-            scale, top = p.den * (q or a), irisk[i0]
-            ipay = [[q * (top[j] - top[j0]) + a * (irisk[i][j] - irisk[i][j0])
-                     for j in range(nd)] for i in thetas]
+        cols = _others(p, j0)
+        if not cols:
+            continue  # witness_set solves no LP then
+        chosen = rng.sample(range(nt), rng.randint(1, nt))
+        ipay = [[irisk[i][j] - irisk[i][j0] for j in range(nd)] for i in chosen]
+        listed = solve_lp([0] * nd + [1], A_ub=[row + [-den] for row in ipay],
+                          b_ub=[0] * len(ipay),
+                          A_eq=[[0 if j == j0 else den for j in range(nd)] + [0]],
+                          b_eq=[den], free_vars=[nd], maximize=False)
+        packed = _packed(lambda: game._minimax_lp(p, j0, chosen, 1, 0, 0))
+        _assert_same(packed, listed)
+        # the same value as the LP over the competitors' columns alone,
+        # with delta0's risks on the right-hand side
+        alone = solve_lp([0] * len(cols) + [1],
+                         A_ub=[[irisk[i][j] for j in cols] + [-den] for i in chosen],
+                         b_ub=[irisk[i][j0] for i in chosen], A_eq=[[den] * len(cols) + [0]],
+                         b_eq=[den], free_vars=[len(cols)], maximize=False)
+        assert (packed.status, packed.objective) == (alone.status, alone.objective)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_problems(), st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 7), F(2, 97))))
+@example(_EDGES[0], F(2))
+@example(_EDGES[1], F(3, 2))
+@example(_EDGES[2], F(2))
+@example(_EDGES[3], F(1, 7))
+def test_game_lp_matches_the_list_form(p, gamma):
+    nt, nd, a, q = len(p.theta_labels), len(p.proc_labels), gamma.numerator, gamma.denominator
+    scale = p.den * q
+    for j0 in range(nd):
+        for i0 in range(nt):
+            top = p.irisk[i0]
+            ipay = [[q * (top[j] - top[j0]) + a * (r[j] - r[j0]) for j in range(nd)]
+                    for r in p.irisk]
             listed = solve_lp([0] * nd + [1], A_ub=[row + [-scale] for row in ipay],
-                              b_ub=[0] * len(ipay),
-                              A_eq=[[0 if q == 0 and j == j0 else scale for j in range(nd)] + [0]],
-                              b_eq=[scale], free_vars=[nd], maximize=False)
-            _assert_same(_packed(lambda: game._minimax_lp(p, j0, thetas, a, q, i0)), listed)
+                              b_ub=[0] * nt, A_eq=[[scale] * nd + [0]], b_eq=[scale],
+                              free_vars=[nd], maximize=False)
+            _assert_same(_packed(lambda: game._minimax_lp(p, j0, range(nt), a, q, i0)), listed)
