@@ -40,7 +40,9 @@ class ProblemFormatError(ValueError):
 
 
 def _exact(v, where: str) -> Fraction:
-    if isinstance(v, (bool, float)):
+    if isinstance(v, bool):
+        raise ProblemFormatError(f"{where}: expected a rational, got a boolean ({v!r})")
+    if isinstance(v, float):
         raise ProblemFormatError(
             f"{where}: floats are not accepted; write rationals as strings like \"3/10\" or \"0.3\"")
     try:

@@ -33,7 +33,9 @@ and the public checker that solved the LP, such as ``lp witness_set``)
 and per key path in its payload, with list indices and parameter or
 procedure labels read as ``*`` (``reports.*.lp_iterations``: some
 procedure's pivot count in ``admlab check``'s reports), counting each
-report once per path:
+report once per path.  Only reports found in both printouts pair up; it
+prints how many did and did not, and exits 1 if any did not, so run this
+script's own version on both trees:
 
     python tests/exact_outputs.py --compare before.txt after.txt
 """
@@ -340,8 +342,9 @@ def _records(lines):
     return out
 
 
-def compare(old_path, new_path):
-    """Print, per report kind and key path, how many payloads moved between two printouts."""
+def compare(old_path, new_path) -> int:
+    """Print, per report kind and key path, how many payloads moved between two
+    printouts, and how many reports paired; 1 if some did not, else 0."""
     old, new = (_records(Path(p).read_text(encoding="utf-8").splitlines())
                 for p in (old_path, new_path))
     totals, moved = {}, {}
@@ -358,22 +361,26 @@ def compare(old_path, new_path):
     print(f"{'kind':<{kinds}} {'key':<{width}} {'moved':>7} {'of':>7}")
     for (kind, key), n in sorted(moved.items()):
         print(f"{kind:<{kinds}} {key:<{width}} {n:>7} {totals[kind]:>7}")
+    unpaired = 0
     for what, ids in (("only in old", old.keys() - new.keys()),
                       ("only in new", new.keys() - old.keys())):
         if ids:
             print(f"{what}: {len(ids)} reports, e.g. {min(ids)[1]}")
+            unpaired += len(ids)
+    print(f"paired: {sum(totals.values())} reports; unpaired: {unpaired}")
     if not moved:
-        print("no payload moved")
+        print("no payload moved" if not unpaired else "no paired payload moved")
+    return 1 if unpaired else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print every exact output of admlab.")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="count what moved between two printouts of this script")
+                        help="count what moved between two printouts of this script; "
+                             "exit 1 if some report is in only one of them")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return compare(*args.compare)
     os.environ["COLUMNS"] = "80"
     parser_outputs()
     gd_outputs()

@@ -527,14 +527,16 @@ class TestExitCodes:
         ({"risk": "0"}, "field 'risk' must be a list of rows"),
         ({"risk": [["0", "1"]]}, "risk matrix has 1 rows for 2 parameters"),
         ({"risk": [[None, "1"], ["1", "0"]]}, "risk[0][0]: expected a rational, got NoneType"),
-        ({"risk": [[True, "1"], ["1", "0"]]}, "risk[0][0]: floats are not accepted"),
+        ({"risk": [[True, "1"], ["1", "0"]]}, "risk[0][0]: expected a rational, got a boolean"),
         ({"allow_mixtures": "yes"}, "field 'allow_mixtures' must be a boolean"),
         ({"priors": {"pi": ["t1"]}}, "prior 'pi' must map labels to weights"),
         ({"priors": {"pi": {}}}, "prior 'pi': prior needs at least one weight"),
         ({"priors": {"pi": {"t9": "1"}}}, "prior 'pi' references unknown labels"),
+        ({"priors": {"pi": {"t1": True}}},
+         "prior 'pi', weight 't1': expected a rational, got a boolean"),
     ], ids=["top-level", "no-labels", "theta-label", "procedure-label", "repeated-procedure",
             "risk-not-list", "risk-rows", "risk-entry", "risk-bool", "allow-mixtures",
-            "prior-not-object", "empty-prior", "prior-labels"])
+            "prior-not-object", "empty-prior", "prior-labels", "prior-bool"])
     def test_a_rejected_problem_file_is_an_input_error(self, capsys, tmp_path, change, message):
         doc = {"theta": ["t1", "t2"], "procedures": ["d0", "d1"],
                "risk": [["0", "1"], ["1", "0"]]}
@@ -702,16 +704,15 @@ class TestStartup:
         assert res.stdout.strip() == "0"
 
     # one probe per case: a gd command in a fresh interpreter, then the scipy
-    # modules it left loaded; only mass (quadrature) and blyth (gamma
-    # function) may load any
+    # modules it left loaded; only mass (the incomplete gamma function) may
+    # load any, and never scipy.integrate
     GD_SCIPY = [
         (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2"), []),
         (("gd", "diff", "--sigma1-sq", "1", "--sigma2-sq", "2",
           "--alpha", "0.25", "--beta", "0.01"), []),
         (("gd", "excess", "--alpha", "0.25", "--beta", "0.001"), []),
-        (("gd", "blyth", "--alpha", "0.25"), ["scipy", "scipy.special"]),
-        (("gd", "mass", "--alpha", "0.25", "--beta", "0.01"),
-         ["scipy", "scipy.integrate", "scipy.special"]),
+        (("gd", "blyth", "--alpha", "0.25"), []),
+        (("gd", "mass", "--alpha", "0.25", "--beta", "0.01"), ["scipy", "scipy.special"]),
     ]
 
     @staticmethod
@@ -805,4 +806,18 @@ def test_exact_outputs_script_runs_end_to_end(tmp_path, monkeypatch):
     new.write_text(text.replace(lp, lp.replace("iterations=", "iterations=1"), 1),
                    encoding="utf-8")
     moved = printed("--compare", str(old), str(new)).splitlines()
-    assert [line.split()[:4] for line in moved[1:]] == [["lp", "witness_set", "iterations", "1"]]
+    assert [line.split()[:4] for line in moved[1:-1]] == [["lp", "witness_set", "iterations", "1"]]
+    assert moved[-1].startswith("paired: ") and moved[-1].endswith(" reports; unpaired: 0")
+
+
+def test_exact_outputs_compare_fails_on_unpaired_reports(tmp_path, capsys):
+    # records pair by section and place, so a report that one printout files
+    # under another section pairs with nothing: the comparison counts it and
+    # fails rather than read its silence as "nothing moved"
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text('== a\nhull {"x": 1}\n== b\nhull {"x": 2}\n', encoding="utf-8")
+    new.write_text('== a\nhull {"x": 1}\n== c\nhull {"x": 2}\n', encoding="utf-8")
+    assert exact_outputs.main(["--compare", str(old), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4:] == ["only in old: 1 reports, e.g. hull", "only in new: 1 reports, e.g. hull",
+                          "paired: 1 reports; unpaired: 2", "no paired payload moved"]
