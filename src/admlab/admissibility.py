@@ -8,14 +8,15 @@ problem's common risk denominator ``den``, times eps's denominator for
 Stein), and the re-checks, the ``ns_*`` excess included, are integer passes
 over the problem's ``irisk`` (``decision``'s helpers).  The hull,
 risk-equal, certificate, witness and Stein LPs go into the kernel's tableau
-already packed: each row is an int combination of the problem's packed risk
-columns or rows (``decision._packed_risk``), which is the packed row since
-packing is linear, and each builder states the bound ``T`` on its fields.
-The witness restriction LP is the derived game's LP at its gamma -> infinity
+already packed: each row is an int combination of delta0's packed gap rows
+(``decision._packed_gaps``: hull, risk-equal, witness) or of the packed
+risk columns (``decision._packed_risk``: certificate, Stein), which is the
+packed row since packing is linear; every rhs is >= 0, so no row is
+negated, and each builder states the bound ``T`` on its fields.  The
+witness restriction LP is the derived game's LP at its gamma -> infinity
 end, on the chosen parameters with delta0 barred, so ``game._minimax_lp``
 builds it, and ``game._minimax_sides`` re-checks both of its sides.  Only
-the forced-zero LP, whose rows are not risk combinations, goes through
-``solve_lp``.
+the forced-zero LP goes through ``solve_lp``.
 Throughout, the infimum over the convex hull of procedures is replaced by
 the minimum over its vertices, which is exact because risk is linear in the
 mixture.
@@ -36,6 +37,7 @@ from admlab.decision import (
     _int_weights,
     _lc_gaps,
     _mixture_gaps,
+    _packed_gaps,
     _packed_risk,
     _risk_span,
 )
@@ -107,24 +109,22 @@ class HullDominanceReport:
 
 
 def _hull_lp(p: DecisionProblem, j0: int):
-    """The dominance LP of ``_dominance_lp``, packed from the risk rows.
+    """The dominance LP of ``_dominance_lp``, packed from delta0's gap rows.
 
     Columns: one weight per procedure, delta0's all zero (a column that is
     zero in every row and in the cost never enters, so Bland's path is that
     of the competitors alone), a slack per parameter and the mass row's, the
-    rhs.  With ``R_theta`` theta's packed risk row (``_packed_risk``), the
-    theta row is ``R_theta - r(theta, j0) * ones``, and no field exceeds
-    max(hi - lo, den), ``hi`` and ``lo`` the largest and least risk.
+    rhs.  The theta row is its gap row ``G_theta`` (``_packed_gaps``) plus
+    its slack bit, and no field exceeds max(hi - lo, den), ``hi`` and ``lo``
+    the largest and least risk.
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     hi, lo, sums = _risk_span(p)
     T = max(hi - lo, den).bit_length()
-    W, _, rows = _packed_risk(p, T)
+    W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + nt + 2, T, W)
-    ones = _ones(nd, W)
-    tab.rows = [x - r[j0] * ones + (1 << W * (nd + i))
-                for i, (x, r) in enumerate(zip(rows, p.irisk))]
-    tab.rows.append(den * (ones - (1 << W * j0) + (1 << tab.rsh)) + (1 << W * (nd + nt)))
+    tab.rows = [g + (1 << W * (nd + i)) for i, g in enumerate(G)]
+    tab.rows.append(den * (_ones(nd, W) - (1 << W * j0) + (1 << tab.rsh)) + (1 << W * (nd + nt)))
     cost = [sums[j0] - v for v in sums] + [0] * (nt + 1)
     return _solve_tableau(tab, list(range(nd, nd + nt + 1)), cost, nd)
 
@@ -161,25 +161,21 @@ def _dominance_lp(p: DecisionProblem, j0: int):
 
 
 def _risk_equal_lp(p: DecisionProblem, j0: int):
-    """LP: a competitor mixture with delta0's risk vector, packed from the risk rows.
+    """LP: a competitor mixture with delta0's risk vector, packed from delta0's gap rows.
 
-    Equality rows only, each with an artificial: r(theta, mu) == r(theta,
-    j0) per parameter and sum(mu) == 1, times den, a row with a negative rhs
-    negated.  Columns: one weight per procedure, delta0's all zero (see
-    ``_hull_lp``), the rhs; the theta row is ``R_theta - r(theta, j0) *
-    2**(W*j0)`` with rhs r(theta, j0).  Phase 1's objective sums all nt + 1
-    rows, so no field exceeds (nt + 1) * max(hi, -lo, den).
+    Equality rows only, each with an artificial: ``G_theta . mu == 0`` per
+    parameter and den * sum_{j != j0} mu_j == den, so every rhs is >= 0 and
+    no row is negated.  Columns: one weight per procedure, delta0's all zero
+    (see ``_hull_lp``), the rhs.  Phase 1's objective sums all nt + 1 rows,
+    so no field exceeds (nt + 1) * max(hi - lo, den).  With only delta0,
+    the mass row is 0 == den: infeasible in 0 pivots.
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     hi, lo, _ = _risk_span(p)
-    T = max(hi, -lo, den).bit_length() + (nt + 1).bit_length()
-    W, _, rows = _packed_risk(p, T)
+    T = max(hi - lo, den).bit_length() + (nt + 1).bit_length()
+    W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + 1, T, W)
-    rsh, e0 = tab.rsh, 1 << W * j0
-    for x, r in zip(rows, p.irisk):
-        x += r[j0] * ((1 << rsh) - e0)
-        tab.rows.append(x if r[j0] >= 0 else -x)
-    tab.rows.append(den * (_ones(nd, W) - e0 + (1 << rsh)))
+    tab.rows = G + [den * (_ones(nd, W) - (1 << W * j0) + (1 << tab.rsh))]
     return _solve_tableau(tab, list(range(nd, nd + nt + 1)), [0] * nd, nd)
 
 
@@ -197,16 +193,15 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
     iters = res.iterations
 
     risk_equal, equal_mixture = False, None
-    if len(p.proc_labels) > 1:
-        eq = _risk_equal_lp(p, j0)
-        iters += eq.iterations
-        if eq.status == "optimal":
-            risk_equal = True
-            w = eq.num[:]
-            w[j0] = 0  # a competitor mixture: delta0's own column carries no weight
-            equal_mixture = _from_lp(Mixture, p.proc_labels, w, eq.D)
-            if any(_mixture_gaps(p, w, eq.D, j0)[0]):
-                raise RuntimeError("risk-equal mixture failed independent re-verification")
+    eq = _risk_equal_lp(p, j0)
+    iters += eq.iterations
+    if eq.status == "optimal":
+        risk_equal = True
+        w = eq.num[:]
+        w[j0] = 0  # a competitor mixture: delta0's own column carries no weight
+        equal_mixture = _from_lp(Mixture, p.proc_labels, w, eq.D)
+        if any(_mixture_gaps(p, w, eq.D, j0)[0]):
+            raise RuntimeError("risk-equal mixture failed independent re-verification")
     return HullDominanceReport(delta0, mix is not None, mix, res.objective / p.den,
                                risk_equal, equal_mixture, iters)
 
@@ -327,27 +322,21 @@ def _certificate_lp(p: DecisionProblem, j0: int):
 def _forced_zero(p: DecisionProblem, j0: int):
     """The thetas that no prior under which delta0 is Bayes can weight, and the LP's pivots.
 
-    One LP over the unnormalised Bayes cone: max sum(z) with z_i <= pi_i and
-    z_i <= 1.  The cone is closed under sums and positive scaling, so at the
-    optimum z_i is 1 where some Bayes prior weights theta_i and 0 where none
-    does.  The positive side is re-checked in ints: delta0 is Bayes under pi,
-    which is positive exactly where z_i is 1.
+    One LP over the unnormalised Bayes cone, pi = y + z with y, z >= 0: max
+    sum(z) with z_i <= 1.  The cone is closed under sums and positive
+    scaling, so at the optimum z_i is 1 where some Bayes prior weights
+    theta_i and 0 where none does.  The positive side is re-checked in ints:
+    delta0 is Bayes under pi, which is positive exactly where z_i is 1.
     """
     nt = len(p.theta_labels)
-    # variables: pi (nt), then z (nt); the Bayes rows times den, the rest as they are
-    A_ub = [row + [0] * nt for row in _bayes_rows(p, j0)]
-    for i in range(nt):
-        row = [0] * (2 * nt)
-        row[i], row[nt + i] = -1, 1   # z_i - pi_i <= 0
-        A_ub.append(row)
-    for i in range(nt):
-        row = [0] * (2 * nt)
-        row[nt + i] = 1               # z_i <= 1
-        A_ub.append(row)
+    # variables: y (nt), then z (nt); the Bayes rows on pi times den, then z_i <= 1
+    A_ub = [row + row for row in _bayes_rows(p, j0)]
+    A_ub += [[0] * (nt + i) + [1] + [0] * (nt - 1 - i) for i in range(nt)]
     res = solve_lp([0] * nt + [1] * nt, A_ub=A_ub, b_ub=[0] * (len(A_ub) - nt) + [1] * nt)
     if res.status != "optimal":
         raise RuntimeError(f"forced-zero LP unexpectedly {res.status}")
-    pi, z, D = res.num[:nt], res.num[nt:], res.D
+    z, D = res.num[nt:], res.D
+    pi = [u + v for u, v in zip(res.num[:nt], z)]
     gaps, _ = _bayes_gaps(p, pi, D, j0)
     if not (all(v in (0, D) for v in z) and min(gaps) >= 0 and min(pi) >= 0
             and all((w > 0) == (v > 0) for w, v in zip(pi, z))):

@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 
 from admlab.hyperreal import LCNumber, _as_fraction, format_rational, parse_lc
-from admlab.simplex import _pack, _width
+from admlab.simplex import _ones, _pack, _width
 
 __all__ = [
     "DecisionProblem",
@@ -287,21 +287,30 @@ def _packed_risk(p: DecisionProblem, T: int):
     ``cols[j]`` holds ``irisk[i][j]`` in field i (procedure j's risk column),
     ``rows[i]`` holds it in field j (parameter i's risk row), each packed as
     ``simplex._pack`` packs a row.  W is ``simplex._width`` of T, but never less
-    than that of ``Tp = bits(max(hi - lo, hi, -lo, den)) + bits(nt + 1)``, which
-    is at least the T of the hull, risk-equal, certificate and witness LPs
-    (the witness LP is the game's at q = 0, a = 1, with T = bits(max(hi - lo,
+    than that of ``Tp = bits(max(hi - lo, den)) + bits(nt + 1)``, which is at
+    least the T of the hull, risk-equal, certificate and witness LPs (the
+    witness LP is the game's at q = 0, a = 1, with T = bits(max(hi - lo,
     den))): those share one packing, and only the Stein and game LPs, whose
     rows scale by eps's or gamma's parts, may need a wider one.  Both vectors are
     built together on the first call for a width and kept in ``p._packed``.
     """
     hi, lo, _ = _risk_span(p)
-    Tp = max(hi - lo, hi, -lo, p.den).bit_length() + (len(p.theta_labels) + 1).bit_length()
+    Tp = max(hi - lo, p.den).bit_length() + (len(p.theta_labels) + 1).bit_length()
     W = _width(max(T, Tp))
     memo = p._packed.get(W)
     if memo is None:
         memo = p._packed[W] = ([_pack(c, W) for c in zip(*p.irisk)],
                                [_pack(r, W) for r in p.irisk])
     return (W, *memo)
+
+
+def _packed_gaps(p: DecisionProblem, j0: int, T: int):
+    """(W, G): delta0's gap rows ``G[i] = R_theta_i - r(theta_i, delta0) * ones``,
+    ``R`` the packed risk rows of ``_packed_risk(p, T)``: field j of ``G[i]`` is
+    ``irisk[i][j] - irisk[i][j0]``, 0 at delta0 and at most hi - lo in size."""
+    W, _, rows = _packed_risk(p, T)
+    ones = _ones(len(p.proc_labels), W)
+    return W, [x - r[j0] * ones for x, r in zip(rows, p.irisk)]
 
 
 def _int_weights(weights):

@@ -27,7 +27,7 @@ from admlab.decision import (
     _fmt,
     _from_lp,
     _lc_gaps,
-    _packed_risk,
+    _packed_gaps,
     _risk_span,
     _weighted_rows,
 )
@@ -64,9 +64,9 @@ class GameValueReport:
 
 def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0):
     """min v over mixtures lam with payoff(theta, lam) <= v for each given
-    theta, packed from the risk rows: the payoff rows are ``q * G[theta0] +
-    a * G[theta]`` over scale = den * q (den * a at q = 0), with ``G = irisk
-    - irisk[:, j0]`` delta0's gap matrix.  Nature's side is its LP dual, a prior on those
+    theta, packed from delta0's gap rows ``G`` (``decision._packed_gaps``):
+    the payoff rows are ``q * G[theta0] + a * G[theta]`` over scale = den *
+    q (den * a at q = 0).  Nature's side is its LP dual, a prior on those
     thetas weighting them by ynum.  The derived game keeps every theta with
     gamma = a / q.  The witness restriction LP is its gamma -> infinity end,
     q = 0 and a = 1 on the chosen thetas: the rows are G over scale = den,
@@ -74,23 +74,20 @@ def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0
     lam is a competitor mixture.
 
     Columns: one weight per procedure, v, v's negative part, a slack per
-    kept theta, the rhs.  The theta row is ``q * (R_theta0 - r(theta0, j0) *
-    ones) + a * (R_theta - r(theta, j0) * ones)``, -scale and scale in v's
-    two fields and its slack bit, rhs 0; the mass row, the only one with an
-    artificial, holds scale in each allowed weight's field and in the rhs.
-    delta0's column is 0 in every theta row, so barred it is all zero and
+    kept theta, the rhs.  The theta row is its payoff row, -scale and scale
+    in v's two fields and its slack bit, rhs 0; the mass row, the only one
+    with an artificial, holds scale in each allowed weight's field and in
+    the rhs.  delta0's gap field is 0, so barred its column is all zero and
     never enters.  No field exceeds max((a + q) * (hi - lo), scale).
     """
     nd, m, scale = len(p.proc_labels), len(thetas), p.den * (q or a)
     hi, lo, _ = _risk_span(p)
     T = max((a + q) * (hi - lo), scale).bit_length()
-    W, _, rows = _packed_risk(p, T)
+    W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + m + 3, T, W)
-    ones, irisk = _ones(nd, W), p.irisk
-    top = q * (rows[i0] - irisk[i0][j0] * ones) + (scale << W * (nd + 1)) - (scale << W * nd)
-    tab.rows = [top + a * (rows[i] - irisk[i][j0] * ones) + (1 << W * (nd + 2 + k))
-                for k, i in enumerate(thetas)]
-    mass = ones if q else ones - (1 << W * j0)  # at q = 0, delta0 is barred
+    top = q * G[i0] + (scale << W * (nd + 1)) - (scale << W * nd)
+    tab.rows = [top + a * G[i] + (1 << W * (nd + 2 + k)) for k, i in enumerate(thetas)]
+    mass = _ones(nd, W) - (0 if q else 1 << W * j0)  # at q = 0, delta0 is barred
     tab.rows.append(scale * (mass + (1 << tab.rsh)))
     basis = list(range(nd + 2, nd + m + 2)) + [nd + 2 * m + 2]
     return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * m, nd + 1, [nd], sign=-1)

@@ -65,16 +65,17 @@ has an artificial, phase 2 and the read-out below) on a packed tableau.
 Every checker LP but the forced-zero one, and the derived game's, packs its
 own rows and calls it directly; ``solve_lp`` stays the public front for LPs
 of any shape.  A caller guarantees what ``solve_lp`` does: every rhs is
-``>= 0`` (a row with a negative rhs is negated and gets an artificial),
-each row's basic column is its own slack, stored as 1, or an artificial,
-and ``T`` bounds every field of every row (and of phase 1's objective, the
-sum of the rows with an artificial, if it runs).  Packing is linear, since
-a packed row is ``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) +
-c*pack(v) == pack(u + c*v)`` for int vectors and an int ``c``.  So the
-checkers make each row from the problem's packed risk columns or rows,
-built once per problem and width (``decision._packed_risk``), with a few
-bignum operations, and it reads back field by field when every field of
-the result is below ``2**T``.  A column that is zero in every row and in
+``>= 0`` (only ``solve_lp`` negates a row, one with a negative rhs, which
+then gets an artificial; the checkers' rows need none), each row's basic
+column is its own slack, stored as 1, or an artificial, and ``T`` bounds
+every field of every row (and of phase 1's objective, the sum of the rows
+with an artificial, if it runs).  Packing is linear, since a packed row is
+``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) + c*pack(v) ==
+pack(u + c*v)`` for int vectors and an int ``c``.  So the checkers make
+each row from the problem's packed risk columns (``decision._packed_risk``,
+built once per problem and width) or delta0's gap rows
+(``decision._packed_gaps``) with a few bignum operations, and it reads
+back field by field when every field of the result is below ``2**T``.  A column that is zero in every row and in
 the cost never has a positive reduced cost, in phase 1 or phase 2, so it
 never enters and the drive-out never picks it: a caller may keep such a
 column (delta0's own weight in the hull and risk-equal LPs, and in the

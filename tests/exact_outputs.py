@@ -35,7 +35,8 @@ procedure labels read as ``*`` (``reports.*.lp_iterations``: some
 procedure's pivot count in ``admlab check``'s reports), counting each
 report once per path.  Only reports found in both printouts pair up; it
 prints how many did and did not, and exits 1 if any did not, so run this
-script's own version on both trees:
+script's own version on both trees.  It reads only the two files, so admlab
+need not be importable for it (the printing functions import it when called):
 
     python tests/exact_outputs.py --compare before.txt after.txt
 """
@@ -55,17 +56,10 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from admlab import admissibility as adm
-from admlab import cli, game, simplex
-from admlab.decision import Prior, random_problem, save_problem
-from admlab.game import derived_game_value, shifted_risk
-from admlab.hyperreal import LCNumber
-
 SEEDS = range(12)
 GRIDS = (8, 97)
 EPS_GRID = (Fraction(1), Fraction(1, 10), Fraction(1, 100))
 GAMMAS = (Fraction(1, 2), Fraction(2))
-EPS = LCNumber.eps()
 GD_SAMPLES = 3 * 2**16 + 17
 GD_MODEL = ("--mu", "0.5", "--sigma1-sq", "1", "--sigma2-sq", "2", "--n", "5")
 GD_REPORTS = (
@@ -84,6 +78,8 @@ GD_REPORTS = (
 
 
 def run_cli(*argv):
+    from admlab import cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -138,9 +134,15 @@ def cli_outputs(path, p):
 
 
 def api_outputs(p):
+    from admlab import admissibility as adm
+    from admlab.decision import Prior
+    from admlab.game import derived_game_value, shifted_risk
+    from admlab.hyperreal import LCNumber
+
+    eps = LCNumber.eps()
     singles = tuple((t,) for t in p.theta_labels)
     t0, t1 = p.theta_labels[0], p.theta_labels[-1]
-    hyper = Prior({t0: 1 - EPS, t1: EPS} if t0 != t1 else {t0: 1})
+    hyper = Prior({t0: 1 - eps, t1: eps} if t0 != t1 else {t0: 1})
     for d in p.proc_labels:
         report(f"hull {d}", lambda: adm.dominated_in_hull(p, d))
         cert = adm.positive_prior_certificate(p, d)
@@ -162,7 +164,7 @@ def api_outputs(p):
         for B in singles:
             report(f"ns_stein hyper {d} {B}",
                    lambda: adm.ns_stein_check(p, d, hyper, B, Fraction(1, 10)))
-        for rho in (EPS, EPS * EPS):
+        for rho in (eps, eps * eps):
             report(f"ns_blyth hyper {d} {rho}",
                    lambda: adm.ns_blyth_check(p, d, hyper, rho, singles))
         for pi in (prior, hyper):
@@ -172,6 +174,8 @@ def api_outputs(p):
 
 def problem_outputs():
     """The CLI and API outputs of every random problem, in a scratch directory."""
+    from admlab.decision import random_problem, save_problem
+
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)  # contextlib.chdir needs Python 3.11
@@ -225,6 +229,10 @@ def kernel_outputs():
     ``simplex._solve_tableau``, so both entries are recorded.  Each LP prints
     as ``lp`` and the public checker that solved it (``lp witness_set``), a
     large-entry LP as ``lp solve_lp``."""
+    from admlab import admissibility as adm
+    from admlab import game, simplex
+    from admlab.decision import random_problem
+
     checker = None
 
     def recorded(solve):

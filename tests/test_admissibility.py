@@ -207,6 +207,30 @@ def test_forced_zero_matches_per_theta_probes(risk, k):
         assert probed is None and r.forced_zero == ()
 
 
+def _coupled_forced_zero(p, j0):
+    """The forced-zero set by the LP that pi = y + z replaced: max sum(z)
+    over (pi, z) >= 0 with the Bayes rows on pi, z_i <= pi_i and z_i <= 1."""
+    nt = len(p.theta_labels)
+    unit = [[int(k == i) for k in range(nt)] for i in range(nt)]
+    A_ub = [row + [0] * nt for row in adm._bayes_rows(p, j0)]
+    A_ub += [[-v for v in e] + e for e in unit] + [[0] * nt + e for e in unit]
+    res = simplex.solve_lp([0] * nt + [1] * nt, A_ub=A_ub,
+                           b_ub=[0] * (len(A_ub) - nt) + [1] * nt)
+    assert res.status == "optimal"
+    return tuple(t for t, v in zip(p.theta_labels, res.num[nt:]) if not v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_tied_risks, st.builds(lambda nt, nd, seed: random_problem(nt, nd, seed).risk,
+                                        st.integers(1, 5), st.integers(1, 5),
+                                        st.integers(0, 10**6))))
+def test_forced_zero_matches_the_coupled_lp(risk):
+    p = DecisionProblem(tuple(f"t{i}" for i in range(len(risk))),
+                        tuple(f"d{j}" for j in range(len(risk[0]))), risk)
+    for j0 in range(len(p.proc_labels)):
+        assert adm._forced_zero(p, j0)[0] == _coupled_forced_zero(p, j0)
+
+
 def _max_min_certificate_lp(p, d0):
     """The certificate LP in max-min form, on the Fraction kernel: max t over
     pi >= 0 and t free with t <= pi_theta, sum(pi) == 1 and d0 Bayes under pi."""
@@ -1018,7 +1042,8 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("game prior side",
          lambda res, a: dataclasses.replace(res, ynum=[1, 1]),
          lambda: game.derived_game_value(p, "d1", "t1", F(1, 2))),
-        # the forced-zero LP's pi moved onto t2, where z is 0 and d1 beats d0
+        # the forced-zero LP's variables are [y_t1, y_t2, z_t1, z_t2], its
+        # prior y + z: y_t2 moves up by 1, onto t2, where z is 0 and d1 beats d0
         ("forced-zero pi",
          lambda res, a: moved(res, [res.num[0], res.num[1] + res.D] + res.num[2:], res.D,
                               res.objective),

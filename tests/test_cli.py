@@ -772,7 +772,7 @@ def test_exact_report_payloads_are_their_fields():
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "e030b7aa6b1e7c8834add8bbbd101d1e6599c39aa2d0e9cec13499cec9a63d40"
+PROBLEM_OUTPUTS_SHA256 = "400e9e7f1710aca33d7b53cce71493af17f6147348297ba579868aba3f4a6dc5"
 
 
 def test_random_problem_outputs_are_pinned():
@@ -808,6 +808,24 @@ def test_exact_outputs_script_runs_end_to_end(tmp_path, monkeypatch):
     moved = printed("--compare", str(old), str(new)).splitlines()
     assert [line.split()[:4] for line in moved[1:-1]] == [["lp", "witness_set", "iterations", "1"]]
     assert moved[-1].startswith("paired: ") and moved[-1].endswith(" reports; unpaired: 0")
+
+
+def test_exact_outputs_compare_runs_without_admlab(tmp_path):
+    # --compare reads two text files only: run as a script from elsewhere,
+    # with no PYTHONPATH and admlab blocked from import, it still compares
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text('== a\nhull {"x": 1}\n', encoding="utf-8")
+    new.write_text('== a\nhull {"x": 2}\n', encoding="utf-8")
+    probe = ("import runpy, sys; sys.modules['admlab'] = None; sys.argv[:1] = []; "
+             "runpy.run_path(sys.argv[0], run_name='__main__')")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, "-c", probe, exact_outputs.__file__, "--compare",
+                          str(old), str(new)], capture_output=True, text=True, timeout=60,
+                         cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[-2].split() == ["hull", "x", "1", "1"]
+    assert lines[-1] == "paired: 1 reports; unpaired: 0"
 
 
 def test_exact_outputs_compare_fails_on_unpaired_reports(tmp_path, capsys):

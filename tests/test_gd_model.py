@@ -262,6 +262,13 @@ class TestHierarchical:
         assert np.allclose(h.posterior_mean(),
                            h.beta_post / (h.alpha_post - 1), rtol=1e-15)
 
+    def test_posterior_mean_needs_alpha_post_above_one(self):
+        # alpha 0.25 and n = 2 give alpha_post = 0.75: the posterior mean is infinite
+        h = sample_hierarchical(GDPriorParams(0.25, 1e-3, 2), np.random.default_rng(3), size=4)
+        assert h.alpha_post == 0.75
+        with pytest.raises(ValueError, match="alpha_post > 1"):
+            h.posterior_mean()
+
     def test_common_draws_scale_with_beta(self):
         # same seed, different beta: the underlying (gamma, chi-square)
         # draws are shared, so ss scales by the beta ratio up to rounding

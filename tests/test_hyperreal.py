@@ -40,6 +40,18 @@ class TestArithmetic:
         assert 1 - EPS == ONE - EPS
         assert Fraction(1, 2) * EPS == EPS / 2
 
+    def test_rational_divided_by_lc(self):
+        q = Fraction(1, 2) / EPS  # Fraction defers to LCNumber.__rtruediv__
+        assert q == LCNumber({-1: Fraction(1, 2)})
+        assert str(q) == "1/2ε^-1"
+
+    def test_non_rational_operand_is_refused(self):
+        # the operand wrapper returns NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError):
+            EPS + "x"
+        with pytest.raises(TypeError):
+            "x" - EPS
+
     def test_truncation_is_sticky(self):
         t = EPS * LCNumber({16: 1})  # eps^17 vanishes
         assert t.is_zero() and t.inexact
@@ -74,6 +86,9 @@ class TestOrder:
 
 
 class TestPredicates:
+    def test_truth_is_nonzero(self):
+        assert EPS and ONE and not LCNumber.zero() and not (EPS - EPS)
+
     def test_infinitesimal(self):
         assert EPS.is_infinitesimal()
         assert LCNumber.zero().is_infinitesimal()

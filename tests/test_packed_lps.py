@@ -1,14 +1,17 @@
 """The packed LP builders against the list-form LPs they replace.
 
 Each checker LP but the forced-zero one, and the game's, is packed straight
-from the problem's packed risk columns or rows and goes to the kernel's
+from the problem's packed risk columns (certificate, Stein) or from
+delta0's gap rows ``G_theta = R_theta - r(theta, delta0) * ones`` (hull,
+risk-equal, witness, game), every rhs >= 0, and goes to the kernel's
 private entry.  The derived game and the witness set share one builder,
 ``game._minimax_lp``: the witness restriction LP is the game at q = 0 on
 the chosen thetas, with delta0 barred from the mass row.  Here each
 builder's result is compared with its LP in list form, solved by
 ``solve_lp``: the same status, objective, solution (as rationals, delta0's
 all-zero column dropped where the hull and risk-equal builders keep one),
-pivots and duals.  A spy on the private entry checks that each
+pivots and duals.  The risk-equal LP's status is also that of the
+risk-row form it replaced, ``R_theta . mu == r(theta, delta0)``.  A spy on the private entry checks that each
 builder's closed-form ``T`` bounds every field it packed, and every field
 of phase 1's objective row when phase 1 runs.
 """
@@ -106,18 +109,26 @@ def test_hull_lp_matches_the_list_form(p):
 
 @settings(max_examples=150, deadline=None)
 @given(_problems())
+@example(_EDGES[0])
 @example(_EDGES[1])
 @example(_EDGES[2])
 @example(_EDGES[3])
 def test_risk_equal_lp_matches_the_list_form(p):
     for j0 in range(len(p.proc_labels)):
         cols, den, irisk = _others(p, j0), p.den, p.irisk
-        if not cols:
-            continue  # dominated_in_hull solves no risk-equal LP then
+        # the gap rows G_theta . mu == 0, then the mass row
         listed = solve_lp([0] * len(cols),
-                          A_eq=[[r[j] for j in cols] for r in irisk] + [[den] * len(cols)],
-                          b_eq=[r[j0] for r in irisk] + [den])
+                          A_eq=[[r[j] - r[j0] for j in cols] for r in irisk] + [[den] * len(cols)],
+                          b_eq=[0] * len(irisk) + [den])
         _assert_same(_packed(lambda: adm._risk_equal_lp(p, j0)), listed, j0)
+        # the risk-row form R_theta . mu == r(theta, delta0) it replaced: the
+        # same LP, since the mass row makes sum(mu) == 1
+        risk_rows = solve_lp([0] * len(cols),
+                             A_eq=[[r[j] for j in cols] for r in irisk] + [[den] * len(cols)],
+                             b_eq=[r[j0] for r in irisk] + [den])
+        assert risk_rows.status == listed.status
+        if not cols:  # a lone procedure: the mass row reads 0 == den
+            assert (listed.status, listed.iterations) == ("infeasible", 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -384,11 +384,11 @@ def test_growing_entries_force_a_repack(monkeypatch):
 def _unpacked(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
     """The list-form LP that solve_lp packs into the same tableau (args, kwargs).
 
-    Rows with a slack come first, slack k in row k: stored as 1 and basic,
-    or as -1 in a row negated for its negative rhs, whose artificial is
-    basic.  The rest are equality rows, each with an artificial.  A free
-    variable's negative part is its column negated, in the rows and in the
-    cost.  The checkers' rows and costs are ints under no common factor.
+    Rows with a slack come first, slack k in row k, stored as 1 and basic:
+    only ``solve_lp`` negates a row for its rhs, and every rhs a checker
+    packs is >= 0.  The rest are equality rows, each with an artificial.  A
+    free variable's negative part is its column negated, in the rows and in
+    the cost.  The checkers' rows and costs are ints under no common factor.
     """
     assert L == Lc == 1
     ncols, nf = len(cost), len(free)
@@ -401,12 +401,10 @@ def _unpacked(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
         assert f[n:n + nf] == [-f[j] for j in free]
         slack = f[n + nf:ncols]
         if i < nslack:
-            s = slack[i]
-            assert slack == [s * (k == i) for k in range(nslack)]
-            assert ((s, bj) == (1, n + nf + i) and f[-1] >= 0
-                    or (s, bj) == (-1, ncols + i) and f[-1] > 0)
-            A_ub.append([s * v for v in f[:n]])
-            b_ub.append(s * f[-1])
+            assert slack == [k == i for k in range(nslack)]
+            assert bj == n + nf + i and f[-1] >= 0
+            A_ub.append(f[:n])
+            b_ub.append(f[-1])
         else:
             assert not any(slack) and bj == ncols + i and f[-1] >= 0
             A_eq.append(f[:n])
@@ -492,30 +490,30 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
 
 
 def test_negative_risk_lps_match_fraction_oracle(monkeypatch):
-    # risks in [-1, 1]: the risk-equal rows with a negative rhs are negated
-    # and get an artificial, as solve_lp does; the witness and game rows have
-    # rhs 0 and need neither
+    # risks in [-1, 1]: every packed row has rhs >= 0, so none is negated
+    # (_unpacked asserts each slack reads +1 and each rhs >= 0).  The
+    # risk-equal theta rows are delta0's gap rows, rhs 0, where a form with
+    # r(theta, delta0) on the right would have to negate some rows
     lps = _Recorded(monkeypatch)
     rng = random.Random(41)
-    negated = 0
+    negative = 0
     for nt, nd in [(2, 3), (3, 3), (4, 5), (5, 4)]:
         p = DecisionProblem(tuple(f"t{i}" for i in range(nt)), tuple(f"d{j}" for j in range(nd)),
                             [[F(rng.randint(-8, 8), 8) for _ in range(nd)] for _ in range(nt)])
         for j, d in enumerate(p.proc_labels):
             admissibility.dominated_in_hull(p, d)
-            # the risk-equal LP, unpacked: a theta row negated for its negative
-            # rhs reads -r(theta, .), delta0's field 0, and rhs -r(theta, d) > 0
+            # the risk-equal LP, unpacked: each theta row reads
+            # r(theta, .) - r(theta, d), delta0's field 0, with rhs 0
             eq = lps.calls[-1][1]
-            for row, b, r in zip(eq["A_eq"], eq["b_eq"], p.irisk):
-                sign = -1 if r[j] < 0 else 1
-                assert b == sign * r[j]
-                assert row == [0 if k == j else sign * v for k, v in enumerate(r)]
-                negated += sign < 0
+            assert eq["A_ub"] == [] and eq["b_eq"] == [0] * nt + [p.den]
+            for row, r in zip(eq["A_eq"], p.irisk):
+                assert row == [v - r[j] for v in r] and row[j] == 0
+                negative += r[j] < 0
             admissibility.positive_prior_certificate(p, d)
             try:
                 admissibility.witness_set(p, d)
             except ValueError:
                 pass
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(2))
-    assert negated > 0
+    assert negative > 0
     lps.replay(monkeypatch)
