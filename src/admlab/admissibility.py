@@ -50,6 +50,7 @@ __all__ = [
     "DeterminingFamilyReport",
     "HullDominanceReport",
     "NoPositivePrior",
+    "NoWitness",
     "NsBlythReport",
     "NsSteinReport",
     "SteinResult",
@@ -359,7 +360,17 @@ class WitnessSet:
         return _fmt(self)
 
 
-def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
+@dataclass(frozen=True)
+class NoWitness:
+    delta0: str
+    witness: None = field(default=None, init=False)
+    reason: str                      # dominated in the hull, or risk-equal to a competitor mixture
+
+    def as_dict(self):
+        return _fmt(self)
+
+
+def witness_set(p: DecisionProblem, delta0) -> WitnessSet | NoWitness:
     """Cutting-plane search for a finite set of parameters witnessing admissibility.
 
     Every competitor mixture must lose to delta0 somewhere on the returned
@@ -369,13 +380,14 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
     delta0 neither dominated in the hull nor risk-equal to a competitor
     mixture, so no hull LP runs on that path.  When separation fails, the
     current mixture lam matches or beats delta0 at every parameter, and a
-    ValueError names the failure: "dominated" when lam beats delta0
+    NoWitness names the failure: "dominated" when lam beats delta0
     somewhere (no further LP), and when lam is risk-equal to delta0, the
-    dominance LP alone tells "dominated" from "risk-equal".
+    dominance LP alone tells "dominated" from "risk-equal".  An unknown
+    label, or a problem without mixtures, is a ValueError.
     """
+    j0 = p.proc_index(delta0)
     if not p.allow_mixtures:
         raise ValueError("witness_set needs mixtures enabled")
-    j0 = p.proc_index(delta0)
     competitors = [d for d in p.proc_labels if d != delta0]
     if not competitors:
         # vacuously witnessed: there is nothing to beat
@@ -398,8 +410,10 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet:
                 raise RuntimeError("witness restriction mixture failed independent "
                                    "re-verification")
             if any(gaps) or _dominance_lp(p, j0)[1] is not None:
-                raise ValueError(f"{delta0} is dominated in the hull; no witness set exists")
-            raise ValueError(f"{delta0} has an equivalence in risk with a competitor mixture")
+                return NoWitness(delta0, f"{delta0} is dominated in the hull; "
+                                         "no witness set exists")
+            return NoWitness(delta0, f"{delta0} has an equivalence in risk "
+                                     "with a competitor mixture")
         chosen.append(best_i)
         res = _minimax_lp(p, j0, chosen, 1, 0)  # the game at q = 0
         if res.status != "optimal":

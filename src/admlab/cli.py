@@ -1,10 +1,14 @@
 """Batch command-line front end.
 
 Machine-readable payloads (JSON, or CSV for the shrinking-beta table) go
-to standard output; diagnostics go to standard error.  Exit codes:
+to standard output; diagnostics go to standard error.  Every checker
+answers with a report, a negative verdict or a failed self-check
+(``"ok": false``) included, and the command prints it; only bad input and
+internal faults raise.  Exit codes:
 
     0  success / affirmative verdict
-    1  negative mathematical verdict (dominated, infeasible, bound missed)
+    1  negative mathematical verdict (dominated, no witness set, infeasible,
+       bound missed, a Monte Carlo report's ``ok`` false)
     2  input error (malformed file, bad flag value, unknown label)
     3  internal error
 
@@ -26,6 +30,7 @@ from pathlib import Path
 from . import __version__
 from .admissibility import (
     Certificate,
+    NoWitness,
     admissible_set,
     dominated_in_hull,
     dominates,
@@ -182,15 +187,10 @@ def cmd_certify(args) -> int:
 
 def cmd_witness(args) -> int:
     p = _read_problem(args.problem)
-    p.proc_index(args.delta)      # unknown label is an input error, not a verdict
-    if not p.allow_mixtures:      # and so is a problem without mixtures
-        raise ValueError("witness_set needs mixtures enabled")
-    try:
-        w = witness_set(p, args.delta)
-    except ValueError as exc:
-        _emit({"delta0": args.delta, "witness": None, "reason": str(exc)})
-        return EXIT_NEGATIVE
+    w = witness_set(p, args.delta)
     _emit(w.as_dict())
+    if isinstance(w, NoWitness):
+        return EXIT_NEGATIVE
     if not w.validated:
         _diag("the restriction LP's dual prior failed to confirm the margin")
         return EXIT_INTERNAL
@@ -272,50 +272,37 @@ def cmd_gd_diff(args) -> int:
 
 
 def cmd_gd_excess(args) -> int:
-    from .graybill_deal import GDPriorParams, ReportCheckError, excess_bayes_risk
+    from .graybill_deal import GDPriorParams, excess_bayes_risk
     prior = GDPriorParams(args.alpha, args.beta, args.n)
-    try:
-        rep = excess_bayes_risk(prior, _mc_config(args))
-    except ReportCheckError as exc:
-        _diag(str(exc))
-        return EXIT_NEGATIVE
+    rep = excess_bayes_risk(prior, _mc_config(args))
     _emit(rep.as_dict())
-    return EXIT_OK
+    return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
 def cmd_gd_mass(args) -> int:
-    from .graybill_deal import GDPriorParams, ReportCheckError, prior_mass_bound
+    from .graybill_deal import GDPriorParams, prior_mass_bound
     prior = GDPriorParams(args.alpha, args.beta, args.n)
     rect = _parse_rect(args.rect)
     if args.samples < 0:
         raise ValueError("--samples must be >= 0 (0 skips the Monte Carlo cross-check)")
     mc = _mc_config(args) if args.samples else None
-    try:
-        rep = prior_mass_bound(rect, prior, mc=mc)
-    except ReportCheckError as exc:
-        _diag(str(exc))
-        return EXIT_NEGATIVE
+    rep = prior_mass_bound(rect, prior, mc=mc)
     _emit(rep.as_dict())
-    return EXIT_OK
+    return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
 def cmd_gd_blyth(args) -> int:
-    from .graybill_deal import ReportCheckError, blyth_sequence_report
+    from .graybill_deal import blyth_sequence_report
     rect = _parse_rect(args.rect)
     betas = _parse_betas(args.betas)
-    try:
-        rep = blyth_sequence_report(args.alpha, args.n, betas, rect,
-                                    _mc_config(args))
-    except ReportCheckError as exc:
-        _diag(str(exc))
-        return EXIT_NEGATIVE
+    rep = blyth_sequence_report(args.alpha, args.n, betas, rect, _mc_config(args))
     if args.format == "json":
         _emit(rep.as_dict())
     else:
         sys.stdout.write(rep.csv())
     if rep.slow_convergence:
         _diag("slow convergence: 1 - 2*alpha is small, ratios decay slowly")
-    return EXIT_OK
+    return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
 # -- parser ----------------------------------------------------------------------

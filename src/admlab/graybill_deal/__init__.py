@@ -11,7 +11,6 @@ from .mc import (
     GDMassReport,
     GDRiskReport,
     MCConfig,
-    ReportCheckError,
     SHARD_SIZE,
     blyth_sequence_report,
     excess_bayes_risk,
@@ -46,7 +45,6 @@ __all__ = [
     "MCConfig",
     "MCEstimate",
     "RectangleO",
-    "ReportCheckError",
     "SHARD_SIZE",
     "blyth_sequence_report",
     "excess_bayes_risk",

@@ -8,8 +8,10 @@ for a given (seed, n_samples) is therefore bit-identical across runs
 and across thread counts.
 
 All estimators report an ``MCEstimate`` carrying the mean, the standard
-error, the sample count, and the seed that produced them.  Only the mass
-report loads scipy (the regularised incomplete gamma function), where it runs.
+error, the sample count, and the seed that produced them.  The excess, mass
+and Blyth reports record their own checks in ``ok`` and never raise on a
+failed one.  Only the mass report loads scipy (the regularised incomplete
+gamma function), where it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +33,6 @@ __all__ = [
     "GDMassReport",
     "GDRiskReport",
     "MCConfig",
-    "ReportCheckError",
     "SHARD_SIZE",
     "blyth_sequence_report",
     "excess_bayes_risk",
@@ -41,10 +42,6 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 16
-
-
-class ReportCheckError(RuntimeError):
-    """A report failed one of its own checks on its estimates (the CLI's exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,8 @@ def excess_bayes_risk(prior: GDPriorParams,
     direct estimate the report carries the relaxation obtained from
     (T1-T2)^2 <= (T1+T2)^2 and its conjugate-beta rewrite
     2 beta E[U1 U2/(U1+U2)] / (n (2 alpha + n - 3)); both bound the gap
-    and stay below 2 beta, which is checked before returning.
+    and stay below 2 beta.  ``ok``: the excess is at most 2 beta plus three
+    standard errors.
     """
     sums = _excess_sums([prior], mc, with_bounds=True)
     n_mc = mc.n_samples
@@ -294,12 +292,7 @@ def excess_bayes_risk(prior: GDPriorParams,
     beta_route = MCEstimate.from_sums(sums[4], sums[5], n_mc, mc.seed)
     limit = 2.0 * prior.beta
     ok = excess.mean <= limit + 3.0 * excess.std_error
-    report = GDExcessReport(prior, excess, upper_mc, beta_route, limit, ok)
-    if not ok:
-        raise ReportCheckError(
-            f"excess {excess.mean:.6g} exceeds 2*beta={limit:.6g} "
-            f"past 3 std errors; report: {report.as_dict()!r}")
-    return report
+    return GDExcessReport(prior, excess, upper_mc, beta_route, limit, ok)
 
 
 # -- prior mass of a rectangle -------------------------------------------------
@@ -342,8 +335,8 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
                      mc: Optional[MCConfig] = None) -> GDMassReport:
     """Lower bound C * beta^(2 alpha) for the prior mass of O, with the mass.
 
-    Valid only when beta < ln(2) * inf(O); computes the actual mass and
-    checks that it clears the bound.  The two variances are independent
+    Valid only when beta < ln(2) * inf(O); computes the actual mass, and
+    ``ok`` says whether it clears the bound.  The two variances are independent
     inverse-gamma draws, so the mass is exact: a product of one-dimensional
     differences Q(alpha, beta/b) - Q(alpha, beta/a) of the regularised upper
     incomplete gamma Q.  An optional Monte Carlo mass from hierarchical
@@ -373,12 +366,7 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
         mc_mass = MCEstimate(p, se, mc.n_samples, mc.seed)
 
     ok = quad_mass > lower or (quad_mass == 0.0 and lower == 0.0)
-    report = GDMassReport(O, prior, constant, lower, quad_mass, mc_mass, ok)
-    if not ok:
-        raise ReportCheckError(
-            f"quadrature mass {quad_mass:.6g} does not clear the lower bound "
-            f"{lower:.6g}; report: {report.as_dict()!r}")
-    return report
+    return GDMassReport(O, prior, constant, lower, quad_mass, mc_mass, ok)
 
 
 # -- the shrinking-beta sequence ------------------------------------------------
@@ -393,11 +381,14 @@ class BlythRow:
 
 @dataclass(frozen=True)
 class GDBlythReport:
+    """One row per beta, the CSV's lines; ``ok``: the ratios strictly decrease
+    and the last one meets ``blyth_sequence_report``'s decay target."""
     alpha: float
     n: int
     rectangle: RectangleO
-    rows: Sequence[BlythRow] = field(default_factory=tuple)
-    slow_convergence: bool = False
+    rows: Sequence[BlythRow]
+    slow_convergence: bool
+    ok: bool
 
     def as_dict(self) -> dict:
         return {
@@ -406,6 +397,7 @@ class GDBlythReport:
             "rectangle": [self.rectangle.a1, self.rectangle.b1,
                           self.rectangle.a2, self.rectangle.b2],
             "slow_convergence": self.slow_convergence,
+            "ok": self.ok,
             "seed": self.rows[0].excess.seed if self.rows else None,
             "n_samples": self.rows[0].excess.n_samples if self.rows else None,
             "rows": [{
@@ -433,12 +425,12 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
     Each shard draws its gamma and chi-square numbers once and evaluates
     every beta on them, so the draws are shared across rows.  Under those
     common random numbers the excess is linear in beta, so the reported ratios
-    decay like beta^(1-2 alpha) up to float rounding.  The report checks
-    that the ratios decrease and that the last one beats the first by at
+    decay like beta^(1-2 alpha) up to float rounding.  The report's ``ok``
+    says whether the ratios decrease and the last one beats the first by at
     least the conservative factor (beta_last/beta_first)^((1-2 alpha)/2).
 
     When 1 - 2 alpha is small the decay is slow; the report flags that
-    regime instead of failing.
+    regime (``slow_convergence``) as well.
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -459,17 +451,8 @@ def blyth_sequence_report(alpha: float, n: int, betas: Sequence[float],
         bound = constant * beta ** (2.0 * alpha)
         rows.append(BlythRow(beta, excess, bound, float(excess.mean / bound)))
 
-    if len(rows) > 1:
-        for prev, cur in zip(rows, rows[1:]):
-            if not cur.ratio < prev.ratio:
-                raise ReportCheckError(
-                    f"ratio failed to decrease: {prev.ratio!r} -> {cur.ratio!r} "
-                    f"at beta={cur.beta!r}")
-        allowed = rows[0].ratio * (betas[-1] / betas[0]) ** ((1.0 - 2.0 * alpha) / 2.0)
-        if not rows[-1].ratio <= allowed:
-            raise ReportCheckError(
-                f"final ratio {rows[-1].ratio!r} misses the decay target "
-                f"{allowed!r}")
-
+    decreasing = all(cur.ratio < prev.ratio for prev, cur in zip(rows, rows[1:]))
+    target = rows[0].ratio * (betas[-1] / betas[0]) ** ((1.0 - 2.0 * alpha) / 2.0)
     return GDBlythReport(alpha, n, O, tuple(rows),
-                         slow_convergence=(1.0 - 2.0 * alpha) < 0.1)
+                         slow_convergence=(1.0 - 2.0 * alpha) < 0.1,
+                         ok=decreasing and rows[-1].ratio <= target)

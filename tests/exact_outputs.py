@@ -264,7 +264,9 @@ def kernel_outputs():
                             check(adm.stein_check, p, d, t, e)
                     if isinstance(cert, adm.Certificate):
                         check(adm.ns_blyth_check, p, d, cert.prior, cert.min_weight, singles)
-                    with contextlib.suppress(ValueError):  # a refusal is an output too
+                    # a refusal (NoWitness) is an output too; the suppress keeps
+                    # a tree whose witness_set raised it as a ValueError printable
+                    with contextlib.suppress(ValueError):
                         check(adm.witness_set, p, d)
                     check(game.derived_game_value, p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
     finally:

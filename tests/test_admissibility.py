@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -165,6 +166,8 @@ class TestCertificates:
         hyper = Prior({"t1": F(4, 13) - EPS, "t2": F(5, 13) + EPS, "t3": F(4, 13)})
         assert hyper.kind == "HYPER"
         assert not dataclasses.replace(c, prior=hyper).verify(p)
+        # the stated least weight no longer matches the prior's
+        assert not dataclasses.replace(c, min_weight=c.min_weight / 2).verify(p)
 
 
 
@@ -297,12 +300,23 @@ class TestWitnessSet:
         assert w.thetas == ("t1",) and w.margin == 1
 
     def test_refuses_dominated(self):
-        with pytest.raises(ValueError, match="dominated"):
-            adm.witness_set(DOMINATED, "d0")
+        w = adm.witness_set(DOMINATED, "d0")
+        assert w == adm.NoWitness("d0", "d0 is dominated in the hull; no witness set exists")
+        assert w.as_dict() == {"delta0": "d0", "witness": None,
+                               "reason": "d0 is dominated in the hull; no witness set exists"}
 
     def test_refuses_risk_equal(self):
-        with pytest.raises(ValueError, match="equivalence in risk"):
-            adm.witness_set(RISK_EQUAL, "d0")
+        w = adm.witness_set(RISK_EQUAL, "d0")
+        assert w == adm.NoWitness("d0", "d0 has an equivalence in risk with a competitor mixture")
+        assert w.witness is None
+
+    def test_bad_input_is_a_value_error(self):
+        # the label is checked first, then mixtures: the CLI's stderr names the label
+        pure = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)), allow_mixtures=False)
+        with pytest.raises(ValueError, match="unknown procedure"):
+            adm.witness_set(pure, "nope")
+        with pytest.raises(ValueError, match="witness_set needs mixtures enabled"):
+            adm.witness_set(pure, "d0")
 
     def test_vacuous_without_competitors(self):
         p = DecisionProblem(("t1",), ("d0",), ((3,),))
@@ -327,7 +341,7 @@ class TestWitnessSet:
 
     @staticmethod
     def _traced(p, d):
-        """witness_set's outcome (a WitnessSet or the refusal text), the gaps
+        """witness_set's outcome (a WitnessSet or a NoWitness), the gaps
         of lam when separation failed (None on return), and the number of
         maximizing LPs it solved (the restriction LPs minimize).  Every LP
         there packs its own tableau and calls the kernel's private entry: the
@@ -347,10 +361,7 @@ class TestWitnessSet:
                 mock.patch.object(adm, "_solve_tableau", spy_lp), \
                 mock.patch.object(game, "_solve_tableau", spy_lp), \
                 mock.patch.object(adm, "dominated_in_hull", side_effect=AssertionError):
-            try:
-                outcome = adm.witness_set(p, d)
-            except ValueError as exc:
-                outcome = str(exc)
+            outcome = adm.witness_set(p, d)
         if isinstance(outcome, adm.WitnessSet):
             return outcome, None, events.count(True)
         first_max = next((k for k, e in enumerate(events) if e is True), len(events))
@@ -361,9 +372,10 @@ class TestWitnessSet:
         # DOMINATED: the uniform lam beats d0 everywhere, so no LP at all;
         # RISK_EQUAL: lam = d1 equals d0, so the dominance LP alone
         assert self._traced(DOMINATED, "d0") == (
-            "d0 is dominated in the hull; no witness set exists", [-3, -3], 0)
+            adm.NoWitness("d0", "d0 is dominated in the hull; no witness set exists"), [-3, -3], 0)
         assert self._traced(RISK_EQUAL, "d0") == (
-            "d0 has an equivalence in risk with a competitor mixture", [0, 0], 1)
+            adm.NoWitness("d0", "d0 has an equivalence in risk with a competitor mixture"),
+            [0, 0], 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6), st.sampled_from((8, 97)))
@@ -376,9 +388,11 @@ class TestWitnessSet:
             dom = adm.dominated_in_hull(p, d)
             outcome, lam_gaps, maximizing = self._traced(p, d)
             if dom.dominated:
-                assert outcome == f"{d} is dominated in the hull; no witness set exists"
+                assert outcome == adm.NoWitness(
+                    d, f"{d} is dominated in the hull; no witness set exists")
             elif dom.risk_equal:
-                assert outcome == f"{d} has an equivalence in risk with a competitor mixture"
+                assert outcome == adm.NoWitness(
+                    d, f"{d} has an equivalence in risk with a competitor mixture")
             else:
                 assert isinstance(outcome, adm.WitnessSet) and outcome.validated
             if lam_gaps is None:
@@ -910,6 +924,15 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
 
 
 class TestReverificationUnderOptimize:
+    def test_src_has_no_assert_statement(self):
+        # python -O strips every assert, so no check in admlab may be one
+        root = Path(adm.__file__).resolve().parent
+        found = [f"{path.relative_to(root)}:{node.lineno}"
+                 for path in sorted(root.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
     def test_corrupted_lp_results_raise_under_python_O(self):
         src = str(Path(adm.__file__).resolve().parents[1])
         res = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_PROBE],

@@ -130,23 +130,37 @@ class TestWitness:
         assert payload["witness"] is None
         assert "dominated" in payload["reason"]
 
-    def test_an_unconfirmed_margin_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
-        # d0 = (1, 1) against d1 = (0, 3) and d2 = (3, 0): the set is {t1, t2}
-        # with margin 1/2; duals moved onto t1 alone give a prior under which
-        # d1 beats d0, so the margin is unconfirmed and the CLI exits 3
+    @staticmethod
+    def _with_duals(capsys, tmp_path, monkeypatch, first, rest):
+        """``admlab witness`` for d0 = (1, 1) against d1 = (0, 3) and d2 = (3, 0),
+        whose set is {t1, t2} with margin 1/2, the restriction LP's duals
+        replaced by first and then rest."""
         p = DecisionProblem(("t1", "t2"), ("d0", "d1", "d2"), ((1, 0, 3), (1, 3, 0)))
         path = tmp_path / "three.json"
         path.write_bytes(save_problem(p))
 
         def moved(*args, **kwargs):
             res = _solve_tableau(*args, **kwargs)
-            return dataclasses.replace(res, ynum=[1] + [0] * (len(res.ynum) - 1))
+            return dataclasses.replace(res, ynum=[first] + [rest] * (len(res.ynum) - 1))
         monkeypatch.setattr(game, "_solve_tableau", moved)
         code, out, err = run(capsys, "witness", str(path), "--delta", "d0")
         payload = json.loads(out)
-        assert code == 3
         assert payload["thetas"] == ["t1", "t2"] and payload["margin"] == "1/2"
+        return code, payload, err
+
+    def test_an_unconfirmed_margin_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        # duals moved onto t1 alone give a prior under which d1 beats d0, so
+        # the margin is unconfirmed and the CLI exits 3
+        code, payload, err = self._with_duals(capsys, tmp_path, monkeypatch, 1, 0)
+        assert code == 3
         assert payload["validated"] is False and payload["validation_value"] == "1"
+        assert "dual prior" in err
+
+    def test_duals_that_are_no_prior_are_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        # a negative dual is no prior at all, so there is no validation value
+        code, payload, err = self._with_duals(capsys, tmp_path, monkeypatch, -1, 2)
+        assert code == 3
+        assert payload["validated"] is False and payload["validation_value"] is None
         assert "dual prior" in err
 
     def test_a_problem_without_mixtures_is_an_input_error(self, capsys, tmp_path):
@@ -463,10 +477,18 @@ class TestGd:
         monkeypatch.setattr(kernels, "excess_sums", constant_excess)
         # the mass bound 1e9 * beta^(2 alpha) lies far above any mass
         monkeypatch.setattr(mc, "mass_constant", lambda O, alpha: 1e9)
+        # the report still goes to stdout, saying "ok": false; blyth's CSV
+        # has no ok column, so only the exit code tells there
         code, out, err = run(capsys, "gd", *argv, "--samples", "4096", "--threads", "1")
         assert code == 1
-        assert out == ""
-        assert err and "Traceback" not in err
+        assert "Traceback" not in err
+        if argv[0] == "blyth":
+            assert out.splitlines()[0] == "beta,excess_mean,excess_se,mass_bound,ratio"
+            assert len(out.splitlines()) == 3
+            code, out, err = run(capsys, "gd", *argv, "--samples", "4096", "--threads", "1",
+                                 "--format", "json")
+            assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["ok"] is False
 
 
 class TestExitCodes:
@@ -752,12 +774,13 @@ def test_exact_report_payloads_are_their_fields():
         admissibility.positive_prior_certificate(p, "d0"),
         admissibility.positive_prior_certificate(p, "dbad"),
         admissibility.witness_set(p, "d0"),
+        admissibility.witness_set(p, "dbad"),
         admissibility.stein_check(p, "d0", "t1", F(1, 10)),
         admissibility.ns_stein_check(p, "d0", pi, ("t1",), F(1, 10)),
         derived_game_value(p, "d0", "t1", F(1, 2)),
     ]
     assert [type(rep).__name__ for rep in reports] == [
-        "HullDominanceReport", "Certificate", "NoPositivePrior", "WitnessSet",
+        "HullDominanceReport", "Certificate", "NoPositivePrior", "WitnessSet", "NoWitness",
         "SteinResult", "NsSteinReport", "GameValueReport"]
     for rep in reports:
         names = [f.name for f in dataclasses.fields(rep)]
@@ -768,11 +791,14 @@ def test_exact_report_payloads_are_their_fields():
         json.dumps(payload)
     assert reports[1].as_dict()["verdict"] == "certificate"
     assert reports[2].as_dict()["verdict"] == "no_positive_prior"
+    assert reports[4].as_dict() == {
+        "delta0": "dbad", "witness": None,
+        "reason": "dbad is dominated in the hull; no witness set exists"}
 
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "400e9e7f1710aca33d7b53cce71493af17f6147348297ba579868aba3f4a6dc5"
+PROBLEM_OUTPUTS_SHA256 = "3242eb1f2917c3532e79685e4b90c73ed64b4f6c99061f7c6bbe1109cb54ce9d"
 
 
 def test_random_problem_outputs_are_pinned():

@@ -19,6 +19,7 @@ from admlab.graybill_deal import (
     sample_hierarchical,
     summarize,
 )
+from admlab.graybill_deal import model
 
 # distributional tests run at this level; with 1e5 draws a true-model
 # p-value below it is a one-in-a-thousand event under a fixed seed
@@ -186,6 +187,14 @@ class TestEstimate:
     def test_rejects_unequal_sample_sizes(self):
         with pytest.raises(ValueError):
             gd_estimate(np.array([1.0, 2.0, 3.0]), np.array([3.0, 4.0]))
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        # a wrong shrinkage weight (1/2 where phi_gd gives 1/22) moves the
+        # shrinkage form off the precision form; the cross-check raises by
+        # itself, so it holds under python -O too
+        monkeypatch.setattr(model, "phi_gd", lambda s1, s2: 0.5)
+        with pytest.raises(AssertionError, match="estimator forms disagree"):
+            gd_estimate(np.array([0.0, 1.0, 2.0]), np.array([0.0, 3.0, 9.0]))
 
 
 class TestSampleData:

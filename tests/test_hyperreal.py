@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lc_axioms
 from admlab import ExponentRangeError, LCNumber, approx_eq, approx_leq, compare, parse_lc
 from lc_axioms import axiom_sweep, random_lc
 
@@ -197,6 +198,22 @@ class TestFieldProperties:
 
 def test_axiom_sweep_smoke():
     assert axiom_sweep(seed=11, rounds=100) >= 1000
+
+
+def test_axiom_sweep_fails_on_a_broken_order(monkeypatch):
+    # an order that calls every pair equal breaks (compare(a, b) == 0) == (a == b);
+    # the sweep raises, under python -O too
+    monkeypatch.setattr(lc_axioms, "compare", lambda a, b: 0)
+    with pytest.raises(AssertionError, match="ordered-field identity failed"):
+        axiom_sweep(seed=11, rounds=100)
+
+
+def test_lc_numbers_are_immutable():
+    x = LCNumber.eps()
+    for name, value in (("terms", {0: Fraction(1)}), ("inexact", True)):
+        with pytest.raises(AttributeError, match="LCNumber is immutable"):
+            setattr(x, name, value)
+    assert x == EPS and not x.inexact
 
 
 def test_random_lc_reproducible():

@@ -478,10 +478,7 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
     for seed, (nt, nd) in enumerate([(2, 3), (3, 4), (4, 3), (5, 5), (8, 8), (9, 11)]):
         p = random_problem(nt, nd, 500 + seed, 97)
         for j, d in enumerate(p.proc_labels):
-            try:
-                admissibility.witness_set(p, d)
-            except ValueError:
-                refused += 1
+            refused += isinstance(admissibility.witness_set(p, d), admissibility.NoWitness)
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(1 + j % 3, 2))
     kinds = {(kw.get("maximize", True), bool(kw.get("free_vars"))) for _, kw, _ in lps.calls}
     assert kinds == {(False, True)}
@@ -510,10 +507,7 @@ def test_negative_risk_lps_match_fraction_oracle(monkeypatch):
                 assert row == [v - r[j] for v in r] and row[j] == 0
                 negative += r[j] < 0
             admissibility.positive_prior_certificate(p, d)
-            try:
-                admissibility.witness_set(p, d)
-            except ValueError:
-                pass
+            admissibility.witness_set(p, d)
             game.derived_game_value(p, d, p.theta_labels[j % nt], F(2))
     assert negative > 0
     lps.replay(monkeypatch)
