@@ -6,8 +6,6 @@ two-sample common-mean estimation family.
 """
 
 from admlab.hyperreal import (
-    DEFAULT_TRUNC_DEGREE,
-    ExponentRangeError,
     LCNumber,
     approx_eq,
     approx_leq,
@@ -54,8 +52,6 @@ from admlab.game import GameValueReport, derived_game_value, shifted_risk
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TRUNC_DEGREE",
-    "ExponentRangeError",
     "LCNumber",
     "approx_eq",
     "approx_leq",

@@ -42,7 +42,7 @@ from admlab.decision import (
     _risk_span,
 )
 from admlab.game import _minimax_lp, _minimax_sides
-from admlab.hyperreal import LCNumber, _as_fraction, approx_leq, compare
+from admlab.hyperreal import LCNumber, _as_fraction, compare
 from admlab.simplex import _ones, _solve_tableau, _Tableau, solve_lp
 
 __all__ = [
@@ -599,7 +599,6 @@ class NsBlythReport:
     ratio_ok: bool                   # (b): excess / rho vanishes up to an infinitesimal
     constants: dict                  # B tuple -> chosen integer C (when (a) holds for it)
     excess: LCNumber
-    ratio: LCNumber
 
     def as_dict(self):  # its own: JSON keys constants by text, not by a label tuple
         return _fmt({
@@ -608,7 +607,6 @@ class NsBlythReport:
             "ratio_ok": self.ratio_ok,
             "constants": {" ".join(B): C for B, C in self.constants.items()},
             "excess": self.excess,
-            "ratio": self.ratio,
         })
 
 
@@ -639,6 +637,7 @@ def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsB
             mass_ok = False
 
     excess = _lc_excess(p, prior, delta0)
-    ratio = excess / rho
-    ratio_ok = approx_leq(ratio, LCNumber.zero())
-    return NsBlythReport(mass_ok and ratio_ok, mass_ok, ratio_ok, constants, excess, ratio)
+    # excess / rho has the sign of excess and the leading exponent
+    # lead(excess) - lead(rho): it is at most infinitesimal iff that is >= 1
+    ratio_ok = excess.sign() <= 0 or excess.leading_exponent() > rho.leading_exponent()
+    return NsBlythReport(mass_ok and ratio_ok, mass_ok, ratio_ok, constants, excess)

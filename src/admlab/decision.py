@@ -61,9 +61,7 @@ class Prior:
     a term at a nonzero power of eps (all weights are then stored as
     Levi-Civita numbers, allowing infinitesimal but still nonnegative ones),
     REAL otherwise (exact rationals, a standard Levi-Civita weight included).
-    Weights must sum to exactly 1 either way.  A Levi-Civita weight that lost
-    terms past the truncation degree (``inexact``) is rejected: it would stand
-    for a different prior from the one given.
+    Weights must sum to exactly 1 either way.
     """
 
     weights: dict
@@ -80,8 +78,6 @@ class Prior:
                 w = _exact(w, f"prior weight {label}")
                 if hyper:
                     w = LCNumber.from_real(w)
-            elif w.inexact:
-                raise ValueError(f"prior weight for {label} was truncated: {w}")
             elif not hyper:
                 w = w.standard_part()
             if w < 0:

@@ -398,8 +398,8 @@ class GDBlythReport:
                           self.rectangle.a2, self.rectangle.b2],
             "slow_convergence": self.slow_convergence,
             "ok": self.ok,
-            "seed": self.rows[0].excess.seed if self.rows else None,
-            "n_samples": self.rows[0].excess.n_samples if self.rows else None,
+            "seed": self.rows[0].excess.seed,
+            "n_samples": self.rows[0].excess.n_samples,
             "rows": [{
                 "beta": row.beta,
                 "excess_mean": row.excess.mean,

@@ -1,14 +1,12 @@
-"""Truncated Levi-Civita numbers: exact infinitesimal arithmetic with lexicographic order.
+"""Levi-Civita numbers as exact Laurent polynomials in an infinitesimal.
 
 A number is a finite sum ``sum_j c_j * eps^j`` with exact rational
-coefficients ``c_j`` and integer exponents ``j`` in ``[-K, K]``, where
-``eps`` is a positive infinitesimal and ``K = DEFAULT_TRUNC_DEGREE = 16``
-is the one truncation degree of every number.  Ordering is lexicographic
-in the exponent: the term with the smallest exponent dominates.  Products
-and quotients whose expansion would need exponents above ``K`` are
-truncated and marked via a sticky ``inexact`` flag; exponents below
-``-K`` cannot be truncated soundly (they are the dominant ones) and raise
-instead.
+coefficients ``c_j`` and integer exponents ``j`` of any size, where ``eps``
+is a positive infinitesimal.  Ordering is lexicographic in the exponent: the
+term with the smallest exponent dominates.  Sums, differences and products
+are exact.  Division is exact too: it raises ``ArithmeticError`` when the
+divisor does not divide the dividend, as in ``1 / (1 - eps)``, whose
+quotient is an infinite series.
 """
 
 from __future__ import annotations
@@ -18,20 +16,12 @@ import re
 from fractions import Fraction
 from numbers import Rational
 
-DEFAULT_TRUNC_DEGREE = 16
-
 __all__ = [
-    "DEFAULT_TRUNC_DEGREE",
-    "ExponentRangeError",
     "LCNumber",
     "approx_eq",
     "approx_leq",
     "compare",
 ]
-
-
-class ExponentRangeError(ArithmeticError):
-    """An operation produced an exponent below -K, outside the representable range."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -60,26 +50,18 @@ def _operand(method):
 
 @functools.total_ordering
 class LCNumber:
-    """A truncated Levi-Civita number.  Treat instances as immutable."""
+    """A Levi-Civita number with finitely many terms.  Instances are immutable."""
 
-    __slots__ = ("terms", "inexact")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, inexact: bool = False):
+    def __init__(self, terms=None):
         clean: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
             coef = _as_fraction(coef)
             if coef == 0:
                 continue
-            exp = int(exp)
-            if exp < -DEFAULT_TRUNC_DEGREE:
-                raise ExponentRangeError(f"exponent {exp} below -{DEFAULT_TRUNC_DEGREE}: "
-                                         "dominant term cannot be truncated")
-            if exp > DEFAULT_TRUNC_DEGREE:
-                inexact = True
-                continue
-            clean[exp] = coef
+            clean[int(exp)] = coef
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "inexact", inexact)
 
     def __setattr__(self, name, value):
         raise AttributeError("LCNumber is immutable")
@@ -93,9 +75,9 @@ class LCNumber:
 
     @classmethod
     def eps(cls, k: int = 1) -> "LCNumber":
-        """The infinitesimal eps^k, for 1 <= k <= K."""
-        if not 1 <= k <= DEFAULT_TRUNC_DEGREE:
-            raise ValueError(f"eps exponent must lie in [1, {DEFAULT_TRUNC_DEGREE}], got {k}")
+        """The infinitesimal eps^k, for k >= 1."""
+        if k < 1:
+            raise ValueError(f"eps exponent must be at least 1, got {k}")
         return cls({k: Fraction(1)})
 
     @classmethod
@@ -141,12 +123,12 @@ class LCNumber:
         terms = dict(self.terms)
         for e, c in o.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return LCNumber(terms, self.inexact or o.inexact)
+        return LCNumber(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LCNumber({e: -c for e, c in self.terms.items()}, self.inexact)
+        return LCNumber({e: -c for e, c in self.terms.items()})
 
     @_operand
     def __sub__(self, o):
@@ -159,15 +141,11 @@ class LCNumber:
     @_operand
     def __mul__(self, o):
         terms: dict[int, Fraction] = {}
-        inexact = self.inexact or o.inexact
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = e1 + e2
-                if e > DEFAULT_TRUNC_DEGREE:
-                    inexact = True
-                    continue
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LCNumber(terms, inexact)
+        return LCNumber(terms)
 
     __rmul__ = __mul__
 
@@ -198,25 +176,27 @@ class LCNumber:
         return format_lc(self)
 
     def __repr__(self):
-        flag = ", inexact" if self.inexact else ""
-        return f"LCNumber({format_lc(self)!r}{flag})"
+        return f"LCNumber({format_lc(self)!r})"
 
 
 def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
-    """Long division by ascending exponent, truncated at degree K."""
+    """Exact long division by ascending exponent.
+
+    An exact quotient has no term above ``max(a) - max(b)``; a remainder left
+    once the division passes that exponent means ``b`` does not divide ``a``.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division of Levi-Civita number by zero")
-    inexact = a.inexact or b.inexact
     lead_b = b.leading_exponent()
     coef_b = b.terms[lead_b]
+    top = max(a.terms, default=0) - max(b.terms)
     rem = dict(a.terms)
     quot: dict[int, Fraction] = {}
     while rem:
         lead_r = min(rem)
         t_exp = lead_r - lead_b
-        if t_exp > DEFAULT_TRUNC_DEGREE:
-            inexact = True  # remaining quotient terms fall beyond the truncation degree
-            break
+        if t_exp > top:
+            raise ArithmeticError(f"{format_lc(b)} does not divide {format_lc(a)}")
         t_coef = rem[lead_r] / coef_b
         quot[t_exp] = t_coef
         for e, c in b.terms.items():
@@ -226,7 +206,7 @@ def _divide(a: LCNumber, b: LCNumber) -> LCNumber:
                 rem.pop(e2, None)
             else:
                 rem[e2] = v
-    return LCNumber(quot, inexact)
+    return LCNumber(quot)
 
 
 def compare(a: LCNumber, b) -> int:
@@ -281,8 +261,7 @@ def parse_lc(text: str) -> LCNumber:
     """Parse the textual rendering produced by :func:`format_lc`.
 
     Accepts "eps" as an ASCII alias for "ε" and a unicode minus sign.
-    Raises ValueError for an exponent outside ``[-K, K]`` and for a zero
-    denominator.
+    Raises ValueError for a zero denominator.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not s:
@@ -315,10 +294,5 @@ def parse_lc(text: str) -> LCNumber:
             raise ValueError(f"zero denominator in term {chunk!r} of {text!r}") from None
         has_eps = "ε" in chunk or "eps" in chunk
         exp = int(m.group("exp")) if m.group("exp") else (1 if has_eps else 0)
-        if abs(exp) > DEFAULT_TRUNC_DEGREE:
-            # a literal the number cannot hold is bad input: never truncated,
-            # and not an arithmetic fault either
-            raise ValueError(f"exponent {exp} in {text!r} lies beyond the "
-                             f"truncation degree {DEFAULT_TRUNC_DEGREE}")
         terms[exp] = terms.get(exp, Fraction(0)) + sgn * coef
     return LCNumber(terms)

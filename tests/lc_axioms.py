@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from admlab import LCNumber, compare
 
-# exponents stay small so that no product or quotient in the identities
-# below ever crosses the truncation degree: every identity must hold exactly
-EXP_RANGE = (-2, 2)
+# products and quotients of these reach exponents past +-16, and every
+# identity below must still hold exactly
+EXP_RANGE = (-12, 12)
 
 
 def random_lc(rng: random.Random, max_terms: int = 4) -> LCNumber:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from admlab import LCNumber
+from admlab import LCNumber, approx_leq
 from admlab import admissibility as adm
 from admlab import decision, game, simplex
 from admlab.decision import (
@@ -169,6 +169,58 @@ class TestCertificates:
         # the stated least weight no longer matches the prior's
         assert not dataclasses.replace(c, min_weight=c.min_weight / 2).verify(p)
 
+    @staticmethod
+    def _forged(c, p, weights):
+        """c with the prior ``weights``, their least weight on p's labels, and
+        the slacks they give, so only verify's other clauses can object."""
+        on_p = [weights.get(t, F(0)) for t in p.theta_labels]
+        slacks = adm._slacks(p, *decision._int_weights(on_p), p.proc_index(c.delta0))
+        return dataclasses.replace(c, prior=Prior(weights), min_weight=min(on_p),
+                                   slacks=slacks)
+
+    def test_verify_rejects_a_prior_that_is_not_one_on_theta(self):
+        # half the mass sits on a label outside the problem, so the weights
+        # on t1..t3 sum to 1/2; they are c's halved, so d1 stays Bayes
+        p = random_problem(3, 4, seed=7)
+        c = adm.positive_prior_certificate(p, "d1")
+        weights = {t: w / 2 for t, w in c.prior.weights.items()}
+        forged = self._forged(c, p, {**weights, "t9": F(1, 2)})
+        assert forged.min_weight > 0 and min(forged.slacks.values()) >= 0
+        assert not forged.verify(p)
+
+    def test_verify_rejects_a_zero_least_weight(self):
+        # d1 = (5/8, 1/8, 0) ties the best risk at t3, so it is Bayes under
+        # the Dirac prior there, whose least weight is 0
+        p = random_problem(3, 4, seed=7)
+        forged = self._forged(adm.positive_prior_certificate(p, "d1"), p, {"t3": F(1)})
+        assert forged.min_weight == 0 and min(forged.slacks.values()) >= 0
+        assert not forged.verify(p)
+
+    def test_verify_rejects_a_prior_under_which_delta0_is_not_bayes(self):
+        # under the uniform prior d4 = (0, 5/8, 0) beats d1 = (5/8, 1/8, 0)
+        p = random_problem(3, 4, seed=7)
+        third = F(1, 3)
+        forged = self._forged(adm.positive_prior_certificate(p, "d1"), p,
+                              {"t1": third, "t2": third, "t3": third})
+        assert forged.min_weight == third and forged.slacks["d4"] < 0
+        assert not forged.verify(p)
+
+
+
+# the forced-zero LP's variables are [y_t1, y_t2, z_t1, z_t2], its prior
+# pi = y + z; on TWO_POINT the Bayes gap of d1 over d0 is pi_t1 - pi_t2.  Each
+# result breaks one clause of the re-check and keeps the other three
+@pytest.mark.parametrize("num, D", [
+    ([0, 0, 1, 1], 2),    # z_t1 = 1/2: neither 0 nor 1
+    ([0, 0, 0, 1], 1),    # pi = (0, 1): d1 beats d0 by 1
+    ([0, -1, 0, 0], 1),   # pi_t2 = -1
+    ([1, 0, 0, 0], 1),    # pi_t1 = 1 where z_t1 = 0
+], ids=["z", "gap", "pi", "support"])
+def test_forced_zero_recheck_catches_each_clause(monkeypatch, num, D):
+    monkeypatch.setattr(adm, "solve_lp",
+                        lambda *a, **kw: simplex.LPResult("optimal", F(0), num, D, 0))
+    with pytest.raises(RuntimeError, match="forced-zero LP failed independent"):
+        adm._forced_zero(TWO_POINT, 0)
 
 
 def _probed_forced_zero(p, d0):
@@ -786,15 +838,15 @@ class TestNsBlyth:
     def test_square_excess_over_linear_rho(self):
         pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS})
         r = adm.ns_blyth_check(LADDER, "d0", pi, EPS, [("t2",)])
-        assert r.ok
-        assert r.excess == EPS * EPS and r.ratio == EPS
+        assert r.ok and r.ratio_ok
+        assert r.excess == EPS * EPS
         assert r.constants == {("t2",): 2}
 
     def test_linear_excess_over_square_rho_fails(self):
         pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS * EPS, "t3": EPS})
         r = adm.ns_blyth_check(LADDER, "d0", pi, EPS * EPS, [("t2",)])
         assert not r.ok and r.mass_ok and not r.ratio_ok
-        assert r.ratio == ONE / EPS
+        assert r.excess == EPS
 
     def test_mass_condition_fails_when_rho_too_large(self):
         pi = Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS})
@@ -849,23 +901,32 @@ def _blyth_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_blyth_inputs())
 @example((TWO_POINT, "d1", Prior({"t1": ONE - EPS, "t2": EPS}), EPS + EPS * EPS))
+@example((LADDER, "d0", Prior({"t1": ONE - EPS - EPS * EPS, "t2": EPS, "t3": EPS * EPS}),
+          EPS + EPS * EPS))
 def test_ns_blyth_ratio_ok_needs_no_division(case):
-    # excess / rho is truncated above eps^16, which can drop only
-    # infinitesimal terms: the verdict is the division-free rule, even when
-    # the reported ratio is inexact
+    # rho need not divide the excess: the verdict is read off leading terms
     p, d, prior, rho = case
-    r = adm.ns_blyth_check(p, d, prior, rho, [(t,) for t in p.theta_labels[1:]])
+    family = [(t,) for t in p.theta_labels[1:]]
+    r = adm.ns_blyth_check(p, d, prior, rho, family)
     excess = r.excess
     assert r.ratio_ok == (excess.sign() <= 0
                           or excess.leading_exponent() > rho.leading_exponent())
+    # a monomial c eps^k divides every excess exactly, so there ratio_ok
+    # meets its definition, excess / rho <~ 0
+    mono = LCNumber({rho.leading_exponent(): rho.leading_coefficient()})
+    r = adm.ns_blyth_check(p, d, prior, mono, family)
+    assert r.ratio_ok == approx_leq(r.excess / mono, LCNumber.zero())
 
 
-def test_ns_blyth_inexact_ratio_example():
-    # the pinned case above: the ratio eps^-1 - 3 + 3eps ... is cut at eps^16
+def test_ns_blyth_ratio_example():
+    # the pinned case above: rho = eps + eps^2 does not divide the excess
+    # 1 - 2eps, whose quotient would be the series eps^-1 - 3 + 3eps - ...
+    rho = EPS + EPS * EPS
     r = adm.ns_blyth_check(TWO_POINT, "d1", Prior({"t1": ONE - EPS, "t2": EPS}),
-                           EPS + EPS * EPS, [("t2",)])
-    assert r.ratio.inexact and not r.ratio_ok
-    assert r.excess == 1 - 2 * EPS and r.ratio.leading_exponent() == -1
+                           rho, [("t2",)])
+    assert not r.ratio_ok and r.excess == 1 - 2 * EPS
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        r.excess / rho
 
 
 class TestSoundnessTriangle:
@@ -1261,7 +1322,7 @@ class TestIntegerRechecks:
                 if gap > oracle:
                     oracle = gap
             excess = adm._lc_excess(p, prior, d0)
-            assert isinstance(excess, LCNumber) and not excess.inexact
+            assert isinstance(excess, LCNumber)
             assert excess == oracle
 
 

@@ -277,18 +277,20 @@ class TestNs:
         assert code == 2 and out == ""
         assert "repeats parameter label 't1'" in err
 
-    def test_prior_term_past_the_truncation_degree_is_an_input_error(
-            self, capsys, tmp_path):
-        # eps^20 lies past degree 16: the weight cannot be held, so the
-        # verdict would concern a different prior from the one given
+    def test_prior_term_of_degree_20_gets_its_exact_verdict(self, capsys, tmp_path):
+        # the weight eps^20 at t3 is kept, so the bound is eps^20 / 100
         path = tmp_path / "demo.json"
         path.write_bytes(save_problem(random_problem(3, 4, 7)))
-        code, out, err = run(capsys, "ns", str(path), "--delta", "d1",
-                             "--mode", "stein", "--prior", "t2:1-eps^20, t3:eps^20",
-                             "--eps", "1/100", "--family", "t3")
-        assert code == 2
-        assert out == ""
-        assert "truncation degree" in err
+        argv = ("ns", str(path), "--prior", "t2:1-eps^20, t3:eps^20",
+                "--mode", "stein", "--eps", "1/100", "--family", "t3", "--delta")
+        code, payload, err = run_json(capsys, *argv, "d1")
+        assert code == 0 and err == ""
+        assert payload == {"ok": True, "excess": "0", "bound": "1/100ε^20"}
+        # d3 ties d1 at t2 and trails it by 3/8 at t3: an excess at degree
+        # 20 alone, past the bound
+        code, payload, err = run_json(capsys, *argv, "d3")
+        assert code == 1 and err == ""
+        assert payload == {"ok": False, "excess": "3/8ε^20", "bound": "1/100ε^20"}
 
 
 class TestGame:
@@ -798,7 +800,7 @@ def test_exact_report_payloads_are_their_fields():
 
 # sha256 of what exact_outputs.problem_outputs() prints; a change that keeps
 # every exact output keeps it
-PROBLEM_OUTPUTS_SHA256 = "3242eb1f2917c3532e79685e4b90c73ed64b4f6c99061f7c6bbe1109cb54ce9d"
+PROBLEM_OUTPUTS_SHA256 = "c0db996287e6134677e78d67638b397eae416a15ed777dde42adb5079fb6f442"
 
 
 def test_random_problem_outputs_are_pinned():

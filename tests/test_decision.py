@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admlab import LCNumber, decision
+from admlab.admissibility import ns_stein_check
 from admlab.decision import (
     DecisionProblem,
     Mixture,
@@ -82,14 +83,22 @@ class TestBayesRisk:
         with pytest.raises(ValueError, match="negative"):
             Prior({"t1": 1 + eps, "t2": -eps})
 
-    def test_truncated_levi_civita_weights_rejected(self):
-        # the eps^20 terms lie past the truncation degree, so these weights
-        # were built as 1 (inexact) and 0 (inexact): a different prior, which
-        # ns_stein_check on TWO_POINT with B = ("t2",) used to pass
-        t1, t2 = LCNumber({0: 1, 20: -1}), LCNumber({20: 1})
-        assert t1.inexact and t2.inexact
-        with pytest.raises(ValueError, match="truncated"):
-            Prior({"t1": t1, "t2": t2})
+    def test_high_degree_levi_civita_weights_are_exact(self):
+        # eps^20 is kept exactly: the prior is (1 - eps^20, eps^20), not the
+        # Dirac prior at t1
+        e20 = LCNumber.eps(20)
+        pi = Prior({"t1": 1 - e20, "t2": e20})
+        assert pi.kind == "HYPER" and pi.weight("t2") == e20
+        rep = ns_stein_check(TWO_POINT, "d0", pi, ("t2",), F(1, 100))
+        assert rep.ok and rep.excess == 0 and rep.bound == e20 / 100
+        rep = ns_stein_check(TWO_POINT, "d1", pi, ("t2",), F(1, 100))
+        assert not rep.ok and rep.excess == 1 - 2 * e20
+        # d1 = (0, 0) dominates d0 = (0, 1) by an excess of eps^20, which
+        # the Dirac prior at t1 would not see
+        p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 0), (1, 0)))
+        rep = ns_stein_check(p, "d0", pi, ("t2",), F(1, 100))
+        assert not rep.ok and rep.excess == e20 and rep.bound == e20 / 100
+        assert ns_stein_check(p, "d0", pi, ("t2",), 2).ok
 
 
 class TestSerialization:

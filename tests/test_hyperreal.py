@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lc_axioms
-from admlab import ExponentRangeError, LCNumber, approx_eq, approx_leq, compare, parse_lc
+from admlab import LCNumber, approx_eq, approx_leq, compare, parse_lc
 from lc_axioms import axiom_sweep, random_lc
 
 EPS = LCNumber.eps()
@@ -14,18 +14,18 @@ ONE = LCNumber.from_real(1)
 
 class TestArithmetic:
     def test_geometric_series_division(self):
-        # 1/(1-eps) expands to sum of eps^k up to the truncation degree
-        q = ONE / (ONE - EPS)
-        assert q.terms == {k: Fraction(1) for k in range(17)}
-        assert q.inexact
-        # multiplying back only loses the eps^17 tail
-        back = (ONE - EPS) * q
-        assert back == ONE and back.inexact
+        # 1/(1-eps) is the infinite series sum of eps^k: no Laurent polynomial
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            ONE / (ONE - EPS)
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            (ONE + EPS * EPS) / (ONE + EPS)
+        # its finite part divides exactly, past degree 16 too
+        q = (ONE - LCNumber.eps(20)) / (ONE - EPS)
+        assert q.terms == {k: Fraction(1) for k in range(20)}
 
     def test_exact_division_terminates(self):
         q = (ONE - EPS * EPS) / (ONE - EPS)
         assert q == ONE + EPS
-        assert not q.inexact
 
     def test_division_by_infinitesimal(self):
         assert ONE / EPS == LCNumber({-1: 1})
@@ -53,21 +53,14 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             "x" - EPS
 
-    def test_truncation_is_sticky(self):
-        t = EPS * LCNumber({16: 1})  # eps^17 vanishes
-        assert t.is_zero() and t.inexact
-        assert (t + ONE).inexact
-        assert (ONE + ONE) + t == 2
+    def test_exponents_are_unbounded(self):
+        assert EPS * LCNumber.eps(16) == LCNumber.eps(17)
+        assert ONE / LCNumber.eps(16) / LCNumber.eps(16) == LCNumber({-32: 1})
+        assert parse_lc("1 - eps^20") == ONE - LCNumber.eps(20)
 
-    def test_exponent_below_range_raises(self):
-        with pytest.raises(ExponentRangeError):
-            LCNumber({-17: 1})
-        with pytest.raises(ExponentRangeError):
-            ONE / LCNumber.eps(16) / LCNumber.eps(16)
-
-    @pytest.mark.parametrize("k", [0, 17])
+    @pytest.mark.parametrize("k", [0, -1])
     def test_eps_exponent_out_of_range(self, k):
-        with pytest.raises(ValueError, match=r"eps exponent must lie in \[1, 16\]"):
+        with pytest.raises(ValueError, match="eps exponent must be at least 1, got"):
             LCNumber.eps(k)
 
 
@@ -128,6 +121,9 @@ class TestText:
         "2ε^-3 - ε^-1 + 7",
         "ε^16",
         "ε^-16",
+        "eps^17",
+        "eps^-17",
+        "1 - eps^20",
     ])
     def test_round_trip(self, text):
         x = parse_lc(text)
@@ -144,9 +140,7 @@ class TestText:
         assert str(LCNumber({2: Fraction(3, 4)})) == "3/4ε^2"
         assert str(-EPS) == "-ε"
 
-    # a term past the truncation degree is refused, not silently dropped
-    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x",
-                                     "eps^17", "1 - eps^20", "eps^-17"])
+    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_lc(bad)
@@ -210,10 +204,9 @@ def test_axiom_sweep_fails_on_a_broken_order(monkeypatch):
 
 def test_lc_numbers_are_immutable():
     x = LCNumber.eps()
-    for name, value in (("terms", {0: Fraction(1)}), ("inexact", True)):
-        with pytest.raises(AttributeError, match="LCNumber is immutable"):
-            setattr(x, name, value)
-    assert x == EPS and not x.inexact
+    with pytest.raises(AttributeError, match="LCNumber is immutable"):
+        x.terms = {0: Fraction(1)}
+    assert x == EPS
 
 
 def test_random_lc_reproducible():
