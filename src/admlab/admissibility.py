@@ -154,8 +154,9 @@ def _dominance_lp(p: DecisionProblem, j0: int):
     w[j0] = res.D - (sum(w) - w[j0])  # delta0 weighs 1 - sum(mu)
     mix = _from_lp(Mixture, p.proc_labels, w, res.D)
     gaps, n = _mixture_gaps(p, w, res.D, j0)
-    # its total slack, -sum(gaps) / n, is the objective over den at any feasible point
-    if not (all(g <= 0 for g in gaps) and any(g < 0 for g in gaps)
+    # its total slack, -sum(gaps) / n, is the objective over den at any
+    # feasible point; that objective is positive, so some gap is negative
+    if not (all(g <= 0 for g in gaps)
             and Fraction(-sum(gaps) * p.den, n) == res.objective):
         raise RuntimeError("dominating mixture failed independent re-verification")
     return res, mix

@@ -243,7 +243,7 @@ def cmd_gen(args) -> int:
 
 
 # -- Monte Carlo commands --------------------------------------------------------
-# graybill_deal pulls in numpy (scipy.special too for gd mass), so only these import it.
+# graybill_deal pulls in numpy, so only these import it.
 
 def cmd_gd_risk(args) -> int:
     from .graybill_deal import GDParams, risk_c1

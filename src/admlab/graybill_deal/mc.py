@@ -10,8 +10,8 @@ and across thread counts.
 All estimators report an ``MCEstimate`` carrying the mean, the standard
 error, the sample count, and the seed that produced them.  The excess, mass
 and Blyth reports record their own checks in ``ok`` and never raise on a
-failed one.  Only the mass report loads scipy (the regularised incomplete
-gamma function), where it runs.
+failed one.  The mass report's incomplete gamma function is its own
+series (``_gamma_p``), so no report loads scipy.
 """
 
 from __future__ import annotations
@@ -331,6 +331,48 @@ def mass_constant(O: RectangleO, alpha: float) -> float:
             / (4.0 * math.gamma(alpha) ** 2))
 
 
+def _gamma_tail(alpha: float, x: float) -> float:
+    """R(x) = sum_{k>=1} (-x)^k / (k! (alpha + k)), for 0 <= x < 1.
+
+    The terms alternate in sign and fall in size, so the sum stops at the
+    first term below one ulp of it, after at most 16 terms on x < ln 2.
+    """
+    total, term, k = 0.0, 1.0, 0
+    while True:
+        k += 1
+        term *= -x / k
+        step = term / (alpha + k)
+        total += step
+        if abs(step) <= 2.0 ** -53 * abs(total):
+            return total
+
+
+def _gamma_p(alpha: float, x: float, lo: float = 0.0) -> float:
+    """P(alpha, x) - P(alpha, lo) for 0 <= lo <= x < 1: the regularised lower
+    incomplete gamma function P, or with ``lo`` the mass between lo and x.
+
+    By the series of A&S 6.5.29, P(alpha, x) = x^alpha (1 + alpha R(x)) /
+    Gamma(alpha + 1), with R from ``_gamma_tail``; on x < 1 the series alone
+    converges, so no continued fraction is needed.  The difference is taken
+    factor by factor: for small alpha both P values lie near 1, and
+    subtracting them would cost about eps / alpha of relative accuracy.
+    Where lo^alpha > x^alpha / 2, x^alpha - lo^alpha is taken as lo^alpha
+    expm1(alpha log(x / lo)).  P(alpha, 0) is 0.0, and a difference with
+    lo == x is exactly 0.0.
+    """
+    if x == lo:
+        return 0.0
+    px, plo = x ** alpha, lo ** alpha
+    if plo <= 0.5 * px:  # the subtraction loses no digits; lo == 0.0 lands here
+        rise = px - plo
+    else:
+        ratio = x / lo  # inf only for a subnormal lo, and then alpha < 1e-3
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(x) - math.log(lo)
+        rise = plo * math.expm1(alpha * log_ratio)
+    tails = px * _gamma_tail(alpha, x) - plo * _gamma_tail(alpha, lo)
+    return (rise + alpha * tails) / math.gamma(alpha + 1.0)
+
+
 def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
                      mc: Optional[MCConfig] = None) -> GDMassReport:
     """Lower bound C * beta^(2 alpha) for the prior mass of O, with the mass.
@@ -338,9 +380,10 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     Valid only when beta < ln(2) * inf(O); computes the actual mass, and
     ``ok`` says whether it clears the bound.  The two variances are independent
     inverse-gamma draws, so the mass is exact: a product of one-dimensional
-    differences Q(alpha, beta/b) - Q(alpha, beta/a) of the regularised upper
-    incomplete gamma Q.  An optional Monte Carlo mass from hierarchical
-    draws is attached when an MCConfig is given.
+    differences P(alpha, beta/a) - P(alpha, beta/b) of the regularised lower
+    incomplete gamma P.  The precondition puts every beta/a below ln 2 < 1,
+    the domain of ``_gamma_p``'s series.  An optional Monte Carlo mass from
+    hierarchical draws is attached when an MCConfig is given.
     """
     if prior.beta >= math.log(2.0) * O.inf_coordinate:
         raise ValueError("mass bound needs beta < ln(2) * inf(O)")
@@ -348,11 +391,9 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     constant = mass_constant(O, alpha)
     lower = constant * beta ** (2.0 * alpha)
 
-    from scipy import special
-
-    def side(a: float, b: float) -> float:  # P(a <= sigma^2 <= b); 0.0 when a == b
-        return float(special.gammaincc(alpha, beta / b) - special.gammaincc(alpha, beta / a))
-    quad_mass = side(O.a1, O.b1) * side(O.a2, O.b2)
+    # P(a <= sigma^2 <= b) on each axis; 0.0 when a == b
+    quad_mass = (_gamma_p(alpha, beta / O.a1, beta / O.b1)
+                 * _gamma_p(alpha, beta / O.a2, beta / O.b2))
 
     mc_mass = None
     if mc is not None:

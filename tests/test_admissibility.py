@@ -1030,6 +1030,8 @@ class TestReverificationUnderOptimize:
             "certificate t RuntimeError certificate failed independent re-verification",
             "certificate s level RuntimeError certificate failed independent "
             "re-verification",
+            "hull positive gap RuntimeError dominating mixture failed independent "
+            "re-verification",
             "certificate prior RuntimeError LP solution is not a valid prior: "
             "prior weight for t1 is negative: -1/2",
             "stein prior RuntimeError LP solution is not a valid prior: "
@@ -1086,6 +1088,7 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     # d0 is Bayes iff pi(t1) >= 10 pi(t2): the certificate is (10/11, 1/11)
     ten = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -10)))
     negated = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, -1), (-1, 0)))
+    uneven = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((2, 3), (2, 0)))
     # the dominance LP has slack columns past its n variables, the risk-equal LP none
     has_ub = lambda args: len(args[2]) > args[3]
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
@@ -1143,6 +1146,11 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("certificate s level",
          lambda res, a: moved(res, [4, 0, 1], 6, F(1, 6)),
          lambda: admissibility.positive_prior_certificate(ten, "d0")),
+        # on uneven, d1 = (3, 0) against d0 = (2, 2): the mixture d1 with its
+        # true total slack 1 claimed, although d1 is worse than d0 at t1
+        ("hull positive gap",
+         lambda res, a: moved(res, [0, 1], 1, F(1)) if has_ub(a) else res,
+         lambda: admissibility.dominated_in_hull(uneven, "d0")),
         # the remaining cases give x a negative weight, so x is no prior or
         # mixture at all: a fault of the LP (exit 3), not of the input (exit 2);
         # here pi = (-2 + 1, 4 + 1) / 2

@@ -221,7 +221,7 @@ class TestMassBound:
         # come from the incomplete gamma values and Gamma(alpha), so a change
         # to either function shows too
         rep = prior_mass_bound(RectangleO(1.0, 3.0, 0.5, 2.0), GDPriorParams(0.4, 0.3, 5))
-        assert rep.quad_mass.hex() == "0x1.d5a67dd002f27p-5"
+        assert rep.quad_mass.hex() == "0x1.d5a67dd002f0fp-5"
         assert rep.constant.hex() == "0x1.6699e3b4873eap-6"
 
     @pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-4])
@@ -251,6 +251,85 @@ class TestMassBound:
         blob = json.loads(json.dumps(rep.as_dict()))
         assert blob["lower_bound"] == rep.lower_bound
         assert blob["mc_mass"]["n_samples"] == 4096
+
+    @pytest.mark.parametrize("beta", [1e-20, 1e-80, 1e-300])
+    def test_mass_keeps_its_digits_as_beta_shrinks(self, beta):
+        # for x -> 0, P(alpha, x) -> x^alpha / Gamma(alpha + 1), so each side
+        # of the square is beta^alpha (1 - 2^-alpha) / Gamma(alpha + 1) to
+        # about beta relative; a difference of two Q values near 1 would lose
+        # it, and the report would read 0.0 below a positive bound
+        alpha = 0.25
+        rep = prior_mass_bound(SQUARE, GDPriorParams(alpha, beta, 5))
+        side = beta ** alpha * -math.expm1(-alpha * math.log(2.0)) / math.gamma(alpha + 1.0)
+        assert rep.quad_mass == pytest.approx(side * side, rel=1e-14)
+        assert rep.ok
+
+    def test_mass_matches_the_scipy_product(self):
+        # scipy's side is taken from whichever of its P and Q differences
+        # subtracts the smaller values: the other one loses up to 5e-14 here
+        from scipy import special
+
+        def side(alpha, hi, lo):
+            p_hi, q_lo = special.gammainc(alpha, hi), special.gammaincc(alpha, lo)
+            if p_hi <= q_lo:
+                return float(p_hi - special.gammainc(alpha, lo))
+            return float(q_lo - special.gammaincc(alpha, hi))
+        for rect in [SQUARE, RectangleO(1.0, 3.0, 0.5, 2.0), RectangleO(0.25, 0.5, 2.0, 6.0)]:
+            for alpha in (0.01, 0.25, 0.49):
+                for beta in (1e-4, 1e-2, 0.15):
+                    ref = (side(alpha, beta / rect.a1, beta / rect.b1)
+                           * side(alpha, beta / rect.a2, beta / rect.b2))
+                    rep = prior_mass_bound(rect, GDPriorParams(alpha, beta, 5))
+                    assert rep.quad_mass == pytest.approx(ref, rel=1e-14, abs=0.0), \
+                        (rect, alpha, beta)
+
+
+class TestGammaP:
+    ALPHAS = (1e-6, 0.01, 0.25, 0.49, 0.4999)
+    # log-spaced up to just below ln 2, the bound the mass report's
+    # precondition puts on every argument
+    XS = [float(x) for x in np.geomspace(1e-300, math.log(2.0) * (1 - 1e-12), 200)]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_scipy(self, alpha):
+        # scipy forms x^alpha as exp(alpha log x - x - lgamma(alpha)), and the
+        # roundings at the size of that exponent cost it up to about
+        # 1.5 |alpha log x| 2^-52 relative (7.7e-14 at x = 1e-300); the
+        # tolerance grants 2 |alpha log x| 2^-52 on top of 1e-14
+        from scipy import special
+        for x in self.XS:
+            ref = float(special.gammainc(alpha, x))
+            tol = 1e-14 + 2.0 ** -51 * abs(alpha * math.log(x))
+            assert mc._gamma_p(alpha, x) == pytest.approx(ref, rel=tol, abs=0.0), x
+
+    def test_half_is_the_error_function(self):
+        # P(1/2, x) = erf(sqrt(x)): an oracle exact to an ulp at every x,
+        # the tiny ones too
+        for x in self.XS:
+            ref = math.erf(math.sqrt(x))
+            assert mc._gamma_p(0.5, x) == pytest.approx(ref, rel=1e-15, abs=0.0), x
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_zero_ends(self, alpha):
+        # beta / b can underflow to 0.0, and a side with a == b is empty
+        assert mc._gamma_p(alpha, 0.0) == 0.0
+        for x in (1e-300, 0.3, 0.69):
+            assert mc._gamma_p(alpha, x, x) == 0.0
+
+    def test_difference_from_a_subnormal_lower_end(self):
+        # x / lo is inf here, which matters for alpha < 1e-3; the mass below
+        # lo is lo^alpha / Gamma(alpha + 1) to about lo relative, and the
+        # reference subtracts values up to 1, so it holds to an absolute 1e-15
+        for alpha in self.ALPHAS:
+            full, lo = mc._gamma_p(alpha, 0.6), 5e-324
+            below = lo ** alpha / math.gamma(alpha + 1.0)
+            assert mc._gamma_p(alpha, 0.6, lo) == pytest.approx(full - below, rel=0.0, abs=1e-15)
+
+    def test_a_side_whose_upper_end_underflows(self):
+        # beta / 1e10 is 0.0, so that side is P(alpha, beta) itself
+        alpha, beta = 0.25, 1e-320
+        rep = prior_mass_bound(RectangleO(1.0, 1e10, 1.0, 1e10), GDPriorParams(alpha, beta, 5))
+        assert rep.quad_mass == mc._gamma_p(alpha, beta) ** 2 > 0.0
 
 
 class TestBlythSequence:
