@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from admlab.decision import (
+    HYPER,
     DecisionProblem,
     Mixture,
     Prior,
@@ -39,6 +40,7 @@ from admlab.decision import (
     _mixture_gaps,
     _packed_gaps,
     _packed_risk,
+    _Report,
     _risk_span,
 )
 from admlab.game import _minimax_lp, _minimax_sides
@@ -96,7 +98,7 @@ def admissible_set(p: DecisionProblem) -> set:
 # -- dominance within the convex hull ----------------------------------------
 
 @dataclass(frozen=True)
-class HullDominanceReport:
+class HullDominanceReport(_Report):
     delta0: str
     dominated: bool
     mixture: Mixture | None          # an optimal dominating mixture if dominated
@@ -104,9 +106,6 @@ class HullDominanceReport:
     risk_equal: bool                 # a competitor mixture matches the risk vector exactly
     equal_mixture: Mixture | None
     iterations: int = field(metadata={"key": "lp_iterations"})
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def _hull_lp(p: DecisionProblem, j0: int):
@@ -211,7 +210,7 @@ def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
 # -- everywhere-positive Bayes certificates -----------------------------------
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Report):
     delta0: str
     prior: Prior
     min_weight: Fraction             # > 0
@@ -221,7 +220,7 @@ class Certificate:
 
     def verify(self, p: DecisionProblem) -> bool:
         """Recompute everything from scratch, bypassing the LP."""
-        if self.prior.kind == "HYPER":  # a certificate's prior is a real one
+        if self.prior.kind == HYPER:  # a certificate's prior is a real one
             return False
         weights = [self.prior.weight(t) for t in p.theta_labels]
         if sum(weights) != 1 or min(weights) != self.min_weight or self.min_weight <= 0:
@@ -229,21 +228,15 @@ class Certificate:
         slacks = _slacks(p, *_int_weights(weights), p.proc_index(self.delta0))
         return slacks == self.slacks and min(slacks.values()) >= 0
 
-    def as_dict(self):
-        return _fmt(self)
-
 
 @dataclass(frozen=True)
-class NoPositivePrior:
+class NoPositivePrior(_Report):
     delta0: str
     verdict: str = field(default="no_positive_prior", init=False)
     any_prior: bool                  # does any prior make delta0 Bayes at all?
     forced_zero: tuple               # thetas that no certifying prior can weight
     witness: Mixture | None          # a dominating mixture, when one exists
     iterations: int = field(metadata={"key": "lp_iterations"})
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def _bayes_rows(p: DecisionProblem, j0: int):
@@ -349,7 +342,7 @@ def _forced_zero(p: DecisionProblem, j0: int):
 # -- finite witness sets -------------------------------------------------------
 
 @dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(_Report):
     delta0: str
     thetas: tuple
     margin: Fraction | None          # None only when there are no competitors
@@ -357,18 +350,12 @@ class WitnessSet:
     validated: bool
     validation_value: Fraction | None
 
-    def as_dict(self):
-        return _fmt(self)
-
 
 @dataclass(frozen=True)
-class NoWitness:
+class NoWitness(_Report):
     delta0: str
     witness: None = field(default=None, init=False)
     reason: str                      # dominated in the hull, or risk-equal to a competitor mixture
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def witness_set(p: DecisionProblem, delta0) -> WitnessSet | NoWitness:
@@ -443,7 +430,7 @@ def witness_set(p: DecisionProblem, delta0) -> WitnessSet | NoWitness:
 # -- Stein's condition ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class SteinResult:
+class SteinResult(_Report):
     delta0: str
     theta0: str
     eps: Fraction
@@ -453,9 +440,6 @@ class SteinResult:
     excess: Fraction | None          # recomputed: max over vertices of Bayes-risk gap
     bound: Fraction | None           # eps * pi(theta0)
     iterations: int = field(metadata={"key": "lp_iterations"})
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
@@ -573,13 +557,10 @@ def _lc_excess(p: DecisionProblem, prior: Prior, delta0) -> LCNumber:
 
 
 @dataclass(frozen=True)
-class NsSteinReport:
+class NsSteinReport(_Report):
     ok: bool
     excess: LCNumber
     bound: LCNumber
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def ns_stein_check(p: DecisionProblem, delta0, prior: Prior, B, eps) -> NsSteinReport:
@@ -632,10 +613,11 @@ def ns_blyth_check(p: DecisionProblem, delta0, prior: Prior, rho, family) -> NsB
         else:
             ratio = rho.leading_coefficient() / mass.leading_coefficient()
             C = ratio.numerator // ratio.denominator + 1
-        if compare(rho, mass * C) <= 0:
-            constants[tuple(B)] = C
-        else:
-            mass_ok = False
+        # rho <= C * mass needs no check: mass > 0 has a positive leading
+        # coefficient, so C = 1 when rho's leading exponent is larger, or
+        # C > lc(rho) / lc(mass) when they tie, gives rho - C * mass a
+        # negative leading term
+        constants[tuple(B)] = C
 
     excess = _lc_excess(p, prior, delta0)
     # excess / rho has the sign of excess and the leading exponent

@@ -173,6 +173,13 @@ def _fmt(v):
     return v
 
 
+class _Report:
+    """A report whose payload is its fields, as ``_fmt`` encodes them."""
+
+    def as_dict(self):
+        return _fmt(self)
+
+
 @dataclass(frozen=True)
 class DecisionProblem:
     """A finite decision problem: parameter labels, procedure labels, exact risk matrix.

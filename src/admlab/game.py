@@ -24,10 +24,10 @@ from admlab.decision import (
     DecisionProblem,
     Mixture,
     Prior,
-    _fmt,
     _from_lp,
     _lc_gaps,
     _packed_gaps,
+    _Report,
     _risk_span,
     _weighted_rows,
 )
@@ -46,7 +46,7 @@ def shifted_risk(p: DecisionProblem, delta_base, pi_or_theta, delta_prime) -> Fr
 
 
 @dataclass(frozen=True)
-class GameValueReport:
+class GameValueReport(_Report):
     delta0: str
     theta0: str
     gamma: Fraction
@@ -57,9 +57,6 @@ class GameValueReport:
     optimal_mixture: Mixture
     payoff: tuple                    # rows by theta, columns by procedure
     iterations: int = field(metadata={"key": "lp_iterations"})
-
-    def as_dict(self):
-        return _fmt(self)
 
 
 def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0):

@@ -21,6 +21,8 @@ __all__ = [
     "approx_eq",
     "approx_leq",
     "compare",
+    "format_lc",
+    "parse_lc",
 ]
 
 

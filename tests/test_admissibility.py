@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from admlab import LCNumber, approx_leq
+from admlab import LCNumber, approx_leq, compare
 from admlab import admissibility as adm
 from admlab import decision, game, simplex
 from admlab.decision import (
@@ -895,7 +895,19 @@ def _blyth_inputs(draw):
     rest = {t: draw(st.integers(1, 3)) * LCNumber.eps(draw(st.integers(1, 4)))
             for t in p.theta_labels[1:]}
     prior = Prior({p.theta_labels[0]: ONE - sum(rest.values(), LCNumber.zero()), **rest})
-    return p, draw(st.sampled_from(p.proc_labels)), prior, draw(_lc_positive())
+    d = draw(st.sampled_from(p.proc_labels))
+    if draw(st.booleans()):
+        # plant a positive infinitesimal excess: d takes the first row's minimum,
+        # shared with a competitor that is nowhere worse after it and strictly
+        # better at theta k, so the excess is made of eps terms only
+        j0 = p.proc_index(d)
+        j1, k = (j0 + 1) % nd, draw(st.integers(1, nt - 1))
+        risk = [list(row) for row in p.risk]
+        risk[0][j0] = risk[0][j1] = min(risk[0])
+        for i in range(1, nt):
+            risk[i][j0] = max(risk[i][j0], risk[i][j1] + (F(1, 8) if i == k else 0))
+        p = DecisionProblem(p.theta_labels, p.proc_labels, risk)
+    return p, d, prior, draw(_lc_positive())
 
 
 @settings(max_examples=200, deadline=None)
@@ -911,6 +923,14 @@ def test_ns_blyth_ratio_ok_needs_no_division(case):
     excess = r.excess
     assert r.ratio_ok == (excess.sign() <= 0
                           or excess.leading_exponent() > rho.leading_exponent())
+    # (a) is read off leading exponents too; each chosen C meets its definition
+    def mass(B):
+        return sum((prior.weight(t) for t in B), LCNumber.zero())
+    for B, C in r.constants.items():
+        assert compare(rho, mass(B) * C) <= 0
+    assert r.mass_ok == all(not mass(B).is_zero()
+                            and mass(B).leading_exponent() <= rho.leading_exponent()
+                            for B in family)
     # a monomial c eps^k divides every excess exactly, so there ratio_ok
     # meets its definition, excess / rho <~ 0
     mono = LCNumber({rho.leading_exponent(): rho.leading_coefficient()})
