@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import traceback
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -66,14 +65,6 @@ def _diag(message: str) -> None:
 
 def _read_problem(path: str):
     return load_problem(Path(path).read_bytes())
-
-
-def _rational(text: str) -> Fraction:
-    """An exact rational flag value; a zero denominator is an input error too."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_prior_spec(spec: str) -> Prior:
@@ -199,7 +190,7 @@ def cmd_witness(args) -> int:
 
 def cmd_stein(args) -> int:
     p = _read_problem(args.problem)
-    res = stein_check(p, args.delta, args.theta, _rational(args.eps))
+    res = stein_check(p, args.delta, args.theta, args.eps)
     _emit(res.as_dict())
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
@@ -213,7 +204,7 @@ def cmd_ns(args) -> int:
             raise ValueError("--mode stein needs --eps")
         if len(family) != 1:
             raise ValueError("--mode stein takes exactly one family group")
-        rep = ns_stein_check(p, args.delta, prior, family[0], _rational(args.eps))
+        rep = ns_stein_check(p, args.delta, prior, family[0], args.eps)
     else:
         if args.rho is None:
             raise ValueError("--mode blyth needs --rho")
@@ -224,7 +215,7 @@ def cmd_ns(args) -> int:
 
 def cmd_game(args) -> int:
     p = _read_problem(args.problem)
-    rep = derived_game_value(p, args.delta, args.theta0, _rational(args.gamma))
+    rep = derived_game_value(p, args.delta, args.theta0, args.gamma)
     _emit(rep.as_dict())
     return EXIT_OK
 

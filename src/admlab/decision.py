@@ -23,7 +23,6 @@ __all__ = [
     "Prior",
     "ProblemFormatError",
     "bayes_risk",
-    "format_rational",
     "load_problem",
     "mixture_risk",
     "random_problem",
@@ -49,7 +48,7 @@ def _exact(v, where: str) -> Fraction:
         return _as_fraction(v)
     except TypeError:
         raise ProblemFormatError(f"{where}: expected a rational, got {type(v).__name__}") from None
-    except (ValueError, ZeroDivisionError) as ex:
+    except ValueError as ex:
         raise ProblemFormatError(f"{where}: cannot parse rational from {v!r}") from ex
 
 

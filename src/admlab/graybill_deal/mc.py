@@ -3,9 +3,9 @@
 Reproducibility scheme: work is cut into fixed-size shards of 2^16
 draws.  Shard k uses an independent counter-based generator keyed by
 (seed, k), shards may run on any number of threads, and the reduction
-walks shards in index order with compensated summation.  The estimate
-for a given (seed, n_samples) is therefore bit-identical across runs
-and across thread counts.
+walks shards in index order with exactly rounded summation
+(``math.fsum``).  The estimate for a given (seed, n_samples) is therefore
+bit-identical across runs and across thread counts.
 
 All estimators report an ``MCEstimate`` carrying the mean, the standard
 error, the sample count, and the seed that produced them.  The excess, mass
@@ -83,19 +83,6 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def _neumaier(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def _run_shards(cfg: MCConfig, shard_fn: Callable[[np.random.Generator, int], tuple]):
     """Run shard_fn over every shard and reduce componentwise in shard order."""
     sizes = _shard_sizes(cfg.n_samples)
@@ -106,7 +93,7 @@ def _run_shards(cfg: MCConfig, shard_fn: Callable[[np.random.Generator, int], tu
             results = list(pool.map(lambda job: shard_fn(*job), jobs))
     else:
         results = [shard_fn(rng, size) for rng, size in jobs]
-    return tuple(_neumaier(parts) for parts in zip(*results))
+    return tuple(map(math.fsum, zip(*results)))
 
 
 # -- frequentist risk ----------------------------------------------------------

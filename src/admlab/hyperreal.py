@@ -22,6 +22,7 @@ __all__ = [
     "approx_leq",
     "compare",
     "format_lc",
+    "format_rational",
     "parse_lc",
 ]
 
@@ -33,7 +34,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -253,48 +257,33 @@ def format_lc(x: LCNumber) -> str:
     return " ".join(parts)
 
 
+# One term: a sign (required after the first term), a coefficient and/or an
+# "ε" or "eps" with an optional "^k" after an optional "*".
 _TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+|\.\d*)?|\.\d+)?"
-    r"(?:\*?(?:ε|eps)(?:\^(?P<exp>-?\d+))?)?$"
+    r"\s*(?P<sign>[+-])?\s*"
+    r"(?P<coef>\d+(?:/\d+|\.\d*)?|\.\d+)?\s*"
+    r"(?:(?:\*\s*)?(?P<eps>ε|eps)(?:\^(?P<exp>-?\d+))?\s*)?"
 )
 
 
 def parse_lc(text: str) -> LCNumber:
     """Parse the textual rendering produced by :func:`format_lc`.
 
-    Accepts "eps" as an ASCII alias for "ε" and a unicode minus sign.
-    Raises ValueError for a zero denominator.
+    Accepts "eps" as an ASCII alias for "ε", a unicode minus sign, and
+    whitespace around signs and between a coefficient and "ε".  Whitespace
+    inside a number or inside "ε^k", any other malformed literal and a zero
+    denominator raise ValueError.
     """
-    s = text.replace("−", "-").replace(" ", "")
-    if not s:
-        raise ValueError("empty Levi-Civita literal")
-    # split into signed chunks
-    chunks: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    first = True
-    for ch in s:
-        if ch in "+-" and buf and buf[-1] != "^":
-            chunks.append((sign, "".join(buf)))
-            sign, buf = (1 if ch == "+" else -1), []
-        elif ch in "+-" and not buf and first:
-            sign = 1 if ch == "+" else -1
-        else:
-            buf.append(ch)
-        first = False
-    if not buf:
-        raise ValueError(f"dangling sign in Levi-Civita literal {text!r}")
-    chunks.append((sign, "".join(buf)))
-
+    s = text.replace("−", "-")
     terms: dict[int, Fraction] = {}
-    for sgn, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coef") is None and "ε" not in chunk and "eps" not in chunk):
-            raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        try:
-            coef = Fraction(m.group("coef") or 1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in term {chunk!r} of {text!r}") from None
-        has_eps = "ε" in chunk or "eps" in chunk
-        exp = int(m.group("exp")) if m.group("exp") else (1 if has_eps else 0)
-        terms[exp] = terms.get(exp, Fraction(0)) + sgn * coef
-    return LCNumber(terms)
+    pos = 0
+    while True:
+        m = _TERM_RE.match(s, pos)
+        if not (m["coef"] or m["eps"]) or (pos and not m["sign"]):
+            raise ValueError(f"cannot parse {s[pos:]!r} in Levi-Civita literal {text!r}")
+        exp = int(m["exp"] or 1) if m["eps"] else 0
+        coef = _as_fraction(m["coef"] or "1")
+        terms[exp] = terms.get(exp, Fraction(0)) + (-coef if m["sign"] == "-" else coef)
+        pos = m.end()
+        if pos == len(s):
+            return LCNumber(terms)

@@ -1084,6 +1084,13 @@ class TestReverificationUnderOptimize:
             "re-verification",
             "game mixture side, negative risks RuntimeError mixture-side game optimum failed "
             "independent re-verification",
+            "hull LP infeasible RuntimeError dominance LP unexpectedly infeasible",
+            "stein LP infeasible RuntimeError stein LP unexpectedly infeasible",
+            "witness LP infeasible RuntimeError witness restriction LP unexpectedly infeasible",
+            "game LP infeasible RuntimeError mixture-side game LP unexpectedly infeasible",
+            "forced-zero LP unbounded RuntimeError forced-zero LP unexpectedly unbounded",
+            "stein objective RuntimeError stein LP objective differs from its prior's "
+            "weight at theta0",
         ]
 
 
@@ -1113,6 +1120,7 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     has_ub = lambda args: len(args[2]) > args[3]
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
+    infeasible = simplex.LPResult("infeasible", None, None, None, 0)
 
     def witnessed(q):
         w = admissibility.witness_set(q, "d0")
@@ -1252,6 +1260,28 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
         ("game mixture side, negative risks",
          lambda res, a: moved(res, [0, 2, 1], 2, F(1, 2)),
          lambda: game.derived_game_value(negated, "d0", "t1", F(1, 2))),
+        # each LP below is feasible and bounded by construction, so any
+        # status but optimal is a fault of the kernel
+        ("hull LP infeasible",
+         lambda res, a: infeasible,
+         lambda: admissibility.dominated_in_hull(p, "d0")),
+        ("stein LP infeasible",
+         lambda res, a: infeasible,
+         lambda: admissibility.stein_check(p, "d0", "t1", F(1, 100))),
+        ("witness LP infeasible",
+         lambda res, a: infeasible,
+         lambda: admissibility.witness_set(p, "d0")),
+        ("game LP infeasible",
+         lambda res, a: infeasible,
+         lambda: game.derived_game_value(p, "d0", "t1", F(1, 2))),
+        ("forced-zero LP unbounded",
+         lambda res, a: simplex.LPResult("unbounded", None, None, None, res.iterations),
+         lambda: admissibility.positive_prior_certificate(tied, "d0")),
+        # at eps = 1 the Stein optimum is the Dirac prior at t1, of weight 1
+        # there; the same point with the optimum claimed as 2
+        ("stein objective",
+         lambda res, a: dataclasses.replace(res, objective=res.objective + 1),
+         lambda: admissibility.stein_check(p, "d0", "t1", F(1))),
     ]
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:

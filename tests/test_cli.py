@@ -293,6 +293,20 @@ class TestNs:
         assert code == 1 and err == ""
         assert payload == {"ok": False, "excess": "3/8ε^20", "bound": "1/100ε^20"}
 
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "blyth", "--prior", "t1:4/13, t2:5/13, t3:4/13", "--rho", "1 0",
+         "--family", "t1; t2; t3"),
+        ("--mode", "stein", "--prior", "t2:1/1 0, t3:9/10", "--eps", "1/100",
+         "--family", "t2, t3"),
+    ], ids=["rho", "prior"])
+    def test_a_space_inside_a_number_is_an_input_error(self, capsys, tmp_path, argv):
+        # with the space dropped, rho would read 10 and pi(t2) 1/10: both pass
+        path = tmp_path / "demo.json"
+        path.write_bytes(save_problem(random_problem(3, 4, 7)))
+        code, out, err = run(capsys, "ns", str(path), "--delta", "d1", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse '0' in Levi-Civita literal")
+
 
 class TestGame:
     def test_value_is_determined(self, capsys, two_point):

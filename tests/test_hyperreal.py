@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lc_axioms
-from admlab import LCNumber, approx_eq, approx_leq, compare, parse_lc
+from admlab import LCNumber, approx_eq, approx_leq, compare, format_lc, parse_lc
+from admlab.hyperreal import _as_fraction
 from lc_axioms import axiom_sweep, random_lc
 
 EPS = LCNumber.eps()
@@ -111,6 +113,12 @@ class TestPredicates:
         assert not approx_leq(ONE / EPS, ONE)
 
 
+def lc_strategy():
+    exps = st.integers(min_value=-2, max_value=2)
+    coefs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    return st.dictionaries(exps, coefs, max_size=4).map(LCNumber)
+
+
 class TestText:
     @pytest.mark.parametrize("text", [
         "0",
@@ -142,7 +150,11 @@ class TestText:
         assert str(LCNumber({2: Fraction(3, 4)})) == "3/4ε^2"
         assert str(-EPS) == "-ε"
 
-    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x"])
+    # whitespace may stand around signs and before "ε", never inside a
+    # number or inside "eps" or "ε^k"
+    @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x",
+                                     "1 2", "1/1 0", "0. 5", "e p s", "ε^1 6",
+                                     "2 + ε ^2"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_lc(bad)
@@ -153,11 +165,21 @@ class TestText:
         with pytest.raises(ValueError, match="zero denominator"):
             parse_lc(bad)
 
+    def test_a_zero_denominator_is_a_value_error_everywhere(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            _as_fraction("1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            LCNumber({1: "1/0"})
 
-def lc_strategy():
-    exps = st.integers(min_value=-2, max_value=2)
-    coefs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-    return st.dictionaries(exps, coefs, max_size=4).map(LCNumber)
+    @settings(max_examples=200, deadline=None)
+    @given(lc_strategy(), st.data())
+    def test_spaces_around_signs_and_before_eps_parse_back(self, x, data):
+        def pad():
+            return data.draw(st.sampled_from(["", " ", "  "]))
+
+        text = re.sub(r"(?<!\^)[+-]|(?<=\d)(?=ε)", lambda m: pad() + m[0] + pad(),
+                      format_lc(x))
+        assert parse_lc(pad() + text + pad()) == x
 
 
 class TestFieldProperties:

@@ -28,4 +28,5 @@ def test_star_import_of_hyperreal_binds_its_formatters():
     ns = {}
     exec("from admlab.hyperreal import *", ns)
     assert ns["format_lc"] is hyperreal.format_lc
+    assert ns["format_rational"] is hyperreal.format_rational
     assert ns["parse_lc"] is hyperreal.parse_lc
