@@ -41,7 +41,6 @@ from admlab.decision import (
     _packed_gaps,
     _packed_risk,
     _Report,
-    _risk_span,
 )
 from admlab.game import _minimax_lp, _minimax_sides
 from admlab.hyperreal import LCNumber, _as_fraction, compare
@@ -79,13 +78,8 @@ def _slacks(p: DecisionProblem, w, q: int, j0: int) -> dict:
 def dominates(p: DecisionProblem, delta1, delta0) -> bool:
     """True iff delta1's risk is <= everywhere and < somewhere."""
     j1, j0 = p.proc_index(delta1), p.proc_index(delta0)
-    strict = False
-    for row in p.risk:
-        if row[j1] > row[j0]:
-            return False
-        if row[j1] < row[j0]:
-            strict = True
-    return strict
+    return (all(row[j1] <= row[j0] for row in p.irisk)
+            and any(row[j1] < row[j0] for row in p.irisk))
 
 
 def admissible_set(p: DecisionProblem) -> set:
@@ -119,7 +113,7 @@ def _hull_lp(p: DecisionProblem, j0: int):
     the largest and least risk.
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
-    hi, lo, sums = _risk_span(p)
+    hi, lo, sums = p._span
     T = max(hi - lo, den).bit_length()
     W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + nt + 2, T, W)
@@ -172,7 +166,7 @@ def _risk_equal_lp(p: DecisionProblem, j0: int):
     the mass row is 0 == den: infeasible in 0 pivots.
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
-    hi, lo, _ = _risk_span(p)
+    hi, lo, _ = p._span
     T = max(hi - lo, den).bit_length() + (nt + 1).bit_length()
     W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + 1, T, W)
@@ -301,7 +295,7 @@ def _certificate_lp(p: DecisionProblem, j0: int):
     objective).  No field exceeds max(nt * (hi - lo), den * nt).
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
-    hi, lo, sums = _risk_span(p)
+    hi, lo, sums = p._span
     T = max(nt * (hi - lo), den * nt).bit_length()
     W, cols, _ = _packed_risk(p, T)
     tab = _Tableau(nt + nd + 1, T, W)
@@ -466,7 +460,7 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     # of a competitor's row exceeds q * (hi - lo) + den * a, nor of the mass row den * q
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     a, q = eps.numerator, eps.denominator
-    hi, lo, _ = _risk_span(p)
+    hi, lo, _ = p._span
     T = max(q * (hi - lo) + den * a, den * q).bit_length()
     W, cols, _ = _packed_risk(p, T)
     tab = _Tableau(nt + nd + 1, T, W)
@@ -528,24 +522,16 @@ def _validate_family(p: DecisionProblem, family):
 
 def determining_family_check(p: DecisionProblem, family) -> DeterminingFamilyReport:
     """Does every somewhere-improvement show up as a uniform strict gap on some member?"""
-    sets = _validate_family(p, family)
+    members = [[p.irisk[p.theta_index(t)] for t in B] for B in _validate_family(p, family)]
     pairs, failures = [], []
-    for d0 in p.proc_labels:
-        j0 = p.proc_index(d0)
-        for d1 in p.proc_labels:
-            if d1 == d0:
+    for j0, d0 in enumerate(p.proc_labels):
+        for j1, d1 in enumerate(p.proc_labels):
+            if j1 == j0 or not any(row[j1] < row[j0] for row in p.irisk):
                 continue
-            j1 = p.proc_index(d1)
-            if not any(row[j1] < row[j0] for row in p.risk):
-                continue
-            best_gap, best_k = None, None
-            for k, B in enumerate(sets):
-                gap = min(p.risk[p.theta_index(t)][j0] - p.risk[p.theta_index(t)][j1]
-                          for t in B)
-                if best_gap is None or gap > best_gap:
-                    best_gap, best_k = gap, k
-            if best_gap is not None and best_gap > 0:
-                pairs.append((d0, d1, best_gap, best_k))
+            gaps = [min(row[j0] - row[j1] for row in rows) for rows in members]
+            best = max(gaps, default=0)  # its first member is the reported one
+            if best > 0:
+                pairs.append((d0, d1, Fraction(best, p.den), gaps.index(best)))
             else:
                 failures.append((d0, d1))
     return DeterminingFamilyReport(not failures, tuple(pairs), tuple(failures))

@@ -184,10 +184,12 @@ class DecisionProblem:
     """A finite decision problem: parameter labels, procedure labels, exact risk matrix.
 
     Derived at construction: ``den``, the least common denominator of the risks,
-    and ``irisk``, the int matrix with ``risk[i][j] == irisk[i][j] / den``.
-    ``_packed`` keeps what the LP builders derive from ``irisk`` on first
-    use: its span (``_risk_span``) and its packed columns and rows, per field
-    width (``_packed_risk``).
+    ``irisk``, the int matrix with ``risk[i][j] == irisk[i][j] / den`` that every
+    checker reads, and ``_span``, the LP builders' (hi, lo, sums): irisk's
+    largest and least entry and its column sums.  ``_packed`` keeps irisk's
+    packed columns and rows per field width, built on first use
+    (``_packed_risk``).  ``risk`` itself backs ``risk_at``, ``mixture_risk``,
+    ``bayes_risk`` and ``save_problem`` alone.
     """
 
     theta_labels: tuple
@@ -197,6 +199,7 @@ class DecisionProblem:
     priors: dict = field(default_factory=dict, compare=False)
     den: int = field(init=False, repr=False, compare=False)
     irisk: tuple = field(init=False, repr=False, compare=False)
+    _span: tuple = field(init=False, repr=False, compare=False)
     _packed: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -224,8 +227,10 @@ class DecisionProblem:
         object.__setattr__(self, "risk", tuple(matrix))
         den = lcm(*(v.denominator for row in matrix for v in row))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "irisk", tuple(
-            tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix))
+        irisk = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in matrix)
+        object.__setattr__(self, "irisk", irisk)
+        object.__setattr__(self, "_span", (max(map(max, irisk)), min(map(min, irisk)),
+                                           tuple(map(sum, zip(*irisk)))))
         object.__setattr__(self, "_packed", {})
 
     def theta_index(self, label) -> int:
@@ -272,17 +277,6 @@ def bayes_risk(p: DecisionProblem, prior: Prior, delta):
 
 # -- integer passes over irisk -----------------------------------------------
 
-def _risk_span(p: DecisionProblem):
-    """(hi, lo, sums): the largest and the least entry of irisk and its column
-    sums, computed on the first call and kept in ``p._packed``."""
-    span = p._packed.get("span")
-    if span is None:
-        irisk = p.irisk
-        span = p._packed["span"] = (max(map(max, irisk)), min(map(min, irisk)),
-                                     [sum(c) for c in zip(*irisk)])
-    return span
-
-
 def _packed_risk(p: DecisionProblem, T: int):
     """(W, cols, rows): irisk packed at a field width W for entries below 2**T.
 
@@ -296,7 +290,7 @@ def _packed_risk(p: DecisionProblem, T: int):
     rows scale by eps's or gamma's parts, may need a wider one.  Both vectors are
     built together on the first call for a width and kept in ``p._packed``.
     """
-    hi, lo, _ = _risk_span(p)
+    hi, lo, _ = p._span
     Tp = max(hi - lo, p.den).bit_length() + (len(p.theta_labels) + 1).bit_length()
     W = _width(max(T, Tp))
     memo = p._packed.get(W)
@@ -376,12 +370,12 @@ def _unique_keys(pairs):
 
 
 def _parse_prior_weight(s, where: str):
-    if isinstance(s, str) and ("ε" in s or "eps" in s):
-        try:
-            return parse_lc(s)
-        except ValueError as ex:
-            raise ProblemFormatError(f"{where}: {ex}") from ex
-    return _exact(s, where)
+    if not isinstance(s, str):
+        return _exact(s, where)
+    try:
+        return parse_lc(s)
+    except ValueError as ex:
+        raise ProblemFormatError(f"{where}: {ex}") from ex
 
 
 def load_problem(data) -> DecisionProblem:

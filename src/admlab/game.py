@@ -28,7 +28,6 @@ from admlab.decision import (
     _lc_gaps,
     _packed_gaps,
     _Report,
-    _risk_span,
     _weighted_rows,
 )
 from admlab.hyperreal import _as_fraction
@@ -78,7 +77,7 @@ def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0
     never enters.  No field exceeds max((a + q) * (hi - lo), scale).
     """
     nd, m, scale = len(p.proc_labels), len(thetas), p.den * (q or a)
-    hi, lo, _ = _risk_span(p)
+    hi, lo, _ = p._span
     T = max((a + q) * (hi - lo), scale).bit_length()
     W, G = _packed_gaps(p, j0, T)
     tab = _Tableau(nd + m + 3, T, W)

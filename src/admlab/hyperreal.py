@@ -28,12 +28,15 @@ __all__ = [
 
 
 def _as_fraction(x) -> Fraction:
-    """Coerce an exact rational (or its decimal/fraction string) to Fraction."""
+    """Coerce an exact rational to Fraction, or a string that is one signed
+    coefficient of the literal grammar (``_RATIONAL_RE``)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_RE.fullmatch(x):
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -63,10 +66,11 @@ class LCNumber:
     def __init__(self, terms=None):
         clean: dict[int, Fraction] = {}
         for exp, coef in (terms or {}).items():
+            if type(exp) is not int:
+                raise TypeError(f"exponent must be an int, got {type(exp).__name__} {exp!r}")
             coef = _as_fraction(coef)
-            if coef == 0:
-                continue
-            clean[int(exp)] = coef
+            if coef:
+                clean[exp] = coef
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -257,12 +261,17 @@ def format_lc(x: LCNumber) -> str:
     return " ".join(parts)
 
 
-# One term: a sign (required after the first term), a coefficient and/or an
-# "ε" or "eps" with an optional "^k" after an optional "*".
+# The literal grammar.  A coefficient is "3", "3/4", "0.75", "3." or ".75" in
+# ASCII digits: no "_", no exponent.  A rational string is one coefficient,
+# its sign and whitespace around it allowed.  A term is a sign (required after
+# the first term), a coefficient and/or an "ε" or "eps" with an optional "^k"
+# after an optional "*".
+_COEF = r"(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+_RATIONAL_RE = re.compile(rf"\s*[+-]?{_COEF}\s*")
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
-    r"(?P<coef>\d+(?:/\d+|\.\d*)?|\.\d+)?\s*"
-    r"(?:(?:\*\s*)?(?P<eps>ε|eps)(?:\^(?P<exp>-?\d+))?\s*)?"
+    rf"(?P<coef>{_COEF})?\s*"
+    r"(?:(?:\*\s*)?(?P<eps>ε|eps)(?:\^(?P<exp>-?[0-9]+))?\s*)?"
 )
 
 

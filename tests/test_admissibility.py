@@ -781,6 +781,60 @@ class TestDeterminingFamily:
         assert pair[:3] == ("d0", "d1", F(1))  # best gap is at the singleton {t1}
 
 
+def _reference_dominates(p, j1, j0):
+    """dominates over the Fraction risks p.risk."""
+    pairs = [(row[j1], row[j0]) for row in p.risk]
+    return all(a <= b for a, b in pairs) and any(a < b for a, b in pairs)
+
+
+def _reference_family_check(p, family):
+    """(ok, pairs, failures) of determining_family_check over p.risk: per
+    improving pair, the first member with the largest least gap."""
+    pairs, failures = [], []
+    for j0, d0 in enumerate(p.proc_labels):
+        for j1, d1 in enumerate(p.proc_labels):
+            if j1 == j0 or not any(row[j1] < row[j0] for row in p.risk):
+                continue
+            gaps = [min(p.risk[p.theta_index(t)][j0] - p.risk[p.theta_index(t)][j1]
+                        for t in B) for B in family]
+            if gaps and max(gaps) > 0:
+                pairs.append((d0, d1, max(gaps), gaps.index(max(gaps))))
+            else:
+                failures.append((d0, d1))
+    return not failures, tuple(pairs), tuple(failures)
+
+
+_mixed_risks = st.integers(1, 5).flatmap(lambda nt: st.integers(1, 5).flatmap(
+    lambda nd: st.lists(st.lists(st.fractions(-2, 2, max_denominator=12),
+                                 min_size=nd, max_size=nd), min_size=nt, max_size=nt)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mixed_risks,
+                 st.builds(lambda nt, nd, seed, grid: random_problem(nt, nd, seed, grid).risk,
+                           st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6),
+                           st.sampled_from((1, 2, 8, 97)))),
+       st.data())
+def test_int_checkers_match_the_fraction_reference(risk, data):
+    # dominates, the pure admissible set and the family check read irisk;
+    # their verdicts and gaps are those of the Fraction risks
+    p = DecisionProblem(tuple(f"t{i}" for i in range(len(risk))),
+                        tuple(f"d{j}" for j in range(len(risk[0]))), risk,
+                        allow_mixtures=False)
+    family = data.draw(st.lists(st.lists(st.sampled_from(p.theta_labels), min_size=1,
+                                         unique=True), max_size=4))
+    r = adm.determining_family_check(p, family)
+    assert (r.ok, r.pairs, r.failures) == _reference_family_check(p, family)
+    assert all(type(gap) is F for _, _, gap, _ in r.pairs)
+    n = len(p.proc_labels)
+    for j1, d1 in enumerate(p.proc_labels):
+        for j0, d0 in enumerate(p.proc_labels):
+            assert adm.dominates(p, d1, d0) == _reference_dominates(p, j1, j0)
+    assert adm.admissible_set(p) == {d0 for j0, d0 in enumerate(p.proc_labels)
+                                     if not any(_reference_dominates(p, j1, j0)
+                                                for j1 in range(n) if j1 != j0)}
+
+
 class TestNsStein:
     def test_balanced_improvement_has_zero_excess(self):
         p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -1)))
@@ -1033,65 +1087,91 @@ class TestReverificationUnderOptimize:
                              capture_output=True, text=True, timeout=60,
                              env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines() == [
-            "optimize 1",
-            "stein_check RuntimeError stein prior failed independent re-verification",
-            "dominating mixture RuntimeError dominating mixture failed independent "
-            "re-verification",
-            "hull improvement RuntimeError dominating mixture failed independent "
-            "re-verification",
-            "risk-equal mixture RuntimeError risk-equal mixture failed independent "
-            "re-verification",
-            "game mixture side RuntimeError mixture-side game optimum failed independent "
-            "re-verification",
-            "game prior side RuntimeError prior-side game optimum failed independent "
-            "re-verification",
-            "forced-zero pi RuntimeError forced-zero LP failed independent re-verification",
-            "certificate t RuntimeError certificate failed independent re-verification",
-            "certificate s level RuntimeError certificate failed independent "
-            "re-verification",
-            "hull positive gap RuntimeError dominating mixture failed independent "
-            "re-verification",
-            "certificate prior RuntimeError LP solution is not a valid prior: "
-            "prior weight for t1 is negative: -1/2",
-            "stein prior RuntimeError LP solution is not a valid prior: "
-            "prior weight for t1 is negative: -1",
-            "stein prior short of 1 RuntimeError LP solution is not a valid prior: "
-            "prior weights must sum to exactly 1, got 1/2",
-            "hull mixture RuntimeError LP solution is not a valid mixture: "
-            "mixture weights must sum to exactly 1",
-            "hull mixture past 1 RuntimeError LP solution is not a valid mixture: "
-            "mixture weights must sum to exactly 1",
-            "game mixture RuntimeError LP solution is not a valid mixture: "
-            "mixture weights must sum to exactly 1",
-            "game prior RuntimeError LP solution is not a valid prior: "
-            "prior weight for t1 is negative: -1",
-            "witness margin RuntimeError witness margin failed independent re-verification",
-            "witness refusal RuntimeError witness restriction mixture failed independent "
-            "re-verification",
-            "witness dual prior returned False None",
-            "witness suboptimal dual prior returned False 1",
-            "witness negative dual prior returned False None",
-            "hull weight on delta0 RuntimeError dominating mixture failed independent "
-            "re-verification",
-            "risk-equal weight on delta0 RuntimeError LP solution is not a valid mixture: "
-            "mixture weights must sum to exactly 1",
-            "witness weight on delta0 RuntimeError LP solution is not a valid mixture: "
-            "mixture weights must sum to exactly 1",
-            "certificate objective RuntimeError certificate failed independent "
-            "re-verification",
-            "certificate least weight RuntimeError certificate failed independent "
-            "re-verification",
-            "game mixture side, negative risks RuntimeError mixture-side game optimum failed "
-            "independent re-verification",
-            "hull LP infeasible RuntimeError dominance LP unexpectedly infeasible",
-            "stein LP infeasible RuntimeError stein LP unexpectedly infeasible",
-            "witness LP infeasible RuntimeError witness restriction LP unexpectedly infeasible",
-            "game LP infeasible RuntimeError mixture-side game LP unexpectedly infeasible",
-            "forced-zero LP unbounded RuntimeError forced-zero LP unexpectedly unbounded",
-            "stein objective RuntimeError stein LP objective differs from its prior's "
-            "weight at theta0",
-        ]
+        assert res.stdout.splitlines() == _MOVED_SOLUTION_LINES
+
+    def test_every_runtime_guard_has_a_moved_solution_case(self):
+        # each RuntimeError's message, up to its first formatted value, must
+        # be one that a _MOVED_SOLUTION_PROBE case provokes: a new guard with
+        # no case fails here, and its re-check would otherwise go untested
+        root = Path(adm.__file__).resolve().parent
+        missing, guards = [], 0
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "RuntimeError"):
+                    continue
+                guards += 1
+                msg = node.args[0] if node.args else None
+                if isinstance(msg, ast.JoinedStr):
+                    msg = msg.values[0]
+                text = msg.value if isinstance(msg, ast.Constant) else None
+                if not (isinstance(text, str) and text.strip()
+                        and any(f"RuntimeError {text}" in line
+                                for line in _MOVED_SOLUTION_LINES)):
+                    missing.append(f"{path.relative_to(root)}:{node.lineno} {text!r}")
+        assert guards and missing == []
+
+
+# What each _MOVED_SOLUTION_PROBE case prints under python -O, in case order.
+_MOVED_SOLUTION_LINES = [
+    "optimize 1",
+    "stein_check RuntimeError stein prior failed independent re-verification",
+    "dominating mixture RuntimeError dominating mixture failed independent "
+    "re-verification",
+    "hull improvement RuntimeError dominating mixture failed independent "
+    "re-verification",
+    "risk-equal mixture RuntimeError risk-equal mixture failed independent "
+    "re-verification",
+    "game mixture side RuntimeError mixture-side game optimum failed independent "
+    "re-verification",
+    "game prior side RuntimeError prior-side game optimum failed independent "
+    "re-verification",
+    "forced-zero pi RuntimeError forced-zero LP failed independent re-verification",
+    "certificate t RuntimeError certificate failed independent re-verification",
+    "certificate s level RuntimeError certificate failed independent "
+    "re-verification",
+    "hull positive gap RuntimeError dominating mixture failed independent "
+    "re-verification",
+    "certificate prior RuntimeError LP solution is not a valid prior: "
+    "prior weight for t1 is negative: -1/2",
+    "stein prior RuntimeError LP solution is not a valid prior: "
+    "prior weight for t1 is negative: -1",
+    "stein prior short of 1 RuntimeError LP solution is not a valid prior: "
+    "prior weights must sum to exactly 1, got 1/2",
+    "hull mixture RuntimeError LP solution is not a valid mixture: "
+    "mixture weights must sum to exactly 1",
+    "hull mixture past 1 RuntimeError LP solution is not a valid mixture: "
+    "mixture weights must sum to exactly 1",
+    "game mixture RuntimeError LP solution is not a valid mixture: "
+    "mixture weights must sum to exactly 1",
+    "game prior RuntimeError LP solution is not a valid prior: "
+    "prior weight for t1 is negative: -1",
+    "witness margin RuntimeError witness margin failed independent re-verification",
+    "witness refusal RuntimeError witness restriction mixture failed independent "
+    "re-verification",
+    "witness dual prior returned False None",
+    "witness suboptimal dual prior returned False 1",
+    "witness negative dual prior returned False None",
+    "hull weight on delta0 RuntimeError dominating mixture failed independent "
+    "re-verification",
+    "risk-equal weight on delta0 RuntimeError LP solution is not a valid mixture: "
+    "mixture weights must sum to exactly 1",
+    "witness weight on delta0 RuntimeError LP solution is not a valid mixture: "
+    "mixture weights must sum to exactly 1",
+    "certificate objective RuntimeError certificate failed independent "
+    "re-verification",
+    "certificate least weight RuntimeError certificate failed independent "
+    "re-verification",
+    "game mixture side, negative risks RuntimeError mixture-side game optimum failed "
+    "independent re-verification",
+    "hull LP infeasible RuntimeError dominance LP unexpectedly infeasible",
+    "stein LP infeasible RuntimeError stein LP unexpectedly infeasible",
+    "witness LP infeasible RuntimeError witness restriction LP unexpectedly infeasible",
+    "game LP infeasible RuntimeError mixture-side game LP unexpectedly infeasible",
+    "forced-zero LP unbounded RuntimeError forced-zero LP unexpectedly unbounded",
+    "stein objective RuntimeError stein LP objective differs from its prior's "
+    "weight at theta0",
+]
 
 
 # Each case moves the LP's solution num / D, or its duals ynum, off the

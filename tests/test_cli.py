@@ -573,9 +573,19 @@ class TestExitCodes:
         ({"priors": {"pi": {"t9": "1"}}}, "prior 'pi' references unknown labels"),
         ({"priors": {"pi": {"t1": True}}},
          "prior 'pi', weight 't1': expected a rational, got a boolean"),
+        # Python's numeric-literal extras: Fraction(str) alone reads these as 10,
+        # 1/100, 1, 3 and (a prior summing to 1) 1/2
+        ({"risk": [["1_0", "1"], ["1", "0"]]}, "risk[0][0]: cannot parse rational from '1_0'"),
+        ({"risk": [["1e-2", "1"], ["1", "0"]]}, "risk[0][0]: cannot parse rational from '1e-2'"),
+        ({"risk": [["1E0", "1"], ["1", "0"]]}, "risk[0][0]: cannot parse rational from '1E0'"),
+        ({"risk": [["٣", "1"], ["1", "0"]]}, "risk[0][0]: cannot parse rational from '٣'"),
+        ({"priors": {"pi": {"t1": "0.5_0", "t2": "1/2"}}},
+         "prior 'pi', weight 't1': cannot parse '_0' in Levi-Civita literal '0.5_0'"),
     ], ids=["top-level", "no-labels", "theta-label", "procedure-label", "repeated-procedure",
             "risk-not-list", "risk-rows", "risk-entry", "risk-bool", "allow-mixtures",
-            "prior-not-object", "empty-prior", "prior-labels", "prior-bool"])
+            "prior-not-object", "empty-prior", "prior-labels", "prior-bool",
+            "risk-underscore", "risk-exponent", "risk-upper-exponent", "risk-digit",
+            "prior-underscore"])
     def test_a_rejected_problem_file_is_an_input_error(self, capsys, tmp_path, change, message):
         doc = {"theta": ["t1", "t2"], "procedures": ["d0", "d1"],
                "risk": [["0", "1"], ["1", "0"]]}
@@ -595,7 +605,20 @@ class TestExitCodes:
           "--alpha", "0.25"), "--phi bayes needs --alpha and --beta"),
         (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "gdx"),
          "unknown phi spec 'gdx'"),
-    ], ids=["empty-prior", "empty-family", "empty-betas", "bayes-phi", "unknown-phi"])
+        # Python's numeric-literal extras: Fraction(str) alone reads 1/100, 3, 10 and 100
+        (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "1e-2"),
+         "Invalid literal for Fraction: '1e-2'"),
+        (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "٣"),
+         "Invalid literal for Fraction: '٣'"),
+        (("game", "{}", "--delta", "d0", "--theta0", "t1", "--gamma", "1_0"),
+         "Invalid literal for Fraction: '1_0'"),
+        (("game", "{}", "--delta", "d0", "--theta0", "t1", "--gamma", "1E2"),
+         "Invalid literal for Fraction: '1E2'"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", "t1,t2",
+          "--mode", "stein", "--eps", "1e-2"), "Invalid literal for Fraction: '1e-2'"),
+    ], ids=["empty-prior", "empty-family", "empty-betas", "bayes-phi", "unknown-phi",
+            "stein-eps-exponent", "stein-eps-digit", "game-gamma-underscore",
+            "game-gamma-exponent", "ns-eps-exponent"])
     def test_a_rejected_option_is_an_input_error(self, capsys, two_point, argv, message):
         code, out, err = run(capsys, *(a.format(two_point) for a in argv))
         assert code == 2 and out == ""

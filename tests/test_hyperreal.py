@@ -43,6 +43,15 @@ class TestArithmetic:
         assert 1 - EPS == ONE - EPS
         assert Fraction(1, 2) * EPS == EPS / 2
 
+    # int(exp) would truncate 2.5 to 2 and read True as 1: rejected instead
+    @pytest.mark.parametrize("exp", [2.5, 1.7, True, Fraction(1), "1"])
+    def test_an_exponent_that_is_no_int_is_refused(self, exp):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            LCNumber({exp: 1})
+        if not isinstance(exp, str) and exp >= 1:
+            with pytest.raises(TypeError, match="exponent must be an int"):
+                LCNumber.eps(exp)
+
     def test_rational_divided_by_lc(self):
         q = Fraction(1, 2) / EPS  # Fraction defers to LCNumber.__rtruediv__
         assert q == LCNumber({-1: Fraction(1, 2)})
@@ -151,10 +160,10 @@ class TestText:
         assert str(-EPS) == "-ε"
 
     # whitespace may stand around signs and before "ε", never inside a
-    # number or inside "eps" or "ε^k"
+    # number or inside "eps" or "ε^k"; every digit is an ASCII one
     @pytest.mark.parametrize("bad", ["", "+", "1 +", "foo", "ε^", "1..2", "2x",
                                      "1 2", "1/1 0", "0. 5", "e p s", "ε^1 6",
-                                     "2 + ε ^2"])
+                                     "2 + ε ^2", "٣", "٣ε", "ε^٢", "1 + ١/٢eps"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_lc(bad)
@@ -170,6 +179,33 @@ class TestText:
             _as_fraction("1/0")
         with pytest.raises(ValueError, match="zero denominator"):
             LCNumber({1: "1/0"})
+
+    # Python's numeric-literal extras are no part of the grammar: "1_0" would
+    # read 10, and "1e999999" would build a 3.3-million-bit integer
+    @pytest.mark.parametrize("bad", ["1_0", "-1_000/3", "1e-2", "1E2", "1e999999", "2.5e1",
+                                     "٣", "١/٢", "0.٥", "inf", "nan", "1/-2", "- 1"])
+    def test_a_rational_string_is_one_signed_coefficient(self, bad):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            _as_fraction(bad)
+
+    def test_a_rational_string_keeps_its_whitespace_and_sign(self):
+        assert _as_fraction(" -3/4 ") == Fraction(-3, 4)
+        assert _as_fraction("+.5") == Fraction(1, 2)
+        assert _as_fraction("\t7.\n") == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(r"[ \t]*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)[ \t]*",
+                         fullmatch=True))
+    def test_a_signed_coefficient_reads_as_its_literal(self, text):
+        # one grammar: a rational string is the standard part of its literal
+        try:
+            expected = parse_lc(text).standard_part()
+        except ValueError as ex:
+            assert "zero denominator" in str(ex)
+            with pytest.raises(ValueError, match="zero denominator"):
+                _as_fraction(text)
+        else:
+            assert _as_fraction(text) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(lc_strategy(), st.data())
