@@ -47,7 +47,7 @@ from .decision import (
     save_problem,
 )
 from .game import derived_game_value
-from .hyperreal import parse_lc
+from .hyperreal import _as_fraction, parse_lc
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -85,6 +85,14 @@ def _parse_prior_spec(spec: str) -> Prior:
     if not weights:
         raise ValueError("empty prior specification")
     return Prior(weights)
+
+
+def _parse_rational_flag(flag: str, text: str):
+    try:
+        return _as_fraction(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}; expected an exact rational such as "
+                         "3, -0.25 or 1/100 (no exponent, no '_')") from None
 
 
 def _parse_family_spec(spec: str):
@@ -190,7 +198,7 @@ def cmd_witness(args) -> int:
 
 def cmd_stein(args) -> int:
     p = _read_problem(args.problem)
-    res = stein_check(p, args.delta, args.theta, args.eps)
+    res = stein_check(p, args.delta, args.theta, _parse_rational_flag("--eps", args.eps))
     _emit(res.as_dict())
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
@@ -204,7 +212,8 @@ def cmd_ns(args) -> int:
             raise ValueError("--mode stein needs --eps")
         if len(family) != 1:
             raise ValueError("--mode stein takes exactly one family group")
-        rep = ns_stein_check(p, args.delta, prior, family[0], args.eps)
+        rep = ns_stein_check(p, args.delta, prior, family[0],
+                             _parse_rational_flag("--eps", args.eps))
     else:
         if args.rho is None:
             raise ValueError("--mode blyth needs --rho")
@@ -215,7 +224,8 @@ def cmd_ns(args) -> int:
 
 def cmd_game(args) -> int:
     p = _read_problem(args.problem)
-    rep = derived_game_value(p, args.delta, args.theta0, args.gamma)
+    rep = derived_game_value(p, args.delta, args.theta0,
+                             _parse_rational_flag("--gamma", args.gamma))
     _emit(rep.as_dict())
     return EXIT_OK
 

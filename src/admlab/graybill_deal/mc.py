@@ -5,7 +5,8 @@ draws.  Shard k uses an independent counter-based generator keyed by
 (seed, k), shards may run on any number of threads, and the reduction
 walks shards in index order with exactly rounded summation
 (``math.fsum``).  The estimate for a given (seed, n_samples) is therefore
-bit-identical across runs and across thread counts.
+bit-identical across runs and across thread counts.  Shards draw only
+through the samplers in ``model``, in a fixed order per report.
 
 All estimators report an ``MCEstimate`` carrying the mean, the standard
 error, the sample count, and the seed that produced them.  The excess, mass
@@ -25,7 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .model import GDParams, GDPriorParams, MCEstimate, RectangleO, _unit_gamma
+from .model import (GDParams, GDPriorParams, MCEstimate, RectangleO, _unit_gamma,
+                    sample_hierarchical, sample_means, sample_variances)
 
 __all__ = [
     "GDBlythReport",
@@ -140,20 +142,13 @@ def risk_c1(theta: GDParams, phi_fn, mc: MCConfig = MCConfig()) -> GDRiskReport:
     a consistency check on the decomposition; the report also carries
     the empirical bias, which the symmetry of the model forces to zero.
     """
-    n = theta.n
-    mu = theta.mu
-    sd1 = math.sqrt(theta.sigma1_sq / n)
-    sd2 = math.sqrt(theta.sigma2_sq / n)
     theta_prime = theta.theta_prime
-    dof = n - 1
 
     def shard(rng: np.random.Generator, size: int):
-        xbar1 = rng.normal(mu, sd1, size)
-        xbar2 = rng.normal(mu, sd2, size)
-        s1_sq = theta.sigma1_sq * rng.chisquare(dof, size) / dof
-        s2_sq = theta.sigma2_sq * rng.chisquare(dof, size) / dof
+        xbar1, xbar2 = sample_means(theta, rng, size)
+        s1_sq, s2_sq = sample_variances(theta, rng, size)
         phi = _phi_values(phi_fn, s1_sq, s2_sq, size)
-        sq_sum, sq_sq_sum, err_sum = kernels.loss_sums(xbar1, xbar2, phi, mu)
+        sq_sum, sq_sq_sum, err_sum = kernels.loss_sums(xbar1, xbar2, phi, theta.mu)
         dev = phi - theta_prime
         m_sum, m_sq_sum = kernels.moment_sums(dev * dev)
         return sq_sum, sq_sq_sum, err_sum, m_sum, m_sq_sum
@@ -164,7 +159,7 @@ def risk_c1(theta: GDParams, phi_fn, mc: MCConfig = MCConfig()) -> GDRiskReport:
     # err^2 is the squared loss itself, so its sum doubles as the bias
     # second moment
     bias = MCEstimate.from_sums(err_sum, sq_sum, n_mc, mc.seed)
-    scale = (theta.sigma1_sq + theta.sigma2_sq) / n
+    scale = (theta.sigma1_sq + theta.sigma2_sq) / theta.n
     mean_sq = MCEstimate.from_sums(m_sum, m_sq_sum, n_mc, mc.seed)
     analytic = MCEstimate(theta.oracle_risk + scale * mean_sq.mean,
                           scale * mean_sq.std_error, n_mc, mc.seed)
@@ -182,11 +177,9 @@ def risk_diff(theta: GDParams, phi0_fn, phi1_fn,
     Identical callables give exactly zero with zero standard error.
     """
     theta_prime = theta.theta_prime
-    dof = theta.n - 1
 
     def shard(rng: np.random.Generator, size: int):
-        s1_sq = theta.sigma1_sq * rng.chisquare(dof, size) / dof
-        s2_sq = theta.sigma2_sq * rng.chisquare(dof, size) / dof
+        s1_sq, s2_sq = sample_variances(theta, rng, size)
         phi0 = _phi_values(phi0_fn, s1_sq, s2_sq, size)
         phi1 = _phi_values(phi1_fn, s1_sq, s2_sq, size)
         return kernels.diff_sums(phi0, phi1, theta_prime)
@@ -235,24 +228,21 @@ def _excess_sums(priors: Sequence[GDPriorParams], mc: MCConfig,
                  with_bounds: bool = False):
     """Excess sums for priors that differ only in beta, on shared draws.
 
-    Each shard draws (g0, w) once and evaluates every beta on them, two
-    sums per prior; with_bounds appends the sums of the two upper-bound
+    Each shard makes one hierarchical draw and evaluates every beta on it,
+    two sums per prior; with_bounds appends the sums of the two upper-bound
     routes after each prior's excess sums.
     """
-    alpha, n = priors[0].alpha, priors[0].n
     coef = _excess_coef(priors[0])
-    dof = n - 1
 
     def shard(rng: np.random.Generator, size: int):
-        g0 = _unit_gamma(rng, alpha, size)
-        w = rng.chisquare(dof, (2, size))
+        draw = sample_hierarchical(priors[0], rng, size)
         out = ()
         for prior in priors:
             beta = prior.beta
-            t = beta * w / g0
+            t = draw.ss(beta)
             out += kernels.excess_sums(t[0], t[1], beta, coef)
             if with_bounds:
-                u = 2.0 * beta / (2.0 * beta + t)
+                u = draw.u(beta, t)
                 out += kernels.excess_upper_sums(t[0], t[1], beta, coef)
                 out += kernels.beta_route_sums(u[0], u[1], 2.0 * beta * coef)
         return out
@@ -385,6 +375,7 @@ def prior_mass_bound(O: RectangleO, prior: GDPriorParams,
     mc_mass = None
     if mc is not None:
         def shard(rng: np.random.Generator, size: int):
+            # sample_hierarchical's first draw g0, as its sigma_sq(beta); no w
             sigma = beta / _unit_gamma(rng, alpha, size)
             return (float(kernels.rect_count(sigma[0], sigma[1],
                                              O.a1, O.b1, O.a2, O.b2)),)

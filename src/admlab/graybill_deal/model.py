@@ -1,4 +1,4 @@
-"""Two-sample common-mean model: estimator algebra and samplers.
+"""Two-sample common-mean model: estimator algebra and the samplers.
 
 Data model: X_i^(1..n) i.i.d. N(mu, sigma_i^2) for i = 1, 2 with both
 variances unknown.  The estimators studied combine the two sample means
@@ -6,10 +6,14 @@ as  xbar1 + D * phi(S1^2, S2^2)  with D := xbar2 - xbar1 and phi mapping
 the sample variances into [0, 1].  The hierarchical layer puts
 independent inverse-gamma(alpha, beta) priors on the two variances.
 
+The samplers are the only code that draws from a generator, and every
+Monte Carlo shard in ``mc`` calls them, so their law tests cover the reports.
+
 Conventions that matter:
   * S_i^2 always denotes the normalized sample variance (divisor n-1);
     the raw sum of squares (n-1)*S_i^2 is written ss and is what the
-    posterior updates use (beta_post = beta + ss/2).
+    conjugate update uses (scale beta + ss/2, shape
+    ``GDPriorParams.alpha_post``); phi_bayes is built on it.
   * D := xbar2 - xbar1, the unique sign making xbar1 + D*phi_gd equal
     the precision-weighted mean.
 """
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DataDraw",
     "GDParams",
     "GDPriorParams",
     "HierarchicalDraw",
@@ -31,8 +34,9 @@ __all__ = [
     "gd_estimate",
     "phi_bayes",
     "phi_gd",
-    "sample_data",
     "sample_hierarchical",
+    "sample_means",
+    "sample_variances",
     "summarize",
 ]
 
@@ -177,6 +181,21 @@ def gd_estimate(x1, x2) -> float:
 
 # -- samplers ------------------------------------------------------------------
 
+def sample_means(theta: GDParams, rng: np.random.Generator, size: int):
+    """(xbar1, xbar2): two arrays of ``size`` N(mu, sigma_i^2/n) draws, xbar1 first."""
+    xbar1 = rng.normal(theta.mu, math.sqrt(theta.sigma1_sq / theta.n), size)
+    xbar2 = rng.normal(theta.mu, math.sqrt(theta.sigma2_sq / theta.n), size)
+    return xbar1, xbar2
+
+
+def sample_variances(theta: GDParams, rng: np.random.Generator, size: int):
+    """(S1^2, S2^2): two arrays of ``size`` sigma_i^2 chi2(n-1)/(n-1) draws, S1^2 first."""
+    dof = theta.n - 1
+    s1_sq = theta.sigma1_sq * rng.chisquare(dof, size) / dof
+    s2_sq = theta.sigma2_sq * rng.chisquare(dof, size) / dof
+    return s1_sq, s2_sq
+
+
 # floor for unit-rate gamma draws: with shape < 1 a draw can underflow to
 # exactly 0.0, and sigma^2 = beta/g0 would then be infinite
 _TINY = 1e-300
@@ -188,61 +207,30 @@ def _unit_gamma(rng: np.random.Generator, alpha: float, size: int) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class DataDraw:
-    x1: np.ndarray
-    x2: np.ndarray
-    xbar1: float
-    xbar2: float
-    s1_sq: float
-    s2_sq: float
-    d: float
-
-
-def sample_data(theta: GDParams, rng: np.random.Generator) -> DataDraw:
-    x1 = rng.normal(theta.mu, math.sqrt(theta.sigma1_sq), theta.n)
-    x2 = rng.normal(theta.mu, math.sqrt(theta.sigma2_sq), theta.n)
-    xbar1, s1_sq = summarize(x1)
-    xbar2, s2_sq = summarize(x2)
-    return DataDraw(x1, x2, xbar1, xbar2, s1_sq, s2_sq, xbar2 - xbar1)
-
-
-@dataclass(frozen=True)
 class HierarchicalDraw:
-    """Joint draws of the variance pair and their sample variances.
+    """Unit draws g0 ~ gamma(alpha) (floored at _TINY) and w ~ chi2(n-1), each
+    of shape (2, size), which the methods scale to any beta: on one draw the
+    model is linear in beta up to rounding, as the common-random-numbers
+    studies across beta values need."""
 
-    sigma_sq and s_sq have shape (2, size); ss is the raw sum of squares
-    (n-1)*s_sq; u = 2*beta/(2*beta + ss) is the conjugate beta statistic;
-    beta_post = beta + ss/2 and alpha_post complete the posterior audit.
-    """
+    g0: np.ndarray
+    w: np.ndarray
 
-    sigma_sq: np.ndarray
-    s_sq: np.ndarray
-    ss: np.ndarray
-    u: np.ndarray
-    alpha_post: float
-    beta_post: np.ndarray
+    def sigma_sq(self, beta: float) -> np.ndarray:
+        return beta / self.g0  # inverse-gamma(alpha, beta)
 
-    def posterior_mean(self) -> np.ndarray:
-        if self.alpha_post <= 1:
-            raise ValueError("posterior mean needs alpha_post > 1")
-        return self.beta_post / (self.alpha_post - 1)
+    def ss(self, beta: float) -> np.ndarray:
+        return beta * self.w / self.g0  # (n-1) S^2
+
+    @staticmethod
+    def u(beta: float, ss: np.ndarray) -> np.ndarray:
+        """2*beta/(2*beta + ss(beta)), the conjugate beta(alpha, (n-1)/2) statistic."""
+        return 2.0 * beta / (2.0 * beta + ss)
 
 
 def sample_hierarchical(prior: GDPriorParams, rng: np.random.Generator,
                         size: int = 1) -> HierarchicalDraw:
-    """Draw (sigma1^2, sigma2^2, S1^2, S2^2) from the hierarchical model.
-
-    Internally draws a unit-rate gamma g0 (floored, so sigma^2 stays
-    finite) and a chi-square w so that sigma^2 = beta/g0 and
-    ss = beta*w/g0: with a fixed generator state the entire draw scales
-    linearly in beta up to float rounding, which the common-random-numbers
-    studies across beta values rely on.
-    """
+    """Draw g0, then w; prior.beta is not read, so one draw serves every beta."""
     g0 = _unit_gamma(rng, prior.alpha, size)
     w = rng.chisquare(prior.n - 1, size=(2, size))
-    sigma_sq = prior.beta / g0
-    ss = sigma_sq * w
-    s_sq = ss / (prior.n - 1)
-    u = 2.0 * prior.beta / (2.0 * prior.beta + ss)
-    beta_post = prior.beta + ss / 2.0
-    return HierarchicalDraw(sigma_sq, s_sq, ss, u, prior.alpha_post, beta_post)
+    return HierarchicalDraw(g0, w)

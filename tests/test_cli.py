@@ -524,6 +524,10 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "zero denominator" in err
+        if argv[-2] in ("--eps", "--gamma") and argv[-1] == "1/0":
+            # a bad exact-rational flag names itself and the accepted form
+            assert err.startswith(f"error: {argv[-2]}: zero denominator in '1/0'; ")
+            assert "1/100 (no exponent, no '_')" in err
 
     def test_a_zero_denominator_in_a_problem_file_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -605,20 +609,32 @@ class TestExitCodes:
           "--alpha", "0.25"), "--phi bayes needs --alpha and --beta"),
         (("gd", "risk", "--sigma1-sq", "1", "--sigma2-sq", "2", "--phi", "gdx"),
          "unknown phi spec 'gdx'"),
-        # Python's numeric-literal extras: Fraction(str) alone reads 1/100, 3, 10 and 100
+        # Python's numeric-literal extras: Fraction(str) alone reads 1/100, 3, 10 and 100;
+        # each message names the flag and the accepted form
         (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "1e-2"),
-         "Invalid literal for Fraction: '1e-2'"),
+         "error: --eps: Invalid literal for Fraction: '1e-2'; expected an exact rational"),
         (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "٣"),
-         "Invalid literal for Fraction: '٣'"),
+         "error: --eps: Invalid literal for Fraction: '٣'; expected an exact rational"),
+        (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "1_0"),
+         "error: --eps: Invalid literal for Fraction: '1_0'; expected an exact rational"),
+        (("stein", "{}", "--delta", "d0", "--theta", "t1", "--eps", "x"),
+         "error: --eps: Invalid literal for Fraction: 'x'; expected an exact rational"),
         (("game", "{}", "--delta", "d0", "--theta0", "t1", "--gamma", "1_0"),
-         "Invalid literal for Fraction: '1_0'"),
+         "error: --gamma: Invalid literal for Fraction: '1_0'; expected an exact rational"),
         (("game", "{}", "--delta", "d0", "--theta0", "t1", "--gamma", "1E2"),
-         "Invalid literal for Fraction: '1E2'"),
+         "error: --gamma: Invalid literal for Fraction: '1E2'; expected an exact rational"),
+        (("game", "{}", "--delta", "d0", "--theta0", "t1", "--gamma", "x"),
+         "error: --gamma: Invalid literal for Fraction: 'x'; expected an exact rational"),
         (("ns", "{}", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", "t1,t2",
-          "--mode", "stein", "--eps", "1e-2"), "Invalid literal for Fraction: '1e-2'"),
+          "--mode", "stein", "--eps", "1e-2"),
+         "error: --eps: Invalid literal for Fraction: '1e-2'; expected an exact rational"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", "t1,t2",
+          "--mode", "stein", "--eps", "1_0"),
+         "error: --eps: Invalid literal for Fraction: '1_0'; expected an exact rational"),
     ], ids=["empty-prior", "empty-family", "empty-betas", "bayes-phi", "unknown-phi",
-            "stein-eps-exponent", "stein-eps-digit", "game-gamma-underscore",
-            "game-gamma-exponent", "ns-eps-exponent"])
+            "stein-eps-exponent", "stein-eps-digit", "stein-eps-underscore", "stein-eps-word",
+            "game-gamma-underscore", "game-gamma-exponent", "game-gamma-word",
+            "ns-eps-exponent", "ns-eps-underscore"])
     def test_a_rejected_option_is_an_input_error(self, capsys, two_point, argv, message):
         code, out, err = run(capsys, *(a.format(two_point) for a in argv))
         assert code == 2 and out == ""

@@ -20,6 +20,9 @@ from admlab.graybill_deal import (
     prior_mass_bound,
     risk_c1,
     risk_diff,
+    sample_hierarchical,
+    sample_means,
+    sample_variances,
 )
 from admlab.graybill_deal import kernels, mc
 from admlab.graybill_deal.mc import mass_constant
@@ -392,9 +395,9 @@ class TestBlythSequence:
         monkeypatch.setattr(kernels, "excess_upper_sums", refuse)
         monkeypatch.setattr(kernels, "beta_route_sums", refuse)
         draws, betas_seen = [], []
-        unit_gamma, excess_sums = mc._unit_gamma, kernels.excess_sums
-        monkeypatch.setattr(mc, "_unit_gamma",
-                            lambda *a: draws.append(a[2]) or unit_gamma(*a))
+        sample, excess_sums = mc.sample_hierarchical, kernels.excess_sums
+        monkeypatch.setattr(mc, "sample_hierarchical",
+                            lambda *a: draws.append(a[2]) or sample(*a))
         monkeypatch.setattr(kernels, "excess_sums",
                             lambda *a: betas_seen.append(a[2]) or excess_sums(*a))
         cfg = MCConfig(n_samples=SHARD_SIZE + 10, seed=2, threads=1)
@@ -408,6 +411,66 @@ class TestBlythSequence:
         blob = json.loads(json.dumps(rep.as_dict()))
         assert blob["seed"] == 2
         assert len(blob["rows"]) == 1
+
+
+class TestOneSampler:
+    """Each shard reduces, bit for bit, the arrays that the public samplers in
+    ``model`` draw from that shard's generator, so the law tests of
+    ``test_gd_model`` check the numbers the reports use."""
+
+    SEED = 5
+    SIZES = (SHARD_SIZE, 1000)  # two shards, the second partial
+    BETAS = TestBlythSequence.BETAS
+
+    def expected(self, report, rng, size):
+        """The arrays one shard of ``report`` hands on, by (kind, size[, beta])."""
+        if report == "risk_c1":
+            means = sample_means(THETA, rng, size)
+            return {("means", size): means, ("phi", size): sample_variances(THETA, rng, size)}
+        if report == "risk_diff":
+            variances = sample_variances(THETA, rng, size)
+            return {("phi", size): variances, ("phi1", size): variances}
+        draw = sample_hierarchical(PRIOR, rng, size)
+        if report == "prior_mass_bound":
+            return {("sigma_sq", size): tuple(draw.sigma_sq(PRIOR.beta))}
+        if report == "blyth_sequence_report":
+            return {("ss", size, beta): tuple(draw.ss(beta)) for beta in self.BETAS}
+        ss = draw.ss(PRIOR.beta)
+        return {("ss", size, PRIOR.beta): tuple(ss), ("u", size): tuple(draw.u(PRIOR.beta, ss))}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("report", ["risk_c1", "risk_diff", "excess_bayes_risk",
+                                        "blyth_sequence_report", "prior_mass_bound"])
+    def test_shards_hand_on_the_public_samplers_draws(self, monkeypatch, report, threads):
+        seen = {}
+
+        def hook(kind, fn, by_beta=False):
+            def wrapped(*args):
+                seen[(kind, args[0].size) + ((args[2],) if by_beta else ())] = args[:2]
+                return fn(*args)
+            return wrapped
+        for name, kind in (("loss_sums", "means"), ("beta_route_sums", "u"),
+                           ("rect_count", "sigma_sq")):
+            monkeypatch.setattr(kernels, name, hook(kind, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "excess_sums",
+                            hook("ss", kernels.excess_sums, by_beta=True))
+        phi, phi1 = hook("phi", phi_gd), hook("phi1", phi_gd)
+        cfg = MCConfig(n_samples=sum(self.SIZES), seed=self.SEED, threads=threads)
+        {
+            "risk_c1": lambda: risk_c1(THETA, phi, cfg),
+            "risk_diff": lambda: risk_diff(THETA, phi, phi1, cfg),
+            "excess_bayes_risk": lambda: excess_bayes_risk(PRIOR, cfg),
+            "blyth_sequence_report": lambda: blyth_sequence_report(
+                PRIOR.alpha, PRIOR.n, self.BETAS, SQUARE, cfg),
+            "prior_mass_bound": lambda: prior_mass_bound(SQUARE, PRIOR, cfg),
+        }[report]()
+
+        expected = {}
+        for k, size in enumerate(self.SIZES):
+            expected.update(self.expected(report, mc._shard_rng(self.SEED, k), size))
+        assert seen.keys() == expected.keys()
+        for key, arrays in expected.items():
+            assert all(np.array_equal(a, b) for a, b in zip(seen[key], arrays, strict=True)), key
 
 
 class TestDeterminism:

@@ -15,8 +15,9 @@ from admlab.graybill_deal import (
     gd_estimate,
     phi_bayes,
     phi_gd,
-    sample_data,
     sample_hierarchical,
+    sample_means,
+    sample_variances,
     summarize,
 )
 from admlab.graybill_deal import model
@@ -198,85 +199,63 @@ class TestEstimate:
 
 
 class TestSampleData:
-    def test_summaries_match_raw_vectors(self):
-        th = GDParams(0.3, 1.0, 2.0, 5)
-        d = sample_data(th, np.random.default_rng(7))
-        assert d.x1.shape == (5,) and d.x2.shape == (5,)
-        assert (d.xbar1, d.s1_sq) == summarize(d.x1)
-        assert (d.xbar2, d.s2_sq) == summarize(d.x2)
-        assert d.d == d.xbar2 - d.xbar1
-
     def test_scaled_variances_are_chi_square(self):
         # (n-1) S_i^2 / sigma_i^2 should follow chi2 with n-1 dof; both
         # arms pooled to 1e5 values
         th = GDParams(0.3, 1.0, 2.0, 5)
-        rng = np.random.default_rng(5)
-        vals = np.empty(100_000)
-        i = 0
-        while i < vals.size:
-            d = sample_data(th, rng)
-            vals[i] = (th.n - 1) * d.s1_sq / th.sigma1_sq
-            vals[i + 1] = (th.n - 1) * d.s2_sq / th.sigma2_sq
-            i += 2
+        s1_sq, s2_sq = sample_variances(th, np.random.default_rng(5), 50_000)
+        vals = np.concatenate(((th.n - 1) * s1_sq / th.sigma1_sq,
+                               (th.n - 1) * s2_sq / th.sigma2_sq))
         ks = stats.kstest(vals, stats.chi2(th.n - 1).cdf)
         assert ks.pvalue > KS_LEVEL
 
     def test_means_are_gaussian(self):
         th = GDParams(1.5, 2.0, 0.5, 4)
-        rng = np.random.default_rng(11)
-        xbars = np.array([sample_data(th, rng).xbar1 for _ in range(20_000)])
-        ks = stats.kstest(xbars, stats.norm(th.mu, math.sqrt(th.sigma1_sq / th.n)).cdf)
-        assert ks.pvalue > KS_LEVEL
+        xbar1, xbar2 = sample_means(th, np.random.default_rng(11), 20_000)
+        for xbar, var in ((xbar1, th.sigma1_sq), (xbar2, th.sigma2_sq)):
+            ks = stats.kstest(xbar, stats.norm(th.mu, math.sqrt(var / th.n)).cdf)
+            assert ks.pvalue > KS_LEVEL
 
 
 class TestHierarchical:
     PRIOR = GDPriorParams(0.25, 1e-3, 5)
 
-    def test_shapes_and_posterior_fields(self):
+    def test_shapes_and_scaled_fields(self):
+        beta = self.PRIOR.beta
         h = sample_hierarchical(self.PRIOR, np.random.default_rng(3), size=10)
-        assert h.sigma_sq.shape == (2, 10)
-        assert h.alpha_post == 2.25
-        assert np.allclose(h.ss, (self.PRIOR.n - 1) * h.s_sq, rtol=1e-15)
-        assert np.allclose(h.beta_post, self.PRIOR.beta + h.ss / 2, rtol=1e-15)
-        assert np.allclose(h.u, 2 * self.PRIOR.beta / (2 * self.PRIOR.beta + h.ss),
-                           rtol=1e-15)
+        assert h.g0.shape == h.w.shape == (2, 10)
+        assert np.array_equal(h.sigma_sq(beta), beta / h.g0)
+        ss = h.ss(beta)
+        assert np.array_equal(ss, beta * h.w / h.g0)
+        assert np.allclose(ss, h.sigma_sq(beta) * h.w, rtol=1e-15)
+        assert np.array_equal(h.u(beta, ss), 2 * beta / (2 * beta + ss))
 
     def test_u_statistic_is_beta_distributed(self):
+        beta = self.PRIOR.beta
         h = sample_hierarchical(self.PRIOR, np.random.default_rng(42), size=50_000)
-        ks = stats.kstest(h.u.ravel(),
+        ks = stats.kstest(h.u(beta, h.ss(beta)).ravel(),
                           stats.beta(self.PRIOR.alpha, (self.PRIOR.n - 1) / 2).cdf)
         assert ks.pvalue > KS_LEVEL
 
     def test_variance_marginal_is_inverse_gamma(self):
         h = sample_hierarchical(self.PRIOR, np.random.default_rng(42), size=50_000)
         cdf = lambda x: special.gammaincc(self.PRIOR.alpha, self.PRIOR.beta / x)
-        ks = stats.kstest(h.sigma_sq.ravel(), cdf)
+        ks = stats.kstest(h.sigma_sq(self.PRIOR.beta).ravel(), cdf)
         assert ks.pvalue > KS_LEVEL
 
     def test_posterior_mean_against_importance_sampling(self):
-        # the closed-form posterior mean (beta + ss/2)/(alpha_post - 1) is
-        # checked by reweighting prior draws with the chi-square likelihood
-        # of one observed ss
+        # the conjugate update (scale beta + ss/2, shape alpha_post), on which
+        # phi_bayes is built, gives the posterior mean
+        # (beta + ss/2)/(alpha_post - 1); it is checked by reweighting prior
+        # draws with the chi-square likelihood of one observed ss
         pr = GDPriorParams(0.25, 0.5, 5)
-        ss_star = float(sample_hierarchical(pr, np.random.default_rng(9), 1).ss[0, 0])
+        ss_star = float(sample_hierarchical(pr, np.random.default_rng(9), 1).ss(pr.beta)[0, 0])
         rng = np.random.default_rng(123)
         sig2 = pr.beta / np.maximum(rng.gamma(pr.alpha, 1.0, 400_000), 1e-300)
         w = stats.chi2(pr.n - 1).pdf(ss_star / sig2) / sig2
         is_mean = float(np.sum(w * sig2) / np.sum(w))
         formula = (pr.beta + ss_star / 2) / (pr.alpha_post - 1)
         assert is_mean == pytest.approx(formula, rel=0.02)
-
-    def test_posterior_mean_method(self):
-        h = sample_hierarchical(self.PRIOR, np.random.default_rng(3), size=4)
-        assert np.allclose(h.posterior_mean(),
-                           h.beta_post / (h.alpha_post - 1), rtol=1e-15)
-
-    def test_posterior_mean_needs_alpha_post_above_one(self):
-        # alpha 0.25 and n = 2 give alpha_post = 0.75: the posterior mean is infinite
-        h = sample_hierarchical(GDPriorParams(0.25, 1e-3, 2), np.random.default_rng(3), size=4)
-        assert h.alpha_post == 0.75
-        with pytest.raises(ValueError, match="alpha_post > 1"):
-            h.posterior_mean()
 
     def test_common_draws_scale_with_beta(self):
         # same seed, different beta: the underlying (gamma, chi-square)
@@ -285,7 +264,8 @@ class TestHierarchical:
                                  np.random.default_rng(77), 1000)
         hb = sample_hierarchical(GDPriorParams(0.25, 1e-4, 5),
                                  np.random.default_rng(77), 1000)
-        assert np.allclose(hb.ss, ha.ss * 1e-2, rtol=1e-12)
+        assert np.array_equal(ha.g0, hb.g0) and np.array_equal(ha.w, hb.w)
+        assert np.allclose(hb.ss(1e-4), ha.ss(1e-2) * 1e-2, rtol=1e-12)
 
     def test_tiny_shape_gives_finite_draws(self):
         # with alpha = 0.001 about half the gamma draws underflow to 0.0;
@@ -294,9 +274,11 @@ class TestHierarchical:
             warnings.simplefilter("error")
             h = sample_hierarchical(GDPriorParams(0.001, 1.0, 5),
                                     np.random.default_rng(0), 1000)
-        for field in (h.sigma_sq, h.s_sq, h.ss, h.u, h.beta_post):
+            ss = h.ss(1.0)
+            fields = (h.sigma_sq(1.0), ss, h.u(1.0, ss))
+        for field in fields:
             assert np.all(np.isfinite(field))
-        assert np.all(h.sigma_sq > 0)
+        assert np.all(h.sigma_sq(1.0) > 0)
 
 
 class TestMCEstimate:
