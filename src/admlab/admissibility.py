@@ -7,12 +7,13 @@ row is plain ints, one LP's rows all scaled by one positive factor (the
 problem's common risk denominator ``den``, times eps's denominator for
 Stein), and the re-checks, the ``ns_*`` excess included, are integer passes
 over the problem's ``irisk`` (``decision``'s helpers).  The hull,
-risk-equal, certificate, witness and Stein LPs go into the kernel's tableau
-already packed: each row is an int combination of delta0's packed gap rows
+risk-equal, certificate, witness and Stein LPs go to the kernel's private
+entry ``simplex._solve_packed`` already packed, over their structural
+columns: each row is an int combination of delta0's packed gap rows
 (``decision._packed_gaps``: hull, risk-equal, witness) or of the packed
 risk columns (``decision._packed_risk``: certificate, Stein), which is the
-packed row since packing is linear; every rhs is >= 0, so no row is
-negated, and each builder states the bound ``T`` on its fields.  The
+packed row since packing is linear, and each builder states the bound ``T``
+on its fields and rhs; the kernel adds slacks and the start basis.  The
 witness restriction LP is the derived game's LP at its gamma -> infinity
 end, on the chosen parameters with delta0 barred, so ``game._minimax_lp``
 builds it, and ``game._minimax_sides`` re-checks both of its sides.  Only
@@ -44,7 +45,7 @@ from admlab.decision import (
 )
 from admlab.game import _minimax_lp, _minimax_sides
 from admlab.hyperreal import LCNumber, _as_fraction, compare
-from admlab.simplex import _ones, _solve_tableau, _Tableau, solve_lp
+from admlab.simplex import _ones, _solve_packed, solve_lp
 
 __all__ = [
     "Certificate",
@@ -102,25 +103,28 @@ class HullDominanceReport(_Report):
     iterations: int = field(metadata={"key": "lp_iterations"})
 
 
-def _hull_lp(p: DecisionProblem, j0: int):
-    """The dominance LP of ``_dominance_lp``, packed from delta0's gap rows.
+def _gap_lp(p: DecisionProblem, j0: int, n_le: int, cost):
+    """An LP over one weight per procedure, packed from delta0's gap rows.
 
-    Columns: one weight per procedure, delta0's all zero (a column that is
-    zero in every row and in the cost never enters, so Bland's path is that
-    of the competitors alone), a slack per parameter and the mass row's, the
-    rhs.  The theta row is its gap row ``G_theta`` (``_packed_gaps``) plus
-    its slack bit, and no field exceeds max(hi - lo, den), ``hi`` and ``lo``
-    the largest and least risk.
+    Its rows are the gap rows ``G_theta . mu`` (``_packed_gaps``), rhs 0, and
+    the mass row den * sum_{j != j0} mu_j, rhs den, the first ``n_le`` of them
+    ``<=`` and the rest ``==``.  delta0's column is all zero (a column that
+    is zero in every row and in the cost never enters, so Bland's path is
+    that of the competitors alone), and no field exceeds max(hi - lo, den),
+    ``hi`` and ``lo`` the largest and least risk.
     """
-    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
-    hi, lo, sums = p._span
+    nd, den = len(p.proc_labels), p.den
+    hi, lo, _ = p._span
     T = max(hi - lo, den).bit_length()
     W, G = _packed_gaps(p, j0, T)
-    tab = _Tableau(nd + nt + 2, T, W)
-    tab.rows = [g + (1 << W * (nd + i)) for i, g in enumerate(G)]
-    tab.rows.append(den * (_ones(nd, W) - (1 << W * j0) + (1 << tab.rsh)) + (1 << W * (nd + nt)))
-    cost = [sums[j0] - v for v in sums] + [0] * (nt + 1)
-    return _solve_tableau(tab, list(range(nd, nd + nt + 1)), cost, nd)
+    G.append(den * (_ones(nd, W) - (1 << W * j0)))
+    return _solve_packed(G, [0] * (len(G) - 1) + [den], n_le, cost, T, W)
+
+
+def _hull_lp(p: DecisionProblem, j0: int):
+    """The dominance LP of ``_dominance_lp``: every gap row and the mass row ``<=``."""
+    sums = p._span[2]
+    return _gap_lp(p, j0, len(p.theta_labels) + 1, [sums[j0] - v for v in sums])
 
 
 def _dominance_lp(p: DecisionProblem, j0: int):
@@ -156,22 +160,12 @@ def _dominance_lp(p: DecisionProblem, j0: int):
 
 
 def _risk_equal_lp(p: DecisionProblem, j0: int):
-    """LP: a competitor mixture with delta0's risk vector, packed from delta0's gap rows.
+    """LP: a competitor mixture with delta0's risk vector, ``G_theta . mu == 0``
+    per parameter and den * sum_{j != j0} mu_j == den (``_gap_lp``).
 
-    Equality rows only, each with an artificial: ``G_theta . mu == 0`` per
-    parameter and den * sum_{j != j0} mu_j == den, so every rhs is >= 0 and
-    no row is negated.  Columns: one weight per procedure, delta0's all zero
-    (see ``_hull_lp``), the rhs.  Phase 1's objective sums all nt + 1 rows,
-    so no field exceeds (nt + 1) * max(hi - lo, den).  With only delta0,
-    the mass row is 0 == den: infeasible in 0 pivots.
+    With only delta0, the mass row is 0 == den: infeasible in 0 pivots.
     """
-    nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
-    hi, lo, _ = p._span
-    T = max(hi - lo, den).bit_length() + (nt + 1).bit_length()
-    W, G = _packed_gaps(p, j0, T)
-    tab = _Tableau(nd + 1, T, W)
-    tab.rows = G + [den * (_ones(nd, W) - (1 << W * j0) + (1 << tab.rsh))]
-    return _solve_tableau(tab, list(range(nd, nd + nt + 1)), [0] * nd, nd)
+    return _gap_lp(p, j0, 0, [0] * len(p.proc_labels))
 
 
 def dominated_in_hull(p: DecisionProblem, delta0) -> HullDominanceReport:
@@ -288,24 +282,19 @@ def positive_prior_certificate(p: DecisionProblem, delta0):
 def _certificate_lp(p: DecisionProblem, j0: int):
     """The min-weight LP of ``positive_prior_certificate``, packed from the risk columns.
 
-    Columns: s (nt), t, a slack per competitor, the rhs.  Competitor j's
-    Bayes row is ``P_j0 - P_j`` with sum(bayes_j) in t's field, plus its
-    slack bit; the mass row holds den in each s field, den * nt in t's and
-    den in the rhs, and is the only one with an artificial (phase 1's
-    objective).  No field exceeds max(nt * (hi - lo), den * nt).
+    Columns: s (nt), then t.  Competitor j's ``<=`` row is ``P_j0 - P_j``
+    with sum(bayes_j) in t's field, rhs 0; the mass row, an ``==`` row, holds
+    den in each s field and den * nt in t's, rhs den.  No field exceeds
+    max(nt * (hi - lo), den * nt).
     """
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     hi, lo, sums = p._span
     T = max(nt * (hi - lo), den * nt).bit_length()
     W, cols, _ = _packed_risk(p, T)
-    tab = _Tableau(nt + nd + 1, T, W)
     top = cols[j0] + (sums[j0] << W * nt)
-    tab.rows = [top - cols[j] - (sums[j] << W * nt) + (1 << W * (nt + 1 + k))
-                for k, j in enumerate(j for j in range(nd) if j != j0)]
-    tab.rows.append(den * (_ones(nt, W) + (nt << W * nt) + (1 << tab.rsh)))
-    cost = [0] * (nt + nd)
-    cost[nt] = 1
-    return _solve_tableau(tab, list(range(nt + 1, nt + nd)) + [nt + 2 * nd - 1], cost, nt + 1)
+    rows = [top - cols[j] - (sums[j] << W * nt) for j in range(nd) if j != j0]
+    rows.append(den * (_ones(nt, W) + (nt << W * nt)))
+    return _solve_packed(rows, [0] * (nd - 1) + [den], nd - 1, [0] * nt + [1], T, W)
 
 
 def _forced_zero(p: DecisionProblem, j0: int):
@@ -455,22 +444,20 @@ def stein_check(p: DecisionProblem, delta0, theta0, eps) -> SteinResult:
     i0 = p.theta_index(theta0)
     j0 = p.proc_index(delta0)
 
-    # variables: pi (nt), then one slack per row; every row times den * q for
-    # eps = a / q, packed from the risk columns: packing is linear.  No field
-    # of a competitor's row exceeds q * (hi - lo) + den * a, nor of the mass row den * q
+    # variables: pi (nt); every row times den * q for eps = a / q, packed
+    # from the risk columns: packing is linear.  No field of a competitor's
+    # row exceeds q * (hi - lo) + den * a, nor of the mass row den * q
     nt, nd, den = len(p.theta_labels), len(p.proc_labels), p.den
     a, q = eps.numerator, eps.denominator
     hi, lo, _ = p._span
     T = max(q * (hi - lo) + den * a, den * q).bit_length()
     W, cols, _ = _packed_risk(p, T)
-    tab = _Tableau(nt + nd + 1, T, W)
     top = q * cols[j0] - (den * a << W * i0)
-    tab.rows = [top - q * cols[j] + (1 << W * (nt + k))
-                for k, j in enumerate(j for j in range(nd) if j != j0)]
-    tab.rows.append(den * q * (_ones(nt, W) + (1 << tab.rsh)) + (1 << W * (nt + nd - 1)))
-    cost = [0] * (nt + nd)
+    rows = [top - q * cols[j] for j in range(nd) if j != j0]
+    rows.append(den * q * _ones(nt, W))
+    cost = [0] * nt
     cost[i0] = 1
-    res = _solve_tableau(tab, list(range(nt, nt + nd)), cost, nt)
+    res = _solve_packed(rows, [0] * (nd - 1) + [den * q], nd, cost, T, W)
     if res.status != "optimal":
         raise RuntimeError(f"stein LP unexpectedly {res.status}")
     if res.objective == 0:

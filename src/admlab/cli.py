@@ -81,18 +81,19 @@ def _parse_prior_spec(spec: str) -> Prior:
         label = label.strip()
         if label in weights:
             raise ValueError(f"prior label {label!r} repeated")
-        weights[label] = parse_lc(expr.strip())
+        weights[label] = _parse_flag(f"--prior: weight for {label!r}", expr.strip(), parse_lc)
     if not weights:
         raise ValueError("empty prior specification")
     return Prior(weights)
 
 
-def _parse_rational_flag(flag: str, text: str):
+def _parse_flag(flag: str, text: str, parse=_as_fraction):
+    """parse(text); its ValueError names the flag, and for a rational the accepted form."""
     try:
-        return _as_fraction(text)
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}; expected an exact rational such as "
-                         "3, -0.25 or 1/100 (no exponent, no '_')") from None
+        form = "; expected an exact rational such as 3, -0.25 or 1/100 (no exponent, no '_')"
+        raise ValueError(f"{flag}: {exc}{form if parse is _as_fraction else ''}") from None
 
 
 def _parse_family_spec(spec: str):
@@ -198,7 +199,7 @@ def cmd_witness(args) -> int:
 
 def cmd_stein(args) -> int:
     p = _read_problem(args.problem)
-    res = stein_check(p, args.delta, args.theta, _parse_rational_flag("--eps", args.eps))
+    res = stein_check(p, args.delta, args.theta, _parse_flag("--eps", args.eps))
     _emit(res.as_dict())
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
@@ -207,17 +208,21 @@ def cmd_ns(args) -> int:
     p = _read_problem(args.problem)
     prior = _parse_prior_spec(args.prior)
     family = _parse_family_spec(args.family)
+    flag, unread = ("--rho", args.rho) if args.mode == "stein" else ("--eps", args.eps)
+    if unread is not None:  # the flag of the other mode
+        raise ValueError(f"--mode {args.mode} takes no {flag}")
     if args.mode == "stein":
         if args.eps is None:
             raise ValueError("--mode stein needs --eps")
         if len(family) != 1:
             raise ValueError("--mode stein takes exactly one family group")
         rep = ns_stein_check(p, args.delta, prior, family[0],
-                             _parse_rational_flag("--eps", args.eps))
+                             _parse_flag("--eps", args.eps))
     else:
         if args.rho is None:
             raise ValueError("--mode blyth needs --rho")
-        rep = ns_blyth_check(p, args.delta, prior, parse_lc(args.rho), family)
+        rho = _parse_flag("--rho", args.rho, parse_lc)
+        rep = ns_blyth_check(p, args.delta, prior, rho, family)
     _emit(rep.as_dict())
     return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
@@ -225,7 +230,7 @@ def cmd_ns(args) -> int:
 def cmd_game(args) -> int:
     p = _read_problem(args.problem)
     rep = derived_game_value(p, args.delta, args.theta0,
-                             _parse_rational_flag("--gamma", args.gamma))
+                             _parse_flag("--gamma", args.gamma))
     _emit(rep.as_dict())
     return EXIT_OK
 

@@ -31,7 +31,7 @@ from admlab.decision import (
     _weighted_rows,
 )
 from admlab.hyperreal import _as_fraction
-from admlab.simplex import _ones, _solve_tableau, _Tableau
+from admlab.simplex import _ones, _solve_packed
 
 __all__ = ["GameValueReport", "derived_game_value", "shifted_risk"]
 
@@ -69,24 +69,21 @@ def _minimax_lp(p: DecisionProblem, j0: int, thetas, a: int, q: int, i0: int = 0
     and delta0, which pays 0 at every theta, is barred from the mass row, so
     lam is a competitor mixture.
 
-    Columns: one weight per procedure, v, v's negative part, a slack per
-    kept theta, the rhs.  The theta row is its payoff row, -scale and scale
-    in v's two fields and its slack bit, rhs 0; the mass row, the only one
-    with an artificial, holds scale in each allowed weight's field and in
-    the rhs.  delta0's gap field is 0, so barred its column is all zero and
-    never enters.  No field exceeds max((a + q) * (hi - lo), scale).
+    Columns: one weight per procedure, then v, a free column.  The theta
+    row, a ``<=`` row with rhs 0, is its payoff row with -scale in v's
+    field; the mass row, an ``==`` row, holds scale in each allowed weight's
+    field and in its rhs.  delta0's gap field is 0, so barred its column is
+    all zero and never enters.  No field exceeds max((a + q) * (hi - lo),
+    scale).
     """
     nd, m, scale = len(p.proc_labels), len(thetas), p.den * (q or a)
     hi, lo, _ = p._span
     T = max((a + q) * (hi - lo), scale).bit_length()
     W, G = _packed_gaps(p, j0, T)
-    tab = _Tableau(nd + m + 3, T, W)
-    top = q * G[i0] + (scale << W * (nd + 1)) - (scale << W * nd)
-    tab.rows = [top + a * G[i] + (1 << W * (nd + 2 + k)) for k, i in enumerate(thetas)]
-    mass = _ones(nd, W) - (0 if q else 1 << W * j0)  # at q = 0, delta0 is barred
-    tab.rows.append(scale * (mass + (1 << tab.rsh)))
-    basis = list(range(nd + 2, nd + m + 2)) + [nd + 2 * m + 2]
-    return _solve_tableau(tab, basis, [0] * nd + [-1, 1] + [0] * m, nd + 1, [nd], sign=-1)
+    top = q * G[i0] - (scale << W * nd)
+    rows = [top + a * G[i] for i in thetas]
+    rows.append(scale * (_ones(nd, W) - (0 if q else 1 << W * j0)))  # at q = 0, delta0 is barred
+    return _solve_packed(rows, [0] * m + [scale], m, [0] * nd + [1], T, W, [nd], -1)
 
 
 def _minimax_sides(pay, lp, scale: int, cols):

@@ -59,28 +59,27 @@ field by field as bytes, at ``W = T + g + 32`` rounded up to a multiple of
 8.  All fields are still valid under the old ``W`` at that point, so no
 field is ever read after it overflowed.
 
-**The private entry.**  ``solve_lp`` validates its input, scales it to ints
-and packs its rows; ``_solve_tableau`` does the rest (phase 1 when some row
-has an artificial, phase 2 and the read-out below) on a packed tableau.
-Every checker LP but the forced-zero one, and the derived game's, packs its
-own rows and calls it directly; ``solve_lp`` stays the public front for LPs
-of any shape.  A caller guarantees what ``solve_lp`` does: every rhs is
-``>= 0`` (only ``solve_lp`` negates a row, one with a negative rhs, which
-then gets an artificial; the checkers' rows need none), each row's basic
-column is its own slack, stored as 1, or an artificial, and ``T`` bounds
-every field of every row (and of phase 1's objective, the sum of the rows
-with an artificial, if it runs).  Packing is linear, since a packed row is
-``sum(v_k * 2**(W*k))`` with signed fields: ``pack(u) + c*pack(v) ==
-pack(u + c*v)`` for int vectors and an int ``c``.  So the checkers make
-each row from the problem's packed risk columns (``decision._packed_risk``,
-built once per problem and width) or delta0's gap rows
-(``decision._packed_gaps``) with a few bignum operations, and it reads
-back field by field when every field of the result is below ``2**T``.  A column that is zero in every row and in
-the cost never has a positive reduced cost, in phase 1 or phase 2, so it
-never enters and the drive-out never picks it: a caller may keep such a
-column (delta0's own weight in the hull and risk-equal LPs, and in the
-witness LP, the game's LP with delta0 barred from its mass row) and the
-pivots are those of the LP without it.
+**The private entry.**  ``_solve_packed`` takes an LP as rows packed over
+its structural columns alone, their rhs, the number ``n_le`` of leading
+``<=`` rows (the rest are ``==``), the cost, the free columns, the sign and
+the bound ``T < W`` on every field and rhs at the width ``W`` packed at.  It
+lays out the rest: each free column's negative part, one slack per ``<=``
+row, stored as 1, the rhs field, the start basis above (a row with rhs
+``< 0`` negated), and room for phase 1's objective, a sum of k rows below
+``k * 2**T``, as for phase 2's.  ``solve_lp`` validates, scales to ints and
+packs; every checker LP but the forced-zero one, and the derived game's,
+packs its own rows and calls ``_solve_packed``.  Packing is linear:
+``pack(u) + c*pack(v) == pack(u + c*v)`` for int vectors and an int ``c``.
+So the checkers make each row from the problem's packed risk columns
+(``decision._packed_risk``, built once per problem and width) or delta0's
+gap rows (``decision._packed_gaps``) with a few bignum operations, and it
+reads back field by field when every field of the result is below
+``2**T``.  A column that is zero in every row and in the cost never has a
+positive reduced cost, in phase 1 or phase 2, so it never enters and the
+drive-out never picks it: a caller may keep such a column (delta0's own
+weight in the hull and risk-equal LPs, and in the witness LP, the game's LP
+with delta0 barred from its mass row) and the pivots are those of the LP
+without it.
 
 The result is what the final tableau holds: int levels ``num`` under the
 shared denominator ``D``, so ``x[j] == num[j] / D`` (a free variable's level
@@ -97,6 +96,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from admlab.hyperreal import _as_fraction
@@ -161,9 +161,9 @@ class _Tableau:
 
     __slots__ = ("rows", "nfields", "T", "W", "M", "H", "B", "pos", "cols", "rsh")
 
-    def __init__(self, nfields, T, W=None):
+    def __init__(self, nfields, T, W):
         self.rows, self.nfields, self.T = [], nfields, T
-        self.fit(W or _width(T))
+        self.fit(W)
 
     def fit(self, W):
         """Set the width to W (rows must be packed again)."""
@@ -174,9 +174,6 @@ class _Tableau:
         self.pos = self.B - ones                       # bit W-1 set where v > 0
         self.cols = self.H * (ones >> W)               # bit W-1 of the column fields
         self.rsh = W * (n - 1)                         # the rhs field's offset
-
-    def pack(self, fields):
-        return _pack(fields, self.W)
 
     def rhs(self, x):
         return (x + self.B >> self.rsh) - self.H
@@ -297,44 +294,51 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     if any(not 0 <= j < n for j in free):
         raise ValueError("free variable index out of range")
 
-    # rows with their rhs, and the objective, as ints under one factor each;
-    # column layout: n structural, then one negative part per free var,
-    # then one slack per inequality row
+    # rows with their rhs, and the objective, as ints under one factor each
     [cost], Lc = _as_ints([list(c)])
     rows, L = _as_ints([list(r) + [v] for r, v in zip(A_ub + A_eq, b_ub + b_eq)])
-    nf, nslack = len(free), len(A_ub)
-    ncols = n + nf + nslack
-    sign = 1 if maximize else -1
-    cost = [sign * v for v in cost] + [-sign * cost[j] for j in free] + [0] * nslack
-
-    # every entry, the phase-1 objective's (a sum of up to m rows) too, is below 2**T
-    T = _bits(rows) + len(rows).bit_length()
-    tab = _Tableau(ncols + 1, T)
-    basis = []
-    for i, arow in enumerate(rows):  # inequality rows first, each with its slack, stored as 1
-        x = tab.pack(arow[:n] + [-arow[j] for j in free]) + (arow[n] << tab.rsh)
-        if i < nslack:
-            x += 1 << tab.W * (n + nf + i)
-        # the slack starts basic in a row it can hold; any other row gets an artificial
-        basis.append(n + nf + i if i < nslack and arow[n] >= 0 else ncols + i)
-        tab.rows.append(x if arow[n] >= 0 else -x)
-    return _solve_tableau(tab, basis, cost, n, free, L, Lc, sign)
+    T = _bits(rows)
+    W = _width(T)
+    return _solve_packed([_pack(r[:n], W) for r in rows], [r[n] for r in rows], len(A_ub),
+                         cost, T, W, free, 1 if maximize else -1, L, Lc)
 
 
-def _solve_tableau(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
-    """Solve the LP packed in tab (the private entry; see the module docstring).
+def _solve_packed(rows, rhs, n_le, cost, T, W, free=(), sign=1, L=1, Lc=1):
+    """Max ``sign * cost.x`` over packed rows (the private entry; see the module docstring).
 
-    Row i of ``tab.rows`` has basic column ``basis[i]``, ``ncols + i`` for an
-    artificial, with ``ncols = len(cost)``: ``n`` structural columns, one
-    negative part per entry of ``free``, then one slack per inequality row.
-    ``cost`` is the objective as ints, times ``Lc`` and times ``sign`` (-1 for
-    a min), ``L`` the rows' common factor.
+    ``rows[i]`` holds row i's fields over the ``n = len(cost)`` structural
+    columns, ``rhs[i]`` its rhs; ``free`` is sorted, ``cost`` the objective
+    as ints times ``Lc`` and ``L`` the rows' common factor.
     """
-    ncols, nf, m = len(cost), len(free), len(basis)
+    n, nf, m = len(cost), len(free), len(rows)
+    sl = n + nf  # the first slack column
+    ncols = sl + n_le
+    tab = _Tableau(ncols + 1, T, W)
+    tab.rows = rows
+    for k, j in enumerate(free, n):  # each free variable's negative part: its column negated
+        tab.rows = [x - (v << W * k) for x, v in zip(tab.rows, tab.column(j))]
+    if free:
+        cost = cost + [-cost[j] for j in free]  # a slack's cost is 0
+    # a <= row's slack, stored as 1, starts basic; an == row gets an artificial
+    bit, rsh = 1 << W * sl, tab.rsh
+    packed = [x + (bit << W * i) for i, x in zip(range(n_le), tab.rows)]
+    tab.rows = packed = packed + tab.rows[n_le:]
+    basis = [*range(sl, ncols), *range(ncols + n_le, ncols + m)]
+    k = m - n_le  # the rows with an artificial
+    for i in compress(range(m), rhs):  # add each nonzero rhs; negate a row whose rhs is < 0
+        x = packed[i] + (rhs[i] << rsh)
+        if rhs[i] < 0:
+            x = -x
+            k += basis[i] < ncols
+            basis[i] = ncols + i
+        packed[i] = x
+
     iters, d = 0, 1
-    if basis and max(basis) >= ncols:
-        # phase 1: max -sum(artificials) (columns ncols.., never stored)
-        tab.rows.append(sum(x for x, bj in zip(tab.rows, basis) if bj >= ncols))
+    if k:
+        # phase 1: max -sum(artificials) (columns ncols.., never stored); its
+        # objective, a sum of k rows, is below k * 2**T
+        _reserve(tab, (k - 1).bit_length())
+        tab.rows.append(sum(compress(tab.rows, map(ncols.__le__, basis))))
         status, iters, d = _run_simplex(tab, basis, d)
         if tab.rhs(tab.rows.pop()) > 0:  # -z1: the artificials still sum to > 0
             return LPResult("infeasible", None, None, None, iters)
@@ -353,15 +357,16 @@ def _solve_tableau(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
         tab.rows = [tab.rows[i] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # phase 2: true objective times its own lcm Lc, rewritten over the current basis
-    # its fields are below 2**T * S, as D < 2**T (D is a stored field, or 1)
-    S = max(map(abs, cost), default=0) + sum(abs(cost[bj]) for bj in basis)
+    # phase 2: true objective times its own lcm Lc, rewritten over the current
+    # basis (all slacks, of cost 0, unless phase 1 ran); its fields are below
+    # 2**T * S, as D < 2**T (D is a stored field, or 1)
+    priced = [(cost[bj], i) for i, bj in enumerate(basis) if bj < sl and cost[bj]] if k else ()
+    S = max(map(abs, cost), default=0) + sum(abs(f) for f, _ in priced)
     _reserve(tab, max(S - 1, 0).bit_length())
-    obj = d * tab.pack(cost)
-    for bj, x in zip(basis, tab.rows):
-        if f := cost[bj]:
-            obj -= f * x
-    tab.rows.append(obj)
+    obj = d * _pack(cost, tab.W)
+    for f, i in priced:
+        obj -= f * tab.rows[i]
+    tab.rows.append(obj if sign > 0 else -obj)  # the objective is sign * cost
     status, it2, d = _run_simplex(tab, basis, d)
     iters += it2
     if status == "unbounded":
@@ -371,9 +376,9 @@ def _solve_tableau(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
     for bj, x in zip(basis, tab.rows):
         if bj < n:
             num[bj] += tab.rhs(x)
-        elif bj < n + nf:
+        elif bj < sl:
             num[free[bj - n]] -= tab.rhs(x)
     obj, W, M, H = tab.rows[-1] + tab.B, tab.W, tab.M, tab.H  # the objective row, biased
-    ynum = [L * (H - (obj >> W * s & M)) for s in range(n + nf, ncols)]
+    ynum = [L * (H - (obj >> W * s & M)) for s in range(sl, ncols)]
     return LPResult("optimal", Fraction(sign * (H - (obj >> tab.rsh)), d * Lc),
                     num, d, iters, ynum)

@@ -225,8 +225,8 @@ def kernel_outputs():
     """Every LPResult the checkers and the game solve, then the large-entry LPs.
 
     The forced-zero LP goes through ``solve_lp``; every other checker LP, and
-    the game's, packs its own tableau and calls the kernel's private entry
-    ``simplex._solve_tableau``, so both entries are recorded.  Each LP prints
+    the game's, packs its own rows and calls the kernel's private entry
+    ``simplex._solve_packed``, so both entries are recorded.  Each LP prints
     as ``lp`` and the public checker that solved it (``lp witness_set``), a
     large-entry LP as ``lp solve_lp``."""
     from admlab import admissibility as adm
@@ -247,9 +247,9 @@ def kernel_outputs():
         checker = fn.__name__
         return fn(*args)
 
-    saved = adm.solve_lp, adm._solve_tableau, game._solve_tableau
+    saved = adm.solve_lp, adm._solve_packed, game._solve_packed
     adm.solve_lp = recorded(simplex.solve_lp)
-    adm._solve_tableau = game._solve_tableau = recorded(simplex._solve_tableau)
+    adm._solve_packed = game._solve_packed = recorded(simplex._solve_packed)
     try:
         for grid in GRIDS:
             for seed, (nt, nd) in enumerate(KERNEL_SHAPES):
@@ -270,7 +270,7 @@ def kernel_outputs():
                         check(adm.witness_set, p, d)
                     check(game.derived_game_value, p, d, p.theta_labels[j % nt], GAMMAS[j % 2])
     finally:
-        adm.solve_lp, adm._solve_tableau, game._solve_tableau = saved
+        adm.solve_lp, adm._solve_packed, game._solve_packed = saved
     print("== large entries")
     for args, kwargs in large_entry_lps():
         print("lp solve_lp", repr(simplex.solve_lp(*args, **kwargs)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from admlab.hyperreal import _as_fraction
 
-__all__ = ["LPResult", "solve_lp"]
+__all__ = ["LPResult", "fields", "solve_lp"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -177,3 +177,18 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         x[j] = full[j] - full[jc]
     z = -obj[-1]
     return LPResult("optimal", sign * z, x, total_iters)
+
+
+def fields(x, n, W):
+    """The n signed fields of width W of the packed row x (``sum(v_k * 2**(W*k))``).
+
+    Read back as the tests' spies need it, sharing no code with the kernel:
+    biasing every field by ``2**(W-1)`` stops a negative field borrowing from
+    the one above it, so each field must satisfy ``-2**(W-1) <= v < 2**(W-1)``.
+    A row with anything above its n fields is a ValueError.
+    """
+    H = 1 << W - 1
+    u = x + H * sum(1 << W * k for k in range(n))
+    if not 0 <= u < 1 << W * n:
+        raise ValueError(f"not a packed row of {n} fields of width {W}")
+    return [(u >> W * k & (1 << W) - 1) - H for k in range(n)]

@@ -332,7 +332,7 @@ def test_large_entry_min_weights_are_pinned():
 
 def _maximizes(args, kwargs):
     """Is the LP passed to the kernel's private entry a max (sign 1)?"""
-    return inspect.signature(simplex._solve_tableau).bind(*args, **kwargs).arguments.get(
+    return inspect.signature(simplex._solve_packed).bind(*args, **kwargs).arguments.get(
         "sign", 1) == 1
 
 
@@ -396,10 +396,10 @@ class TestWitnessSet:
         """witness_set's outcome (a WitnessSet or a NoWitness), the gaps
         of lam when separation failed (None on return), and the number of
         maximizing LPs it solved (the restriction LPs minimize).  Every LP
-        there packs its own tableau and calls the kernel's private entry: the
+        there packs its own rows and calls the kernel's private entry: the
         restriction LPs through ``game``, the dominance LP through ``adm``."""
         events = []
-        gaps_of, solve = adm._mixture_gaps, simplex._solve_tableau
+        gaps_of, solve = adm._mixture_gaps, simplex._solve_packed
 
         def spy_gaps(*args):
             out = gaps_of(*args)
@@ -410,8 +410,8 @@ class TestWitnessSet:
             events.append(_maximizes(args, kwargs))
             return solve(*args, **kwargs)
         with mock.patch.object(adm, "_mixture_gaps", spy_gaps), \
-                mock.patch.object(adm, "_solve_tableau", spy_lp), \
-                mock.patch.object(game, "_solve_tableau", spy_lp), \
+                mock.patch.object(adm, "_solve_packed", spy_lp), \
+                mock.patch.object(game, "_solve_packed", spy_lp), \
                 mock.patch.object(adm, "dominated_in_hull", side_effect=AssertionError):
             outcome = adm.witness_set(p, d)
         if isinstance(outcome, adm.WitnessSet):
@@ -457,7 +457,7 @@ class TestWitnessSet:
         # on TWO_POINT the restriction LP on {t1} has v = 1 for lam = d1; an
         # LP that claims v = -1 ends separation with lam losing at t1 (v is
         # the LP's last variable)
-        solve = game._solve_tableau
+        solve = game._solve_packed
 
         def understate(*args, **kwargs):
             res = solve(*args, **kwargs)
@@ -465,7 +465,7 @@ class TestWitnessSet:
                 return res
             return dataclasses.replace(res, num=res.num[:-1] + [res.num[-1] - 2 * res.D],
                                        objective=res.objective - 2)
-        with mock.patch.object(game, "_solve_tableau", understate):
+        with mock.patch.object(game, "_solve_packed", understate):
             with pytest.raises(RuntimeError, match="witness restriction mixture failed"):
                 adm.witness_set(TWO_POINT, "d0")
 
@@ -563,7 +563,7 @@ def test_stein_and_dominance_match_equality_formulations(risk, k, i, eps):
 
 def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
     # every row of both LPs is a.x <= b with b >= 0: one Bland loop per LP.
-    # Both pack their own tableau and call the kernel's private entry
+    # Both pack their own rows and call the kernel's private entry
     runs, real, kind = [], simplex._run_simplex, ["dominance"]
 
     def spy(*args):
@@ -572,10 +572,10 @@ def test_stein_and_dominance_lps_skip_phase_one(monkeypatch):
 
     def counted(*args, **kwargs):
         runs.append([kind[0], 0])
-        return simplex._solve_tableau(*args, **kwargs)
+        return simplex._solve_packed(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "_run_simplex", spy)
-    monkeypatch.setattr(adm, "_solve_tableau", counted)
+    monkeypatch.setattr(adm, "_solve_packed", counted)
     dominated = infeasible = checks = 0
     for seed in range(20):
         p = random_problem(1 + seed % 5, 1 + seed % 6, seed)
@@ -638,19 +638,19 @@ def test_dominance_lp_matches_the_s_column_form(n_theta, n_proc, seed, grid, pla
 @pytest.mark.parametrize("delta", (1, -1))
 def test_s_column_cross_check_sees_a_cost_off_by_one(delta):
     # the first competitor's cost coefficient in the dominance LP off by one
-    # (the risk-equal LP, with equality rows only and no slack column, is
-    # left alone): the cross-check, or the dominance LP's own improvement
-    # re-check, fails on some problem
-    def off_by_one(tab, basis, cost, n, *rest):
-        if len(cost) > n:
+    # (the risk-equal LP, with equality rows only, is left alone): the
+    # cross-check, or the dominance LP's own improvement re-check, fails on
+    # some problem
+    def off_by_one(rows, rhs, n_le, cost, T, W, *rest):
+        if n_le:
             # delta0's column is all zero; a competitor's holds den in the mass row
-            k = next(k for k in range(n) if tab.column(k)[-1])
+            k = next(k for k, v in enumerate(fraction_simplex.fields(rows[-1], len(cost), W)) if v)
             cost = cost[:k] + [cost[k] + delta] + cost[k + 1:]
-        return simplex._solve_tableau(tab, basis, cost, n, *rest)
+        return simplex._solve_packed(rows, rhs, n_le, cost, T, W, *rest)
     failed = 0
     for seed in range(20):
         p = _with_planted(random_problem(3, 4, seed), random.Random(seed))
-        with mock.patch.object(adm, "_solve_tableau", off_by_one):
+        with mock.patch.object(adm, "_solve_packed", off_by_one):
             try:
                 _same_as_s_column_dominance(p)
             except (AssertionError, RuntimeError):
@@ -658,7 +658,7 @@ def test_s_column_cross_check_sees_a_cost_off_by_one(delta):
     assert failed
     # the d0 = (1, 1), d1 = (1, 0) case: c = [1], and c = [0] reads as not dominated
     tied = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((1, 1), (1, 0)))
-    with mock.patch.object(adm, "_solve_tableau", off_by_one), \
+    with mock.patch.object(adm, "_solve_packed", off_by_one), \
             pytest.raises(AssertionError if delta < 0 else RuntimeError):
         _same_as_s_column_dominance(tied)
 
@@ -698,23 +698,25 @@ def _list_stein(p, d0, t0, eps, solve):
 
 class _PackedStein:
     """Spies the private entry that stein_check calls: T must bound every
-    field of the rows it packed; counts the LPs where T is the least bound."""
+    field and rhs of the rows it packed; counts the LPs where T is the least
+    bound."""
 
     def __init__(self):
         self.lps = self.tight = 0
-        self.real = simplex._solve_tableau
+        self.real = simplex._solve_packed
 
-    def __call__(self, tab, *args):
-        top = max(abs(v) for s in range(tab.nfields) for v in tab.column(s))
-        assert top < 2 ** tab.T
+    def __call__(self, rows, rhs, n_le, cost, T, W, *args):
+        top = max(map(abs, [v for x in rows for v in fraction_simplex.fields(x, len(cost), W)]
+                      + rhs))
+        assert top < 2 ** T
         self.lps += 1
-        self.tight += top >= 2 ** (tab.T - 1)
-        return self.real(tab, *args)
+        self.tight += top >= 2 ** (T - 1)
+        return self.real(rows, rhs, n_le, cost, T, W, *args)
 
 
 def _same_as_list_stein(p, eps, solve=simplex.solve_lp):
     spy = _PackedStein()
-    with mock.patch.object(adm, "_solve_tableau", spy):
+    with mock.patch.object(adm, "_solve_packed", spy):
         for d in p.proc_labels:
             for t in p.theta_labels:
                 assert adm.stein_check(p, d, t, eps) == _list_stein(p, d, t, eps, solve), (d, t)
@@ -1038,10 +1040,10 @@ _OPTIMIZED_PROBE = textwrap.dedent("""
             return dataclasses.replace(res, objective=res.objective + 1)
         return corrupt
 
-    # these checkers and the game pack their own tableaux and call the
+    # these checkers and the game pack their own rows and call the
     # kernel's private entry; only the forced-zero LP goes through solve_lp
     admissibility.solve_lp = corrupted(simplex.solve_lp)
-    admissibility._solve_tableau = game._solve_tableau = corrupted(simplex._solve_tableau)
+    admissibility._solve_packed = game._solve_packed = corrupted(simplex._solve_packed)
     p = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (1, 0)))
     print("optimize", sys.flags.optimize)
     for name, call in [("dominated_in_hull", lambda: admissibility.dominated_in_hull(p, "d0")),
@@ -1196,8 +1198,8 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     ten = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, 1), (0, -10)))
     negated = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((0, -1), (-1, 0)))
     uneven = DecisionProblem(("t1", "t2"), ("d0", "d1"), ((2, 3), (2, 0)))
-    # the dominance LP has slack columns past its n variables, the risk-equal LP none
-    has_ub = lambda args: len(args[2]) > args[3]
+    # the dominance LP has <= rows, the risk-equal LP none
+    has_ub = lambda args: args[2] > 0
     moved = lambda res, num, D, objective: dataclasses.replace(res, num=num, D=D,
                                                                objective=objective)
     infeasible = simplex.LPResult("infeasible", None, None, None, 0)
@@ -1366,13 +1368,13 @@ _MOVED_SOLUTION_PROBE = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     for name, move, call in cases:
         # the forced-zero LP goes through solve_lp; every other checker, and
-        # the game, packs its own tableau and calls the kernel's private entry
+        # the game, packs its own rows and calls the kernel's private entry
         listed = name.startswith("forced-zero")
-        solve = simplex.solve_lp if listed else simplex._solve_tableau
+        solve = simplex.solve_lp if listed else simplex._solve_packed
         moving = lambda *a, move=move, solve=solve, **kw: move(solve(*a, **kw), a)
         admissibility.solve_lp = moving if listed else simplex.solve_lp
-        admissibility._solve_tableau = game._solve_tableau = (
-            simplex._solve_tableau if listed else moving)
+        admissibility._solve_packed = game._solve_packed = (
+            simplex._solve_packed if listed else moving)
         try:
             print(name, "returned", call())
         except RuntimeError as exc:

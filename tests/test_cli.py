@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,11 +16,11 @@ from pathlib import Path
 import pytest
 
 import exact_outputs
-from admlab import admissibility, cli, game
+from admlab import admissibility, cli, game, simplex
 from admlab.admissibility import dominated_in_hull
 from admlab.decision import DecisionProblem, Prior, load_problem, random_problem, save_problem
 from admlab.game import derived_game_value
-from admlab.simplex import _solve_tableau
+from admlab.simplex import _solve_packed
 
 
 def run(capsys, *argv):
@@ -141,9 +142,9 @@ class TestWitness:
         path.write_bytes(save_problem(p))
 
         def moved(*args, **kwargs):
-            res = _solve_tableau(*args, **kwargs)
+            res = _solve_packed(*args, **kwargs)
             return dataclasses.replace(res, ynum=[first] + [rest] * (len(res.ynum) - 1))
-        monkeypatch.setattr(game, "_solve_tableau", moved)
+        monkeypatch.setattr(game, "_solve_packed", moved)
         code, out, err = run(capsys, "witness", str(path), "--delta", "d0")
         payload = json.loads(out)
         assert payload["thetas"] == ["t1", "t2"] and payload["margin"] == "1/2"
@@ -293,19 +294,19 @@ class TestNs:
         assert code == 1 and err == ""
         assert payload == {"ok": False, "excess": "3/8ε^20", "bound": "1/100ε^20"}
 
-    @pytest.mark.parametrize("argv", [
-        ("--mode", "blyth", "--prior", "t1:4/13, t2:5/13, t3:4/13", "--rho", "1 0",
-         "--family", "t1; t2; t3"),
-        ("--mode", "stein", "--prior", "t2:1/1 0, t3:9/10", "--eps", "1/100",
-         "--family", "t2, t3"),
+    @pytest.mark.parametrize("argv, where", [
+        (("--mode", "blyth", "--prior", "t1:4/13, t2:5/13, t3:4/13", "--rho", "1 0",
+          "--family", "t1; t2; t3"), "--rho"),
+        (("--mode", "stein", "--prior", "t2:1/1 0, t3:9/10", "--eps", "1/100",
+          "--family", "t2, t3"), "--prior: weight for 't2'"),
     ], ids=["rho", "prior"])
-    def test_a_space_inside_a_number_is_an_input_error(self, capsys, tmp_path, argv):
+    def test_a_space_inside_a_number_is_an_input_error(self, capsys, tmp_path, argv, where):
         # with the space dropped, rho would read 10 and pi(t2) 1/10: both pass
         path = tmp_path / "demo.json"
         path.write_bytes(save_problem(random_problem(3, 4, 7)))
         code, out, err = run(capsys, "ns", str(path), "--delta", "d1", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: cannot parse '0' in Levi-Civita literal")
+        assert err.startswith(f"error: {where}: cannot parse '0' in Levi-Civita literal")
 
 
 class TestGame:
@@ -524,10 +525,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "zero denominator" in err
-        if argv[-2] in ("--eps", "--gamma") and argv[-1] == "1/0":
-            # a bad exact-rational flag names itself and the accepted form
-            assert err.startswith(f"error: {argv[-2]}: zero denominator in '1/0'; ")
-            assert "1/100 (no exponent, no '_')" in err
+        if argv[-1] == "1/0":
+            # a bad flag names itself, and an exact-rational one the accepted form
+            assert err.startswith(f"error: {argv[-2]}: zero denominator in '1/0'")
+            assert (argv[-2] == "--rho") != ("; expected an exact rational" in err)
+            assert (argv[-2] == "--rho") != ("1/100 (no exponent, no '_')" in err)
+        else:  # a bad prior weight names the flag and the weight's label
+            assert err.startswith("error: --prior: weight for 't1': zero denominator in '1/0'")
 
     def test_a_zero_denominator_in_a_problem_file_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
@@ -631,10 +635,28 @@ class TestExitCodes:
         (("ns", "{}", "--delta", "d0", "--prior", "t1:1/2,t2:1/2", "--family", "t1,t2",
           "--mode", "stein", "--eps", "1_0"),
          "error: --eps: Invalid literal for Fraction: '1_0'; expected an exact rational"),
+        # a Levi-Civita flag or prior weight names itself too
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1-eps,t2:eps", "--family", "t1;t2",
+          "--mode", "blyth", "--rho", "1e-2"),
+         "error: --rho: cannot parse 'e-2' in Levi-Civita literal '1e-2'"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1-eps,t2:eps", "--family", "t1;t2",
+          "--mode", "blyth", "--rho", "1 0"),
+         "error: --rho: cannot parse '0' in Levi-Civita literal '1 0'"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1-eps,t2:1e-2", "--family", "t1,t2",
+          "--mode", "stein", "--eps", "1/100"),
+         "error: --prior: weight for 't2': cannot parse 'e-2' in Levi-Civita literal '1e-2'"),
+        # a flag that the chosen mode does not read, however well formed
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1-eps,t2:eps", "--family", "t1;t2",
+          "--mode", "blyth", "--rho", "1/4", "--eps", "1/100"),
+         "error: --mode blyth takes no --eps"),
+        (("ns", "{}", "--delta", "d0", "--prior", "t1:1-eps,t2:eps", "--family", "t1,t2",
+          "--mode", "stein", "--eps", "1/100", "--rho", "1/4"),
+         "error: --mode stein takes no --rho"),
     ], ids=["empty-prior", "empty-family", "empty-betas", "bayes-phi", "unknown-phi",
             "stein-eps-exponent", "stein-eps-digit", "stein-eps-underscore", "stein-eps-word",
             "game-gamma-underscore", "game-gamma-exponent", "game-gamma-word",
-            "ns-eps-exponent", "ns-eps-underscore"])
+            "ns-eps-exponent", "ns-eps-underscore", "ns-rho-exponent", "ns-rho-space",
+            "ns-prior-exponent", "ns-blyth-eps", "ns-stein-rho"])
     def test_a_rejected_option_is_an_input_error(self, capsys, two_point, argv, message):
         code, out, err = run(capsys, *(a.format(two_point) for a in argv))
         assert code == 2 and out == ""
@@ -671,9 +693,9 @@ class TestExitCodes:
         # an LP whose solution carries a negative weight: the bad prior comes
         # from the program, not from the input file
         def negative(*args, **kwargs):
-            res = _solve_tableau(*args, **kwargs)
+            res = _solve_packed(*args, **kwargs)
             return dataclasses.replace(res, num=[-2, 4, 1], D=2, objective=F(1, 2))
-        monkeypatch.setattr(admissibility, "_solve_tableau", negative)
+        monkeypatch.setattr(admissibility, "_solve_packed", negative)
         code, out, err = run(capsys, "certify", two_point, "--delta", "d0")
         assert code == 3
         assert out == ""
@@ -815,6 +837,40 @@ class TestStartup:
                 "if code:\n"
                 "    sys.exit(f'exit {code}')")
         assert self.scipy_loaded_by(call) == []
+
+    def test_only_simplex_lays_out_a_tableau(self):
+        # every LP reaches the kernel as rows over its structural columns,
+        # through solve_lp or _solve_packed: slack and negative-part columns,
+        # the rhs field, the start basis and phase 1's room stay in simplex.py.
+        # A star import and simplex.__all__ reach the public names alone
+        allowed = {"LPResult", "solve_lp", "_solve_packed", "_pack", "_ones", "_width"}
+        assert set(simplex.__all__) <= allowed
+        root = Path(cli.__file__).resolve().parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "simplex.py":
+                continue
+            rel = path.relative_to(root.parent).with_suffix("")
+            package = ".".join(rel.parts[:-1])  # a module's package, or an __init__'s own
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            bound = set()  # local names of the admlab.simplex module itself
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    module = importlib.util.resolve_name(
+                        "." * node.level + (node.module or ""), package)
+                    for alias in node.names:
+                        if module == "admlab.simplex" and alias.name not in allowed | {"*"}:
+                            found.append(f"{rel}:{node.lineno} {alias.name}")
+                        elif module == "admlab" and alias.name == "simplex":
+                            bound.add(alias.asname or alias.name)
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name == "admlab.simplex":
+                            found.append(f"{rel}:{node.lineno} import {alias.name}")
+            found += [f"{rel}:{node.lineno} {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in bound and node.attr not in allowed | {"__all__"}]
+        assert found == []
 
     def test_no_module_imports_scipy(self):
         # the runtime depends on numpy alone; scipy stays in the test extra

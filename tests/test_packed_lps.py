@@ -11,22 +11,25 @@ builder's result is compared with its LP in list form, solved by
 ``solve_lp``: the same status, objective, solution (as rationals, delta0's
 all-zero column dropped where the hull and risk-equal builders keep one),
 pivots and duals.  The risk-equal LP's status is also that of the
-risk-row form it replaced, ``R_theta . mu == r(theta, delta0)``.  A spy on the private entry checks that each
-builder's closed-form ``T`` bounds every field it packed, and every field
-of phase 1's objective row when phase 1 runs.
+risk-row form it replaced, ``R_theta . mu == r(theta, delta0)``.  A spy on
+the private entry checks that each builder's closed-form ``T`` bounds every
+field and rhs it packed, and a spy on the Bland loop that the kernel's own
+``T`` bounds every row it runs on, phase 1's objective row included.
 """
 
 import random
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admlab import admissibility as adm
 from admlab import game, simplex
 from admlab.decision import DecisionProblem
-from admlab.simplex import solve_lp
+from admlab.simplex import _pack, solve_lp
+from fraction_simplex import fields
 
 
 def _problem(risk):
@@ -50,28 +53,40 @@ _EDGES = (_problem([[0]]), _problem([[F(-3, 8), 1, F(-1, 8), 0]]),
 
 
 class _Bounded:
-    """Spies the kernel's private entry: T < W bounds every packed field, and
-    every field of phase 1's objective, the sum of the rows with an artificial."""
+    """Spies the kernel's private entry and its Bland loop.
+
+    At entry, the caller's claim: ``T < W`` and every field of every row it
+    packed, and every rhs, is below ``2**T``.  At each run of the Bland loop,
+    the kernel's own bound: ``tab.T < tab.W`` and every field of every row,
+    the objective row included, is below ``2**tab.T``.  In phase 1 that
+    objective is the sum of the rows with an artificial, which the kernel
+    makes room for itself.
+    """
 
     def __init__(self):
-        self.lps = 0
+        self.lps = self.runs = 0
+        self.run_simplex = simplex._run_simplex
 
-    def __call__(self, tab, basis, cost, *args, **kwargs):
-        cols = [tab.column(k) for k in range(tab.nfields)]
-        art = [i for i, b in enumerate(basis) if b >= len(cost)]
-        top = max(abs(v) for col in cols for v in col)
-        phase1 = max(abs(sum(col[i] for i in art)) for col in cols)
-        assert max(top, phase1) < 2 ** tab.T and tab.T < tab.W
+    def __call__(self, rows, rhs, n_le, cost, T, W, *args, **kwargs):
+        top = max(map(abs, [v for x in rows for v in fields(x, len(cost), W)] + rhs), default=0)
+        assert top < 2 ** T and T < W
         self.lps += 1
-        return simplex._solve_tableau(tab, basis, cost, *args, **kwargs)
+        return simplex._solve_packed(rows, rhs, n_le, cost, T, W, *args, **kwargs)
+
+    def bland(self, tab, basis, d):
+        top = max(abs(v) for x in tab.rows for v in fields(x, tab.nfields, tab.W))
+        assert top < 2 ** tab.T and tab.T < tab.W
+        self.runs += 1
+        return self.run_simplex(tab, basis, d)
 
 
 def _packed(call):
     spy = _Bounded()
-    with mock.patch.object(adm, "_solve_tableau", spy), \
-            mock.patch.object(game, "_solve_tableau", spy):
+    with mock.patch.object(adm, "_solve_packed", spy), \
+            mock.patch.object(game, "_solve_packed", spy), \
+            mock.patch.object(simplex, "_run_simplex", spy.bland):
         res = call()
-    assert spy.lps == 1
+    assert spy.lps == 1 and spy.runs >= 1
     return res
 
 
@@ -194,3 +209,20 @@ def test_game_lp_matches_the_list_form(p, gamma):
                               b_ub=[0] * nt, A_eq=[[scale] * nd + [0]], b_eq=[scale],
                               free_vars=[nd], maximize=False)
             _assert_same(_packed(lambda: game._minimax_lp(p, j0, range(nt), a, q, i0)), listed)
+
+
+@pytest.mark.parametrize("n_le", (0, 1))
+def test_phase_one_objective_gets_room_of_its_own(n_le):
+    # max -x1 - x2 with x1 + x2 == 1 (or -x1 - x2 <= -1, negated for its rhs)
+    # and x1 - x2 == 1,
+    # times a = 2**15 - 1: every field and rhs fits T = 15 at W = 16, and
+    # both rows get an artificial.  Their sum, phase 1's objective, holds 2a
+    # in x1's field and in the rhs, which 16 bits cannot hold: the kernel
+    # must make room for it before phase 1 runs
+    a = 2 ** 15 - 1
+    A, b = ([[-a, -a], [a, -a]], [-a, a]) if n_le else ([[a, a], [a, -a]], [a, a])
+    spy = _Bounded()
+    with mock.patch.object(simplex, "_run_simplex", spy.bland):
+        res = spy([_pack(row, 16) for row in A], b, n_le, [-1, -1], 15, 16)
+    assert spy.runs == 2 and res.x == [1, 0] and res.objective == -1
+    assert res == solve_lp([-1, -1], A_ub=A[:n_le], b_ub=b[:n_le], A_eq=A[n_le:], b_eq=b[n_le:])

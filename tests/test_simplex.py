@@ -340,7 +340,7 @@ def test_fields_read_back_next_to_negative_fields():
     # below the one read is biased too
     rows = [[-1, 5, -255, 3], [255, -1, -1, -7], [0, -128, 0, 0]]
     tab = simplex._Tableau(4, 8, 16)
-    tab.rows = [tab.pack(r) for r in rows]
+    tab.rows = [simplex._pack(r, tab.W) for r in rows]
     assert list(zip(*(tab.column(k) for k in range(4)))) == [tuple(r) for r in rows]
     assert [tab.rhs(x) for x in tab.rows] == [3, -7, 0]
     assert tab.measure() in (8, 9)  # |v| < 2**8, at most one bit over
@@ -353,7 +353,7 @@ def test_width_guard_repacks_before_a_field_can_overflow():
     # not be readable, so the pivot must measure and pack again first
     rows = [[128, -255, 7], [128, 255, -3], [0, 0, 0]]
     tab = simplex._Tableau(3, 8, 16)
-    tab.rows = [tab.pack(r) for r in rows]
+    tab.rows = [simplex._pack(r, tab.W) for r in rows]
     basis = [3, 4]
     col = tab.column(0)
     assert col == [128, 128, 0]
@@ -381,45 +381,27 @@ def test_growing_entries_force_a_repack(monkeypatch):
     assert repacks.count >= 1
 
 
-def _unpacked(tab, basis, cost, n, free=(), L=1, Lc=1, sign=1):
-    """The list-form LP that solve_lp packs into the same tableau (args, kwargs).
+def _unpacked(rows, rhs, n_le, cost, T, W, free=(), sign=1, L=1, Lc=1):
+    """The list-form LP of a call to the kernel's private entry (args, kwargs).
 
-    Rows with a slack come first, slack k in row k, stored as 1 and basic:
-    only ``solve_lp`` negates a row for its rhs, and every rhs a checker
-    packs is >= 0.  The rest are equality rows, each with an artificial.  A
-    free variable's negative part is its column negated, in the rows and in
-    the cost.  The checkers' rows and costs are ints under no common factor.
+    Each packed row reads back field by field over the ``len(cost)``
+    structural columns, with nothing above them; the first ``n_le`` rows
+    are ``<=`` rows, the rest ``==``.  The checkers' rows and costs are ints
+    under no common factor, and every rhs they pass is >= 0, so the kernel
+    negates no row of theirs.
     """
-    assert L == Lc == 1
-    ncols, nf = len(cost), len(free)
-    nslack = ncols - n - nf
-    assert tab.nfields == ncols + 1 and len(basis) >= nslack
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    cols = [tab.column(k) for k in range(tab.nfields)]
-    for i, bj in enumerate(basis):
-        f = [col[i] for col in cols]
-        assert f[n:n + nf] == [-f[j] for j in free]
-        slack = f[n + nf:ncols]
-        if i < nslack:
-            assert slack == [k == i for k in range(nslack)]
-            assert bj == n + nf + i and f[-1] >= 0
-            A_ub.append(f[:n])
-            b_ub.append(f[-1])
-        else:
-            assert not any(slack) and bj == ncols + i and f[-1] >= 0
-            A_eq.append(f[:n])
-            b_eq.append(f[-1])
-    assert cost[n:] == [-cost[j] for j in free] + [0] * nslack
-    return ([sign * v for v in cost[:n]],), dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                                 free_vars=list(free), maximize=sign == 1)
+    assert L == Lc == 1 and min(rhs, default=0) >= 0 and len(rhs) == len(rows)
+    A = [fraction_simplex.fields(x, len(cost), W) for x in rows]
+    return (list(cost),), dict(A_ub=A[:n_le], b_ub=rhs[:n_le], A_eq=A[n_le:], b_eq=rhs[n_le:],
+                               free_vars=list(free), maximize=sign == 1)
 
 
 class _Recorded:
     """Records every LP the checkers and the game solve, on the real kernel.
 
     Every checker LP but the forced-zero one, and the game's, packs its own
-    tableau and calls ``simplex._solve_tableau``: those LPs are recorded
-    unpacked, in list form, with the result that the packed tableau gave.
+    rows and calls ``simplex._solve_packed``: those LPs are recorded
+    unpacked, in list form, with the result that the packed rows gave.
     """
 
     def __init__(self, monkeypatch):
@@ -431,12 +413,12 @@ class _Recorded:
 
         def record_packed(*args, **kwargs):
             lp = _unpacked(*args, **kwargs)
-            res = simplex._solve_tableau(*args, **kwargs)
+            res = simplex._solve_packed(*args, **kwargs)
             self.calls.append((*lp, res))
             return res
         monkeypatch.setattr(admissibility, "solve_lp", record)
-        monkeypatch.setattr(admissibility, "_solve_tableau", record_packed)
-        monkeypatch.setattr(game, "_solve_tableau", record_packed)
+        monkeypatch.setattr(admissibility, "_solve_packed", record_packed)
+        monkeypatch.setattr(game, "_solve_packed", record_packed)
 
     def replay(self, monkeypatch):
         """Each recorded LP against the oracle, and a packed one's result
@@ -488,7 +470,7 @@ def test_witness_and_game_lps_match_fraction_oracle(monkeypatch):
 
 def test_negative_risk_lps_match_fraction_oracle(monkeypatch):
     # risks in [-1, 1]: every packed row has rhs >= 0, so none is negated
-    # (_unpacked asserts each slack reads +1 and each rhs >= 0).  The
+    # (_unpacked asserts each rhs >= 0).  The
     # risk-equal theta rows are delta0's gap rows, rhs 0, where a form with
     # r(theta, delta0) on the right would have to negate some rows
     lps = _Recorded(monkeypatch)
